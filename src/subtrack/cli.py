@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from .model import TrainConfig, default_config, validate_config
 from .trainer import (
     Encoder,
     PipelineToggles,
+    ablation_matrix,
     cluster_epoch,
     standard_ablation_rows,
     train,
@@ -194,14 +196,11 @@ def cmd_stats(args) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    tmp.replace(path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    storage._atomic_write(Path(path), buf.getvalue().encode("utf-8"))
 
 
 def cmd_ablate(args) -> None:
@@ -209,10 +208,11 @@ def cmd_ablate(args) -> None:
     cfg = _load_config(args.config)
     header = ["name", "filter", "partition", "merge", "loss",
               "map", "rank1", "pairwise_f1", "incorrect_clusters"]
+    toggle_rows = standard_ablation_rows()
+    results = ablation_matrix(tracklets, cfg, toggle_rows)
     rows = []
-    for toggles in standard_ablation_rows():
-        result = train_with_toggles(tracklets, cfg, toggles)
-        m = final_metrics(tracklets, result)
+    for toggles in toggle_rows:
+        m = final_metrics(tracklets, results[toggles.name])
         rows.append([
             toggles.name, int(toggles.filter_frames), int(toggles.do_partition),
             toggles.merge, toggles.loss,

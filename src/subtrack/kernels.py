@@ -1,70 +1,25 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels: pairwise Jaccard distance and density clustering.
 
-Set SUBTRACK_PURE_NUMPY=1 to force the numpy fallback path (e.g. when numba
-is unavailable or for benchmarking; see benchmarks/bench_kernels.py). The
-integer outputs (cluster labels) are identical on both paths; the float
-Jaccard distances agree to within summation-order round-off (a few ulps).
+Both run in plain numpy on a single core; the hot loops are vectorized over
+one row at a time, so memory stays O(n^2).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("SUBTRACK_PURE_NUMPY", "").lower() in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# perfbench/worker.py records this on its env line; there is no jitted path.
+USE_NUMBA = False
 
 
-USE_NUMBA = HAVE_NUMBA and not _FORCE_NUMPY
+def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
+    """Pairwise Jaccard distance between nonnegative neighbor-weight rows.
 
-
-# ---------------------------------------------------------------------------
-# Jaccard distance from sparse-ish weight rows.
-# Rows of W are nonnegative neighbor-weight vectors; the distance between i
-# and j is 1 - sum(min(W[i], W[j])) / sum(max(W[i], W[j])), using the identity
-# sum(max) = sum(W[i]) + sum(W[j]) - sum(min).
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _jaccard_numba(W):  # pragma: no cover - exercised via dispatch
-    n = W.shape[0]
-    rowsum = np.empty(n)
-    for i in range(n):
-        rowsum[i] = W[i].sum()
-    # inverted index: for each column, the rows with nonzero weight
-    col_rows = []
-    for k in range(n):
-        col_rows.append(np.nonzero(W[:, k])[0])
-    out = np.empty((n, n))
-    for i in range(n):
-        minsum = np.zeros(n)
-        nz = np.nonzero(W[i])[0]
-        for k in nz:
-            wik = W[i, k]
-            rows = col_rows[k]
-            for jj in range(rows.shape[0]):
-                j = rows[jj]
-                wjk = W[j, k]
-                minsum[j] += wik if wik < wjk else wjk
-        for j in range(n):
-            maxsum = rowsum[i] + rowsum[j] - minsum[j]
-            out[i, j] = 1.0 - minsum[j] / maxsum if maxsum > 0.0 else 0.0
-    return out
-
-
-def _jaccard_numpy(W):
+    The distance between i and j is 1 - sum(min(W[i], W[j])) / sum(max(W[i], W[j])),
+    using the identity sum(max) = sum(W[i]) + sum(W[j]) - sum(min); two
+    all-zero rows are at distance 0.
+    """
+    W = np.ascontiguousarray(W, dtype=np.float64)
     n = W.shape[0]
     rowsum = W.sum(axis=1)
     out = np.empty((n, n))
@@ -78,64 +33,20 @@ def _jaccard_numpy(W):
     return out
 
 
-def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
-    W = np.ascontiguousarray(W, dtype=np.float64)
-    if USE_NUMBA:
-        return _jaccard_numba(W)
-    return _jaccard_numpy(W)
+def dbscan_labels(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
+    """Density clustering on a precomputed distance matrix.
 
-
-# ---------------------------------------------------------------------------
-# Density clustering on a precomputed distance matrix.
-# Core points have >= min_samples neighbors within eps (self included).
-# Clusters are connected components of core points under eps-reachability,
-# labeled 1.. in order of their first core index; non-core points join the
-# lowest-index core point within eps; everything else stays 0.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _dbscan_numba(dist, eps, min_samples):  # pragma: no cover - exercised via dispatch
+    Core points have >= min_samples neighbors within eps (self included).
+    Clusters are connected components of core points under eps-reachability,
+    labeled 1.. in order of their first core index; non-core points join the
+    lowest-index core point within eps; everything else stays 0.
+    """
+    dist = np.ascontiguousarray(dist, dtype=np.float64)
     n = dist.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    core = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        cnt = 0
-        for j in range(n):
-            if dist[i, j] <= eps:
-                cnt += 1
-        core[i] = cnt >= min_samples
-    stack = np.empty(n, dtype=np.int64)
-    next_label = 0
-    for i in range(n):
-        if not core[i] or labels[i] != 0:
-            continue
-        next_label += 1
-        labels[i] = next_label
-        top = 0
-        stack[top] = i
-        top += 1
-        while top > 0:
-            top -= 1
-            p = stack[top]
-            for j in range(n):
-                if core[j] and labels[j] == 0 and dist[p, j] <= eps:
-                    labels[j] = next_label
-                    stack[top] = j
-                    top += 1
-    for i in range(n):
-        if labels[i] != 0 or core[i]:
-            continue
-        for j in range(n):
-            if core[j] and dist[i, j] <= eps:
-                labels[i] = labels[j]
-                break
-    return labels
-
-
-def _dbscan_numpy(dist, eps, min_samples):
-    n = dist.shape[0]
-    adj = dist <= eps
-    core = adj.sum(axis=1) >= min_samples
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    adj = dist <= float(eps)
+    core = adj.sum(axis=1) >= int(min_samples)
     labels = np.zeros(n, dtype=np.int64)
     next_label = 0
     for i in range(n):
@@ -155,12 +66,3 @@ def _dbscan_numpy(dist, eps, min_samples):
         if claimers.size:
             labels[i] = labels[claimers[0]]
     return labels
-
-
-def dbscan_labels(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
-    dist = np.ascontiguousarray(dist, dtype=np.float64)
-    if dist.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if USE_NUMBA:
-        return _dbscan_numba(dist, float(eps), int(min_samples))
-    return _dbscan_numpy(dist, float(eps), int(min_samples))

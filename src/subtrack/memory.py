@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import OUTLIER, LabelState, TrainConfig
+from .model import TrainConfig
 
 WHICH_CENTROID = "centroid"
 WHICH_HARD = "hard"
@@ -81,12 +81,6 @@ def init_memory(
         centroid[j - 1] = members.mean(axis=0)
     centroid = _normalize_rows(centroid)
     return MemoryBanks(centroid, centroid.copy(), float(temperature), float(momentum))
-
-
-def memory_from_state(features: np.ndarray, state: LabelState, cfg: TrainConfig) -> MemoryBanks:
-    labels = np.fromiter((y for y in state.assignment.values()), dtype=np.int64, count=len(state.assignment))
-    keep = labels != OUTLIER
-    return init_memory(np.asarray(features)[keep], labels[keep], cfg.temperature, cfg.momentum)
 
 
 def infonce_loss(v: np.ndarray, label: int, banks: MemoryBanks, which: str) -> LossOutput:

@@ -27,15 +27,6 @@ class ReachabilityGraph:
     edges: frozenset[tuple[int, int]]  # (a, b) with a < b
     witness: Mapping[tuple[int, int], frozenset[str]]
 
-    def neighbors(self, node: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == node:
-                out.add(b)
-            elif b == node:
-                out.add(a)
-        return out
-
 
 class UnionFind:
     def __init__(self, items):
@@ -108,16 +99,14 @@ def reachable_positive_sets(
     return psets, refined
 
 
-def progressive_positive_sets(
+def merged_state(
     assignment: Mapping[SubTracklet, int],
     g: ReachabilityGraph,
-    epoch: int,
-    cfg: TrainConfig,
+    mode: str,
 ) -> LabelState:
-    """Direct neighborhoods before the merge switch epoch, components after."""
-    if epoch < 1:
-        raise ValueError("epoch must be >= 1")
-    if epoch < cfg.merge_switch_epoch:
+    """Label state for one mode: DIRECT positives are one-hop neighborhoods;
+    REACHABLE positives are connected components, whose ids become refined labels."""
+    if mode == MODE_DIRECT:
         return LabelState(
             assignment=dict(assignment),
             positive_sets=direct_positive_sets(g),
@@ -130,3 +119,16 @@ def progressive_positive_sets(
         mode=MODE_REACHABLE,
         refined=refined,
     )
+
+
+def progressive_positive_sets(
+    assignment: Mapping[SubTracklet, int],
+    g: ReachabilityGraph,
+    epoch: int,
+    cfg: TrainConfig,
+) -> LabelState:
+    """Direct neighborhoods before the merge switch epoch, components after."""
+    if epoch < 1:
+        raise ValueError("epoch must be >= 1")
+    mode = MODE_DIRECT if epoch < cfg.merge_switch_epoch else MODE_REACHABLE
+    return merged_state(assignment, g, mode)

@@ -96,6 +96,13 @@ def write_synthetic(ds: SyntheticDataset, out_dir) -> None:
     write_dataset(ds.tracklets, out_dir, splice_log=ds.splice_log)
 
 
+def _field(obj, key: str, where: str):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise StorageError(f"{where}: missing {key!r}") from None
+
+
 def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]:
     in_dir = Path(in_dir)
     try:
@@ -104,24 +111,28 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
         raise StorageError(f"missing manifest.json in {in_dir}")
     except json.JSONDecodeError as exc:
         raise StorageError(f"malformed manifest.json: {exc}")
-    d_raw = manifest["d_raw"]
+    d_raw = _field(manifest, "d_raw", "manifest.json")
     seen = set()
     tracklets = []
-    for entry in manifest["tracklets"]:
-        tid = entry["tracklet_id"]
+    for pos, entry in enumerate(_field(manifest, "tracklets", "manifest.json")):
+        tid = _field(entry, "tracklet_id", f"manifest entry {pos}")
         if tid in seen:
             raise StorageError(f"duplicate tracklet id {tid!r}")
         seen.add(tid)
-        path = in_dir / entry["feature_file"]
-        if not path.exists():
+        frame_count = _field(entry, "frame_count", f"tracklet {tid!r}")
+        name = os.path.normpath(_field(entry, "feature_file", f"tracklet {tid!r}"))
+        if os.path.isabs(name) or name.split(os.sep)[0] == os.pardir:
+            raise StorageError(f"tracklet {tid!r}: feature file lies outside {in_dir}")
+        path = in_dir / name
+        if not path.is_file():
             raise StorageError(f"missing feature file for tracklet {tid!r}")
-        expected = entry["frame_count"] * d_raw * 4
+        expected = frame_count * d_raw * 4
         actual = path.stat().st_size
         if actual != expected:
             raise StorageError(
                 f"tracklet {tid!r}: feature file is {actual} bytes, manifest implies {expected}"
             )
-        frames = np.fromfile(path, dtype="<f4").reshape(entry["frame_count"], d_raw)
+        frames = np.fromfile(path, dtype="<f4").reshape(frame_count, d_raw)
         tracklets.append(
             Tracklet(tid, frames, identity=entry.get("identity"), camera=entry.get("camera"))
         )

@@ -18,7 +18,7 @@ import numpy as np
 from . import nftp
 from .clustering import sub_cluster_generate
 from .memory import MemoryBanks, combined_loss, init_memory, update_hard_memory, update_memory
-from .merging import build_graph, direct_positive_sets, progressive_positive_sets, reachable_positive_sets
+from .merging import build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -62,18 +62,6 @@ def encode_frames(enc: Encoder, raw_frames: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("zero vector after the linear map")
     return u / norms
-
-
-def embed_subtracklet(
-    enc: Encoder,
-    raw_frames: np.ndarray,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Strided-sample embedding: mean of sampled encoded frames, normalized."""
-    idx = nftp.sample_frames(raw_frames.shape[0], cfg.frames_per_sample, cfg.sample_stride, rng)
-    mean = encode_frames(enc, raw_frames[idx]).mean(axis=0)
-    return mean / np.linalg.norm(mean)
 
 
 def _embed_with_cache(enc: Encoder, raw_frames: np.ndarray):
@@ -166,13 +154,12 @@ def _positive_state(
             mode=MODE_DIRECT,
         )
     g = build_graph(assignment)
-    if merge == MERGE_DIRECT:
-        return LabelState(assignment=assignment, positive_sets=direct_positive_sets(g), mode=MODE_DIRECT)
-    if merge == MERGE_REACHABLE:
-        psets, refined = reachable_positive_sets(g)
-        return LabelState(assignment=assignment, positive_sets=psets, mode=MODE_REACHABLE, refined=refined)
     if merge == MERGE_PROGRESSIVE:
         return progressive_positive_sets(assignment, g, epoch, cfg)
+    if merge == MERGE_DIRECT:
+        return merged_state(assignment, g, MODE_DIRECT)
+    if merge == MERGE_REACHABLE:
+        return merged_state(assignment, g, MODE_REACHABLE)
     raise ValueError(f"unknown merge mode {merge!r}")
 
 

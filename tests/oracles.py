@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately avoid sharing code paths with the package: reachability
-closures use boolean matrix powers, AP is computed by direct enumeration,
-and gradients come from central finite differences.
+closures use boolean matrix powers, AP and Jaccard distances are computed by
+direct enumeration, and gradients come from central finite differences.
 """
 
 import numpy as np
@@ -46,6 +46,23 @@ def dbscan_closure(dist, eps, min_samples):
                 break
     outliers = frozenset(np.flatnonzero(assigned < 0))
     return frozenset(frozenset(c) for c in clusters), outliers
+
+
+def jaccard_pairwise(W):
+    """Weighted Jaccard distance by direct per-pair enumeration.
+
+    d(i, j) = 1 - sum(min) / sum(max) over the two weight rows, and 0 when
+    both rows are empty.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    n = W.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            lo = np.minimum(W[i], W[j]).sum()
+            hi = np.maximum(W[i], W[j]).sum()
+            out[i, j] = 1.0 - lo / hi if hi > 0.0 else 0.0
+    return out
 
 
 def partition_of(labels, outlier=0):

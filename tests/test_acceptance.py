@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from oracles import (
     average_precision_enum,
@@ -20,7 +19,6 @@ from oracles import (
     partition_of,
     relative_error,
 )
-from subtrack import kernels
 from subtrack.cli import main as cli_main
 from subtrack.clustering import dbscan
 from subtrack.evaluation import map_cmc
@@ -38,7 +36,6 @@ from subtrack.merging import ReachabilityGraph, direct_positive_sets, reachable_
 from subtrack.model import default_config
 from subtrack.nftp import keep_all, noise_filter, partition
 from subtrack.storage import load_json
-from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import Encoder, _backprop_to_weights, _embed_with_cache
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -238,12 +235,11 @@ def test_criterion_08_directional_comparison(capsys):
         if r["margin_map"] > 0 and r["margin_f1"] > 0 and r["margin_incorrect"] > 0
     )
     ok = wins >= 4 and elapsed <= 300.0
-    if kernels.USE_NUMBA:
-        # the fixture was recorded on the jitted path; fresh margins must match it
-        for fresh, recorded in zip(rows, fixture["rows"]):
-            ok = ok and abs(fresh["margin_map"] - recorded["margin_map"]) <= 1e-9
-            ok = ok and abs(fresh["margin_f1"] - recorded["margin_f1"]) <= 1e-9
-            ok = ok and fresh["margin_incorrect"] == recorded["margin_incorrect"]
+    # fresh margins must reproduce the recorded fixture
+    for fresh, recorded in zip(rows, fixture["rows"]):
+        ok = ok and abs(fresh["margin_map"] - recorded["margin_map"]) <= 1e-9
+        ok = ok and abs(fresh["margin_f1"] - recorded["margin_f1"]) <= 1e-9
+        ok = ok and fresh["margin_incorrect"] == recorded["margin_incorrect"]
     _verdict(capsys, 8,
              f"full pipeline beats baseline on F1, mAP, and incorrect clusters on {wins}/5 seeds "
              f"(need >=4) in {elapsed:.0f}s (limit 300s)", ok)
@@ -303,12 +299,3 @@ def test_criterion_10_map_oracle(capsys):
              f"mAP equals brute-force enumeration on 100 instances ({worst:.2e} <= 1e-12); "
              "textbook 5/6 case exact", ok)
 
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels outside any timed criterion
-    generate(SyntheticSpec(num_identities=2, tracklets_per_identity=1,
-                           tracklet_length_range=(8, 8), raw_dim=4, seed=0))
-    kernels.dbscan_labels(np.zeros((3, 3)), 0.1, 2)
-    kernels.jaccard_from_weights(np.eye(3))
-    yield

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from subtrack.cli import main
-from subtrack.storage import load_json, read_dataset
+from subtrack.model import Tracklet
+from subtrack.storage import load_json, read_dataset, write_dataset
 
 
 @pytest.fixture
@@ -206,3 +207,40 @@ def test_invalid_config_value_errors(tmp_path, dataset_dir, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert "temperature" in err["message"]
+
+
+def _drop_top(manifest, key):
+    del manifest[key]
+
+
+def _drop_entry(manifest, key):
+    del manifest["tracklets"][0][key]
+
+
+def _escape_dir(manifest, key):
+    manifest["tracklets"][0]["feature_file"] = "../x.f32"
+
+
+@pytest.mark.parametrize("edit,key", [
+    pytest.param(_drop_top, "d_raw", id="no-d_raw"),
+    pytest.param(_drop_top, "tracklets", id="no-tracklets"),
+    pytest.param(_drop_entry, "tracklet_id", id="no-tracklet_id"),
+    pytest.param(_drop_entry, "frame_count", id="no-frame_count"),
+    pytest.param(_drop_entry, "feature_file", id="no-feature_file"),
+    pytest.param(_escape_dir, "outside", id="feature_file-outside"),
+])
+def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key):
+    data = tmp_path / "bad"
+    (tmp_path / "x.f32").write_bytes(np.zeros((2, 3), dtype="<f4").tobytes())
+    write_dataset([Tracklet("t0", np.zeros((2, 3)))], data)
+    manifest = load_json(data / "manifest.json")
+    edit(manifest, key)
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CliError"
+    assert key in err["message"]
+    assert not (tmp_path / "o").exists()

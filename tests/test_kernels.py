@@ -1,13 +1,7 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
+from oracles import jaccard_pairwise
 from subtrack import kernels
-
-
-requires_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 
 
 def _random_weights(rng, n):
@@ -15,86 +9,27 @@ def _random_weights(rng, n):
     return np.ascontiguousarray(W)
 
 
-def _random_dist(rng, n):
-    d = rng.uniform(size=(n, n))
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    return np.ascontiguousarray(d)
-
-
-@requires_numba
-def test_jaccard_paths_agree_to_roundoff():
+def test_jaccard_matches_pairwise_oracle():
     rng = np.random.default_rng(0)
     for _ in range(40):
-        n = int(rng.integers(2, 120))
+        n = int(rng.integers(2, 121))
         W = _random_weights(rng, n)
-        a = kernels._jaccard_numba(W)
-        b = kernels._jaccard_numpy(W)
-        # only summation order differs between the two implementations
-        assert np.abs(a - b).max() <= 8 * np.finfo(np.float64).eps
-
-
-@requires_numba
-def test_dbscan_paths_identical_labels():
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        n = int(rng.integers(2, 150))
-        d = _random_dist(rng, n)
-        eps = float(rng.uniform(0.05, 0.5))
-        min_samples = int(rng.integers(2, 6))
-        a = kernels._dbscan_numba(d, eps, min_samples)
-        b = kernels._dbscan_numpy(d, eps, min_samples)
-        assert np.array_equal(a, b)
+        W[rng.uniform(size=n) < 0.1] = 0.0  # some empty rows
+        got = kernels.jaccard_from_weights(W)
+        # only summation order differs from the per-pair enumeration
+        assert np.abs(got - jaccard_pairwise(W)).max() <= 8 * np.finfo(np.float64).eps
 
 
 def test_jaccard_numpy_zero_rows():
     W = np.zeros((3, 3))
     W[0, 0] = 1.0
-    out = kernels._jaccard_numpy(W)
+    out = kernels.jaccard_from_weights(W)
     assert out[0, 0] == 0.0      # identical rows
     assert out[1, 2] == 0.0      # both-empty rows count as distance 0
     assert out[0, 1] == 1.0      # disjoint supports
-
-
-@requires_numba
-def test_jaccard_numba_zero_rows_matches_numpy():
-    W = np.zeros((3, 3))
-    W[0, 0] = 1.0
-    assert np.array_equal(kernels._jaccard_numba(W), kernels._jaccard_numpy(W))
 
 
 def test_dispatch_empty_input():
     out = kernels.dbscan_labels(np.zeros((0, 0)), 0.3, 2)
     assert out.shape == (0,)
     assert out.dtype == np.int64
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "import subtrack.kernels as k; "
-        "print(k.USE_NUMBA)"
-    )
-    forced = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True,
-        env={"SUBTRACK_PURE_NUMPY": "1", "PATH": "/usr/bin:/bin"},
-        cwd="src",
-    )
-    assert forced.returncode == 0, forced.stderr
-    assert forced.stdout.strip() == "False"
-
-
-def test_public_dispatch_matches_direct_calls():
-    rng = np.random.default_rng(2)
-    W = _random_weights(rng, 30)
-    d = _random_dist(rng, 30)
-    expected_j = (
-        kernels._jaccard_numba(W) if kernels.USE_NUMBA else kernels._jaccard_numpy(W)
-    )
-    expected_l = (
-        kernels._dbscan_numba(d, 0.3, 2)
-        if kernels.USE_NUMBA
-        else kernels._dbscan_numpy(d, 0.3, 2)
-    )
-    assert np.array_equal(kernels.jaccard_from_weights(W), expected_j)
-    assert np.array_equal(kernels.dbscan_labels(d, 0.3, 2), expected_l)
