@@ -93,7 +93,7 @@ def _write_reports(result: TrainResult, path) -> None:
             "num_clusters": r.num_clusters,
             "num_outliers": r.num_outliers,
             "mode": r.mode,
-            "mean_loss": None if np.isnan(r.mean_loss) else float(format(r.mean_loss, ".17g")),
+            "mean_loss": None if np.isnan(r.mean_loss) else r.mean_loss,
             "filtered_frames": r.filtered_frames,
         }
         lines.append(json.dumps(payload))

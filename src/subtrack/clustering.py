@@ -10,15 +10,10 @@ import numpy as np
 from . import kernels
 from .model import OUTLIER, LabelState, SubTracklet, TrainConfig
 
-KIND_COSINE = "COSINE"
-KIND_JACCARD = "JACCARD"
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     values: np.ndarray  # symmetric, zero diagonal
-    kind: str
-    degenerate_fallback: bool = False  # set when too few samples for the Jaccard metric
+    degenerate_fallback: bool = False  # cosine values: too few samples for the Jaccard metric
 
 
 def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
@@ -30,7 +25,7 @@ def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
     np.clip(d, 0.0, 2.0, out=d)
-    return DistanceMatrix(d, KIND_COSINE)
+    return DistanceMatrix(d)
 
 
 def _k_reciprocal_neighbors(initial_rank: np.ndarray, i: int, k: int) -> np.ndarray:
@@ -54,7 +49,7 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
     n = features.shape[0]
     cos = cosine_distance_matrix(features)
     if n <= k1:
-        return DistanceMatrix(cos.values, KIND_COSINE, degenerate_fallback=True)
+        return DistanceMatrix(cos.values, degenerate_fallback=True)
     dist = cos.values
     # rank self strictly first even under exact-duplicate ties
     ranking_dist = dist.copy()
@@ -83,7 +78,7 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
     jac = (jac + jac.T) / 2.0
     np.fill_diagonal(jac, 0.0)
     np.clip(jac, 0.0, 1.0, out=jac)
-    return DistanceMatrix(jac, KIND_JACCARD)
+    return DistanceMatrix(jac)
 
 
 def dbscan(dist, eps: float, min_samples: int) -> np.ndarray:

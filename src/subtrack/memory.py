@@ -43,12 +43,6 @@ class LossOutput:
     value: float
     grad: np.ndarray  # d(value)/d(embedding)
 
-    def __add__(self, other: "LossOutput") -> "LossOutput":
-        return LossOutput(self.value + other.value, self.grad + other.grad)
-
-    def scaled(self, factor: float) -> "LossOutput":
-        return LossOutput(factor * self.value, factor * self.grad)
-
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
@@ -83,23 +77,6 @@ def init_memory(
     return MemoryBanks(centroid, centroid.copy(), float(temperature), float(momentum))
 
 
-def infonce_loss(v: np.ndarray, label: int, banks: MemoryBanks, which: str) -> LossOutput:
-    """Cross entropy of the bank-row softmax against the anchor's own class."""
-    rows = banks.rows(which)
-    n = rows.shape[0]
-    if not 1 <= label <= n:
-        raise ValueError(f"label {label} outside 1..{n}")
-    z = rows @ v / banks.temperature
-    m = z.max()
-    exp_z = np.exp(z - m)
-    total = exp_z.sum()
-    p = exp_z / total
-    value = -(z[label - 1] - m - np.log(total))
-    grad_z = p.copy()
-    grad_z[label - 1] -= 1.0
-    return LossOutput(float(value), rows.T @ grad_z / banks.temperature)
-
-
 def csc_loss(
     v: np.ndarray,
     label: int,
@@ -113,7 +90,7 @@ def csc_loss(
     The anchor class keeps weight 1 - smoothing + smoothing/K and the other
     K - 1 positives share smoothing/K each; each term's denominator contains
     only that positive and the negatives, so competing positives never repel
-    one another.
+    one another. Positives {label} with smoothing 0 give plain InfoNCE.
     """
     rows = banks.rows(which)
     n = rows.shape[0]
@@ -155,14 +132,17 @@ def combined_loss(
 ) -> LossOutput:
     """Weighted sum of the hard-memory and centroid-memory losses."""
     if kind == "csc":
-        hard = csc_loss(v, label, positives, banks, WHICH_HARD, cfg.smoothing)
-        cent = csc_loss(v, label, positives, banks, WHICH_CENTROID, cfg.smoothing)
+        smoothing = cfg.smoothing
     elif kind == "infonce":
-        hard = infonce_loss(v, label, banks, WHICH_HARD)
-        cent = infonce_loss(v, label, banks, WHICH_CENTROID)
+        positives, smoothing = (label,), 0.0
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    return hard.scaled(cfg.hard_weight) + cent.scaled(cfg.centroid_weight)
+    hard = csc_loss(v, label, positives, banks, WHICH_HARD, smoothing)
+    cent = csc_loss(v, label, positives, banks, WHICH_CENTROID, smoothing)
+    return LossOutput(
+        cfg.hard_weight * hard.value + cfg.centroid_weight * cent.value,
+        cfg.hard_weight * hard.grad + cfg.centroid_weight * cent.grad,
+    )
 
 
 def _batch_by_label(batch: Sequence[tuple[np.ndarray, int]]) -> dict[int, list[np.ndarray]]:

@@ -32,23 +32,14 @@ def center_feature(frames: np.ndarray) -> np.ndarray:
     return frames.mean(axis=0)
 
 
-def frame_distance(f: np.ndarray, center: np.ndarray) -> float:
-    """Squared cosine deviation (1 - cos(f, center))**2."""
-    f = np.asarray(f, dtype=np.float64)
+def frame_distances(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared cosine deviation (1 - cos(f, center))**2 of each frame row f."""
+    frames = np.asarray(frames, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
-    nf = np.linalg.norm(f)
-    nc = np.linalg.norm(center)
-    if nf == 0.0 or nc == 0.0:
-        raise ValueError("frame_distance is undefined for zero-norm vectors")
-    cos = float(f @ center) / (nf * nc)
-    return (1.0 - cos) ** 2
-
-
-def _frame_distances(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(frames, axis=1)
     nc = np.linalg.norm(center)
     if nc == 0.0 or np.any(norms == 0.0):
-        raise ValueError("frame_distance is undefined for zero-norm vectors")
+        raise ValueError("frame distance is undefined for zero-norm vectors")
     cos = (frames @ center) / (norms * nc)
     return (1.0 - cos) ** 2
 
@@ -65,7 +56,7 @@ def noise_filter(frames: np.ndarray, filter_factor: float) -> FilteredTracklet:
     if frames.shape[0] == 0:
         raise ValueError("noise_filter needs a non-empty tracklet")
     center = center_feature(frames)
-    dist = _frame_distances(frames, center)
+    dist = frame_distances(frames, center)
     threshold = float(dist.sum() / (frames.shape[0] * filter_factor))
     keep = dist <= threshold
     if not keep.any():

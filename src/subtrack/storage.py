@@ -1,11 +1,12 @@
 """Dataset and run-artifact persistence.
 
-Control plane is JSON (fixed key order, floats at 17 significant digits);
-bulk features are raw little-endian float32 files, one per tracklet.
+Control plane is JSON (fixed key order, floats in Python's shortest round-trip
+repr); bulk features are raw little-endian float32 files, one per tracklet.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -24,20 +25,10 @@ class StorageError(Exception):
     pass
 
 
-def _format_floats(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _format_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_format_floats(v) for v in obj]
-    return obj
-
-
 def dump_json(obj, path) -> None:
     """Deterministic JSON written atomically via temp-file rename."""
     path = Path(path)
-    text = json.dumps(_format_floats(obj), indent=2) + "\n"
+    text = json.dumps(obj, indent=2) + "\n"
     _atomic_write(path, text.encode("utf-8"))
 
 
@@ -96,11 +87,22 @@ def write_synthetic(ds: SyntheticDataset, out_dir) -> None:
     write_dataset(ds.tracklets, out_dir, splice_log=ds.splice_log)
 
 
-def _field(obj, key: str, where: str):
+def _field(obj, key: str, where: str, kind: Optional[type] = None):
+    """``obj[key]``, which must exist and, given ``kind``, have exactly that type."""
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError):
         raise StorageError(f"{where}: missing {key!r}") from None
+    if kind is not None and type(value) is not kind:
+        raise StorageError(f"{where}: {key!r} must be of type {kind.__name__}, not {value!r}")
+    return value
+
+
+def _count(obj, key: str, where: str) -> int:
+    value = _field(obj, key, where, int)
+    if value < 1:
+        raise StorageError(f"{where}: {key!r} must be at least 1, not {value}")
+    return value
 
 
 def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]:
@@ -111,16 +113,16 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
         raise StorageError(f"missing manifest.json in {in_dir}")
     except json.JSONDecodeError as exc:
         raise StorageError(f"malformed manifest.json: {exc}")
-    d_raw = _field(manifest, "d_raw", "manifest.json")
+    d_raw = _count(manifest, "d_raw", "manifest.json")
     seen = set()
     tracklets = []
-    for pos, entry in enumerate(_field(manifest, "tracklets", "manifest.json")):
-        tid = _field(entry, "tracklet_id", f"manifest entry {pos}")
+    for pos, entry in enumerate(_field(manifest, "tracklets", "manifest.json", list)):
+        tid = _field(entry, "tracklet_id", f"manifest entry {pos}", str)
         if tid in seen:
             raise StorageError(f"duplicate tracklet id {tid!r}")
         seen.add(tid)
-        frame_count = _field(entry, "frame_count", f"tracklet {tid!r}")
-        name = os.path.normpath(_field(entry, "feature_file", f"tracklet {tid!r}"))
+        frame_count = _count(entry, "frame_count", f"tracklet {tid!r}")
+        name = os.path.normpath(_field(entry, "feature_file", f"tracklet {tid!r}", str))
         if os.path.isabs(name) or name.split(os.sep)[0] == os.pardir:
             raise StorageError(f"tracklet {tid!r}: feature file lies outside {in_dir}")
         path = in_dir / name
@@ -139,9 +141,14 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
     splice_log: dict[str, list[SpliceRecord]] = {}
     splice_path = in_dir / "splices.json"
     if splice_path.exists():
-        for tid, recs in load_json(splice_path).items():
+        splices = load_json(splice_path)
+        if type(splices) is not dict:
+            raise StorageError("splices.json must be an object of per-tracklet record lists")
+        for tid in splices:
             splice_log[tid] = [
-                SpliceRecord(r["start"], r["end"], r["source_identity"]) for r in recs
+                SpliceRecord(*(_field(r, k, f"splices.json record {i} of {tid!r}", int)
+                               for k in ("start", "end", "source_identity")))
+                for i, r in enumerate(_field(splices, tid, "splices.json", list))
             ]
     return tracklets, splice_log
 
@@ -155,16 +162,9 @@ def synthetic_spec_from_dict(d: dict) -> SyntheticSpec:
 
 
 def write_weights(weights: np.ndarray, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        np.save(tmp, np.asarray(weights, dtype=np.float64), allow_pickle=False)
-        os.replace(tmp + ".npy", path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(weights, dtype=np.float64), allow_pickle=False)
+    _atomic_write(Path(path), buf.getvalue())
 
 
 def read_weights(path) -> np.ndarray:

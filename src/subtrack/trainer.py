@@ -22,7 +22,6 @@ from .merging import build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
     MODE_REACHABLE,
-    OUTLIER,
     LabelState,
     SubTracklet,
     Tracklet,
@@ -124,10 +123,6 @@ class TrainResult:
     subtracklets: list[SubTracklet] = field(default_factory=list)
     features: Optional[np.ndarray] = None        # final clustering-phase embeddings
 
-    def __iter__(self):
-        # allows the (encoder, reports) unpacking used by callers of train()
-        return iter((self.encoder, self.reports))
-
 
 @dataclass(frozen=True)
 class PipelineToggles:
@@ -146,13 +141,6 @@ def _positive_state(
     epoch: int,
     cfg: TrainConfig,
 ) -> LabelState:
-    if merge == MERGE_NONE:
-        labels = sorted({y for y in assignment.values() if y != OUTLIER})
-        return LabelState(
-            assignment=assignment,
-            positive_sets={y: frozenset([y]) for y in labels},
-            mode=MODE_DIRECT,
-        )
     g = build_graph(assignment)
     if merge == MERGE_PROGRESSIVE:
         return progressive_positive_sets(assignment, g, epoch, cfg)
@@ -200,8 +188,9 @@ def cluster_epoch(
             subtracklets.append(st)
             raw_units[st] = raw_frames[a : b + 1]
     features = np.asarray(features)
-    state0 = sub_cluster_generate(features, cfg, keys=subtracklets)
-    state = _positive_state(dict(state0.assignment), toggles.merge, epoch, cfg)
+    state = sub_cluster_generate(features, cfg, keys=subtracklets)
+    if toggles.merge != MERGE_NONE:
+        state = _positive_state(dict(state.assignment), toggles.merge, epoch, cfg)
     return state, subtracklets, features, raw_units, filtered_frames
 
 

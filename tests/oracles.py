@@ -114,6 +114,19 @@ def average_precision_enum(query_id, order_ids):
     return sum(precisions) / len(precisions)
 
 
+def softmax_cross_entropy(v, label, rows, temperature):
+    """Plain InfoNCE: cross entropy of softmax(rows @ v / T) against ``label``.
+
+    Returns (value, gradient with respect to v); ``label`` counts from 1.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    z = rows @ np.asarray(v, dtype=np.float64) / temperature
+    log_total = np.logaddexp.reduce(z)
+    p = np.exp(z - log_total)
+    p[label - 1] -= 1.0
+    return float(log_total - z[label - 1]), rows.T @ p / temperature
+
+
 def central_difference_grad(f, x, step=1e-6):
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)

@@ -18,6 +18,7 @@ from oracles import (
     dbscan_closure,
     partition_of,
     relative_error,
+    softmax_cross_entropy,
 )
 from subtrack.cli import main as cli_main
 from subtrack.clustering import dbscan
@@ -29,7 +30,6 @@ from subtrack.memory import (
     MemoryBanks,
     combined_loss,
     csc_loss,
-    infonce_loss,
     update_memory,
 )
 from subtrack.merging import ReachabilityGraph, direct_positive_sets, reachable_positive_sets
@@ -109,8 +109,8 @@ def test_criterion_03_gradient_suite(capsys):
         label = int(rng.integers(1, n + 1))
         pos = {label, int(rng.integers(1, n + 1))}
         for out, fn in (
-            (infonce_loss(v, label, banks, WHICH_CENTROID),
-             lambda x: infonce_loss(x, label, banks, WHICH_CENTROID).value),
+            (combined_loss(v, label, pos, banks, cfg, kind="infonce"),
+             lambda x: combined_loss(x, label, pos, banks, cfg, kind="infonce").value),
             (csc_loss(v, label, pos, banks, WHICH_HARD, 0.1),
              lambda x: csc_loss(x, label, pos, banks, WHICH_HARD, 0.1).value),
             (combined_loss(v, label, pos, banks, cfg),
@@ -162,8 +162,8 @@ def test_criterion_04_csc_reduction(capsys):
         label = int(rng.integers(1, n + 1))
         smoothing = float(rng.uniform(0.0, 0.5))
         a = csc_loss(v, label, {label}, banks, WHICH_CENTROID, smoothing)
-        b = infonce_loss(v, label, banks, WHICH_CENTROID)
-        worst = max(worst, abs(a.value - b.value), float(np.abs(a.grad - b.grad).max()))
+        value, grad = softmax_cross_entropy(v, label, rows, banks.temperature)
+        worst = max(worst, abs(a.value - value), float(np.abs(a.grad - grad).max()))
     ok = worst <= 1e-12
     _verdict(capsys, 4,
              f"singleton-positive smoothed loss equals plain contrastive loss ({worst:.2e} <= 1e-12)",

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtrack.cli import main
 from subtrack.model import Tracklet
@@ -221,21 +227,40 @@ def _escape_dir(manifest, key):
     manifest["tracklets"][0]["feature_file"] = "../x.f32"
 
 
-@pytest.mark.parametrize("edit,key", [
-    pytest.param(_drop_top, "d_raw", id="no-d_raw"),
-    pytest.param(_drop_top, "tracklets", id="no-tracklets"),
-    pytest.param(_drop_entry, "tracklet_id", id="no-tracklet_id"),
-    pytest.param(_drop_entry, "frame_count", id="no-frame_count"),
-    pytest.param(_drop_entry, "feature_file", id="no-feature_file"),
-    pytest.param(_escape_dir, "outside", id="feature_file-outside"),
+def _retype(value):
+    def edit(manifest, key):
+        (manifest if key in manifest else manifest["tracklets"][0])[key] = value
+    return edit
+
+
+def _keep(manifest, key):
+    pass
+
+
+@pytest.mark.parametrize("edit,key,splices", [
+    pytest.param(_drop_top, "d_raw", None, id="no-d_raw"),
+    pytest.param(_drop_top, "tracklets", None, id="no-tracklets"),
+    pytest.param(_drop_entry, "tracklet_id", None, id="no-tracklet_id"),
+    pytest.param(_drop_entry, "frame_count", None, id="no-frame_count"),
+    pytest.param(_drop_entry, "feature_file", None, id="no-feature_file"),
+    pytest.param(_escape_dir, "outside", None, id="feature_file-outside"),
+    pytest.param(_retype(2.0), "frame_count", None, id="float-frame_count"),
+    pytest.param(_retype("3"), "d_raw", None, id="string-d_raw"),
+    pytest.param(_retype(True), "frame_count", None, id="bool-frame_count"),
+    pytest.param(_keep, "end", {"t0": [{"start": 0, "source_identity": 1}]},
+                 id="splice-no-end"),
+    pytest.param(_keep, "splices", [{"start": 0, "end": 1, "source_identity": 1}],
+                 id="splices-list"),
 ])
-def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key):
+def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key, splices):
     data = tmp_path / "bad"
     (tmp_path / "x.f32").write_bytes(np.zeros((2, 3), dtype="<f4").tobytes())
     write_dataset([Tracklet("t0", np.zeros((2, 3)))], data)
     manifest = load_json(data / "manifest.json")
     edit(manifest, key)
     (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    if splices is not None:
+        (data / "splices.json").write_text(json.dumps(splices), encoding="utf-8")
     code = main(["train", "--data", str(data), "--out", str(tmp_path / "o")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
@@ -244,3 +269,66 @@ def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key):
     assert err["error"] == "CliError"
     assert key in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+KEEP, DROP, SET = "keep", "drop", "set"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+# (tag, value): mostly keep the field, else drop it or set it to any JSON value
+FIELD = st.sampled_from([KEEP] * 6 + [DROP, SET]).flatmap(
+    lambda tag: JSON_VALUES.map(lambda v: (SET, v)) if tag == SET else st.just((tag, None))
+)
+ENTRY_KEYS = ("tracklet_id", "frame_count", "feature_file", "identity", "camera")
+SPLICE_KEYS = ("start", "end", "source_identity")
+
+
+def _apply(obj, key, change):
+    tag, value = change
+    if tag == DROP:
+        obj.pop(key, None)
+    elif tag == SET:
+        obj[key] = value
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    top=st.fixed_dictionaries({k: FIELD for k in ("d_raw", "tracklets")}),
+    entry=st.fixed_dictionaries({k: FIELD for k in ENTRY_KEYS}),
+    record=st.fixed_dictionaries({k: FIELD for k in SPLICE_KEYS}),
+    splice_file=FIELD,
+)
+def test_train_on_fuzzed_inputs_succeeds_or_errors_as_json(top, entry, record, splice_file):
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data", Path(tmp) / "run"
+        write_dataset([Tracklet(f"t{i}", rng.normal(size=(12, 4)), identity=i, camera=0)
+                       for i in range(2)], data)
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"dim": 4, "epochs": 1, "batch_size": 4,
+                                      "partition_stride": 4}), encoding="utf-8")
+        manifest = load_json(data / "manifest.json")
+        for key, change in entry.items():
+            _apply(manifest["tracklets"][0], key, change)
+        for key, change in top.items():
+            _apply(manifest, key, change)
+        (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        splices = {"t0": [{"start": 0, "end": 3, "source_identity": 1}]}
+        for key, change in record.items():
+            _apply(splices["t0"][0], key, change)
+        if splice_file[0] != DROP:
+            payload = splices if splice_file[0] == KEEP else splice_file[1]
+            (data / "splices.json").write_text(json.dumps(payload), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--data", str(data), "--config", str(config),
+                         "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}

@@ -3,8 +3,6 @@ import pytest
 
 from oracles import dbscan_closure, partition_of
 from subtrack.clustering import (
-    KIND_COSINE,
-    KIND_JACCARD,
     cosine_distance_matrix,
     dbscan,
     k_reciprocal_jaccard,
@@ -54,7 +52,7 @@ def test_jaccard_two_groups_within_less_than_between():
     rng = np.random.default_rng(4)
     feats = _two_groups(rng)
     dm = k_reciprocal_jaccard(feats, k1=8, k2=3)
-    assert dm.kind == KIND_JACCARD
+    assert not dm.degenerate_fallback
     d = dm.values
     within = max(d[:10, :10].max(), d[10:, 10:].max())
     between = d[:10, 10:].min()
@@ -75,7 +73,6 @@ def test_jaccard_degenerate_falls_back_to_cosine():
     feats = _unit_rows(rng, 5, 4)
     dm = k_reciprocal_jaccard(feats, k1=30, k2=6)
     assert dm.degenerate_fallback
-    assert dm.kind == KIND_COSINE
     assert np.allclose(dm.values, cosine_distance_matrix(feats).values)
 
 

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, relative_error
+from oracles import central_difference_grad, relative_error, softmax_cross_entropy
 from subtrack.memory import (
     WHICH_CENTROID,
-    WHICH_HARD,
     MemoryBanks,
     combined_loss,
     csc_loss,
-    infonce_loss,
     init_memory,
     update_hard_memory,
     update_memory,
@@ -50,8 +48,9 @@ def test_infonce_softmax_probabilities_sum_to_one():
     p = np.exp(z - z.max())
     p /= p.sum()
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    # the loss is -log p[label - 1]
-    out = infonce_loss(v, 3, banks, WHICH_CENTROID)
+    # the centroid term of the plain contrastive loss is -log p[label - 1]
+    cfg = default_config(hard_weight=0.0, centroid_weight=1.0)
+    out = combined_loss(v, 3, (), banks, cfg, kind="infonce")
     assert out.value == pytest.approx(-np.log(p[2]), abs=1e-12)
 
 
@@ -59,34 +58,17 @@ def test_infonce_rejects_bad_label():
     rng = np.random.default_rng(1)
     banks = _random_banks(rng, 4, 3)
     v = _unit(rng.normal(size=3))
+    cfg = default_config()
     with pytest.raises(ValueError):
-        infonce_loss(v, 0, banks, WHICH_CENTROID)
+        combined_loss(v, 0, (), banks, cfg, kind="infonce")
     with pytest.raises(ValueError):
-        infonce_loss(v, 5, banks, WHICH_HARD)
+        combined_loss(v, 5, (), banks, cfg, kind="infonce")
 
 
 def _checkable(grad):
     # central differences with step 1e-6 carry ~1e-10 absolute noise; only
     # gradients well above that noise floor give a meaningful relative error
     return np.linalg.norm(grad) >= 1e-3
-
-
-def test_infonce_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    checked = 0
-    while checked < 100:
-        n = int(rng.integers(2, 10))
-        dim = int(rng.integers(2, 8))
-        banks = _random_banks(rng, n, dim, temperature=float(rng.uniform(0.05, 0.5)))
-        v = rng.normal(size=dim)
-        label = int(rng.integers(1, n + 1))
-        which = WHICH_CENTROID if rng.random() < 0.5 else WHICH_HARD
-        out = infonce_loss(v, label, banks, which)
-        if not _checkable(out.grad):
-            continue
-        fd = central_difference_grad(lambda x: infonce_loss(x, label, banks, which).value, v)
-        assert relative_error(out.grad, fd) <= 1e-5
-        checked += 1
 
 
 def test_csc_gradient_matches_finite_differences():
@@ -144,9 +126,9 @@ def test_csc_singleton_positive_set_reduces_to_infonce():
         label = int(rng.integers(1, n + 1))
         smoothing = float(rng.uniform(0.0, 0.5))
         a = csc_loss(v, label, {label}, banks, WHICH_CENTROID, smoothing)
-        b = infonce_loss(v, label, banks, WHICH_CENTROID)
-        assert abs(a.value - b.value) <= 1e-12
-        assert np.abs(a.grad - b.grad).max() <= 1e-12
+        value, grad = softmax_cross_entropy(v, label, banks.centroid, banks.temperature)
+        assert abs(a.value - value) <= 1e-12
+        assert np.abs(a.grad - grad).max() <= 1e-12
 
 
 def test_csc_positive_exclusion_property():

@@ -4,7 +4,7 @@ import pytest
 from subtrack.model import default_config
 from subtrack.nftp import (
     center_feature,
-    frame_distance,
+    frame_distances,
     keep_all,
     noise_filter,
     nftp_all,
@@ -33,24 +33,28 @@ def test_center_feature_rejects_empty():
 
 
 def test_frame_distance_identical_direction():
-    assert frame_distance([1, 0], [1, 0]) == 0.0
-    assert frame_distance([3, 0], [1, 0]) == 0.0  # scale-free
+    # scale-free: a longer frame in the same direction is at distance 0 too
+    assert frame_distances([[1, 0], [3, 0]], [1, 0]).tolist() == [0.0, 0.0]
 
 
 def test_frame_distance_orthogonal():
-    assert frame_distance([1, 0], [0, 1]) == 1.0
+    assert frame_distances([[1, 0]], [0, 1]).tolist() == [1.0]
 
 
 def test_frame_distance_hand_value():
     # cos((0,1), (2/3,1/3)) = (1/3) / (sqrt(5)/3)
     expected = (1 - (1 / 3) / (np.sqrt(5) / 3)) ** 2
-    assert frame_distance([0, 1], [2 / 3, 1 / 3]) == pytest.approx(expected, abs=1e-12)
+    dist = frame_distances([[0, 1], [2, 1]], [2 / 3, 1 / 3])
+    assert dist[0] == pytest.approx(expected, abs=1e-12)
+    assert dist[1] == pytest.approx(0.0, abs=1e-12)
     assert expected == pytest.approx(0.3056, abs=1e-4)
 
 
 def test_frame_distance_rejects_zero_vector():
     with pytest.raises(ValueError):
-        frame_distance([0, 0], [1, 0])
+        frame_distances([[1, 0], [0, 0]], [1, 0])
+    with pytest.raises(ValueError):
+        frame_distances([[1, 0]], [0, 0])
 
 
 def test_noise_filter_identical_frames_nothing_removed():

@@ -99,13 +99,27 @@ def test_dump_json_deterministic_bytes(tmp_path):
     dump_json(payload, tmp_path / "one.json")
     dump_json(payload, tmp_path / "two.json")
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-    # 17 significant digits round-trip doubles exactly
+    # Python's shortest round-trip repr reads back as the same double
     assert load_json(tmp_path / "one.json")["a"] == 1 / 3
 
 
-def test_dump_json_atomic_leaves_no_temp_files(tmp_path):
-    dump_json({"k": 1}, tmp_path / "out.json")
-    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+def test_dump_json_atomic_leaves_no_temp_files(tmp_path, monkeypatch):
+    writers = [(dump_json, {"k": 1}), (write_weights, np.eye(3))]
+    for writer, payload in writers:
+        out = tmp_path / writer.__name__
+        writer(payload, out / "out")
+        assert [p.name for p in out.iterdir()] == ["out"]
+    # a write that fails at the final rename leaves neither target nor temp file behind
+    monkeypatch.setattr("subtrack.storage.os.replace", _failing_replace)
+    for writer, payload in writers:
+        out = tmp_path / f"{writer.__name__}_failed"
+        with pytest.raises(OSError):
+            writer(payload, out / "out")
+        assert list(out.iterdir()) == []
+
+
+def _failing_replace(src, dst):
+    raise OSError("simulated rename failure")
 
 
 def test_manifest_shape(tmp_path):

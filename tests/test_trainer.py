@@ -193,7 +193,9 @@ def test_cluster_epoch_without_partition_gives_one_unit_per_tracklet():
     assert len(subtracklets) == len(tracklets)
     assert {st.parent_id for st in subtracklets} == {t.id for t in tracklets}
     assert all(st.segment_index == 1 for st in subtracklets)
-    del state
+    # without merging every cluster is its own singleton positive set
+    assert state.check() == []
+    assert all(pos == {y} for y, pos in state.positive_sets.items())
 
 
 def test_train_reports_one_per_epoch_with_losses():
@@ -205,8 +207,6 @@ def test_train_reports_one_per_epoch_with_losses():
         assert r.num_clusters >= 1
         assert np.isfinite(r.mean_loss)
         assert r.seconds >= 0.0
-    enc, reports = result  # tuple-style unpacking stays supported
-    assert enc is result.encoder and reports is result.reports
 
 
 def test_train_baseline_runs_and_differs_from_full():
