@@ -15,12 +15,13 @@ import numpy as np
 from . import storage, synth
 from .experiment import final_metrics
 from .evaluation import cluster_stats, map_cmc
-from .model import TrainConfig, default_config, validate_config
+from .model import LabelState, TrainConfig, default_config, validate_config
 from .trainer import (
     Encoder,
     PipelineToggles,
     ablation_matrix,
     cluster_epoch,
+    inference_features,
     standard_ablation_rows,
     train,
     train_with_toggles,
@@ -59,27 +60,25 @@ def _read_dataset(path):
         raise CliError(str(exc))
 
 
-def _labels_payload(result: TrainResult) -> dict:
+def _labels_payload(state: LabelState, subtracklets) -> dict:
     items = []
-    for st in sorted(result.subtracklets):
+    for st in sorted(subtracklets):
         items.append(
             {
                 "tracklet": st.parent_id,
                 "segment": st.segment_index,
                 "start": st.frame_range[0],
                 "end": st.frame_range[1],
-                "label": int(result.labels.assignment[st]),
+                "label": int(state.assignment[st]),
             }
         )
-    refined = result.labels.refined
+    refined = state.refined
     return {
         "format_version": storage.FORMAT_VERSION,
-        "mode": result.labels.mode,
-        "num_clusters": result.labels.num_clusters,
+        "mode": state.mode,
+        "num_clusters": state.num_clusters,
         "assignment": items,
-        "positive_sets": {
-            str(y): sorted(p) for y, p in sorted(result.labels.positive_sets.items())
-        },
+        "positive_sets": {str(y): sorted(p) for y, p in sorted(state.positive_sets.items())},
         "refined": {str(y): r for y, r in sorted(refined.items())} if refined else None,
     }
 
@@ -122,35 +121,34 @@ def cmd_train(args) -> None:
     storage.write_weights(result.encoder.weights, out / "weights.npy")
     _write_reports(result, out / "reports.jsonl")
     if result.labels is not None:
-        storage.dump_json(_labels_payload(result), out / "labels.json")
+        storage.dump_json(_labels_payload(result.labels, result.subtracklets),
+                          out / "labels.json")
 
 
 def cmd_cluster(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     cfg = _load_config(args.config)
     enc = Encoder(storage.read_weights(args.weights))
-    state, subtracklets, features, _, _ = cluster_epoch(
-        enc, tracklets, cfg, epoch=cfg.epochs or 1, toggles=PipelineToggles()
-    )
-    result = TrainResult(encoder=enc, reports=[], labels=state, subtracklets=subtracklets,
-                         features=features)
-    storage.dump_json(_labels_payload(result), Path(args.out))
+    state, subtracklets, _, _, _ = cluster_epoch(enc, tracklets, cfg, epoch=cfg.epochs or 1)
+    storage.dump_json(_labels_payload(state, subtracklets), Path(args.out))
 
 
 def cmd_eval(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     by_id = {t.id: t for t in tracklets}
     split = storage.load_json(args.split)
-    try:
-        query = [by_id[i] for i in split["query"]]
-        gallery = [by_id[i] for i in split["gallery"]]
-    except KeyError as exc:
-        raise CliError(f"split references unknown tracklet {exc}")
+    sides = []
+    for side in ("query", "gallery"):
+        ids = storage._field(split, side, "split file", list)
+        try:
+            sides.append([by_id[storage._field(ids, i, f"split {side}", str)]
+                          for i in range(len(ids))])
+        except KeyError as exc:
+            raise CliError(f"split references unknown tracklet {exc}")
+    query, gallery = sides
     if any(t.identity is None or t.camera is None for t in query + gallery):
         raise CliError("evaluation needs identity and camera labels in the manifest")
     enc = Encoder(storage.read_weights(args.weights))
-    from .trainer import inference_features
-
     q = inference_features(enc, query)
     g = inference_features(enc, gallery)
     res = map_cmc(
@@ -173,13 +171,14 @@ def cmd_stats(args) -> None:
     by_id = {t.id: t for t in tracklets}
     payload = storage.load_json(args.labels)
     pseudo, gt, cams = [], [], []
-    for item in payload["assignment"]:
-        parent = by_id.get(item["tracklet"])
+    for i, item in enumerate(storage._field(payload, "assignment", "labels file", list)):
+        tid = storage._field(item, "tracklet", f"labels record {i}", str)
+        parent = by_id.get(tid)
         if parent is None:
-            raise CliError(f"labels reference unknown tracklet {item['tracklet']!r}")
+            raise CliError(f"labels reference unknown tracklet {tid!r}")
         if parent.identity is None or parent.camera is None:
             raise CliError("stats need identity and camera labels in the manifest")
-        pseudo.append(item["label"])
+        pseudo.append(storage._field(item, "label", f"labels record {i}", int))
         gt.append(parent.identity)
         cams.append(parent.camera)
     stats = cluster_stats(pseudo, gt, cams)

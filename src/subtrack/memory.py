@@ -15,9 +15,6 @@ import numpy as np
 
 from .model import TrainConfig
 
-WHICH_CENTROID = "centroid"
-WHICH_HARD = "hard"
-
 
 @dataclass(frozen=True)
 class MemoryBanks:
@@ -29,13 +26,6 @@ class MemoryBanks:
     @property
     def num_classes(self) -> int:
         return self.centroid.shape[0]
-
-    def rows(self, which: str) -> np.ndarray:
-        if which == WHICH_CENTROID:
-            return self.centroid
-        if which == WHICH_HARD:
-            return self.hard
-        raise ValueError(f"unknown bank {which!r}")
 
 
 @dataclass(frozen=True)
@@ -81,18 +71,18 @@ def csc_loss(
     v: np.ndarray,
     label: int,
     positives: Iterable[int],
-    banks: MemoryBanks,
-    which: str,
+    rows: np.ndarray,
+    temperature: float,
     smoothing: float,
 ) -> LossOutput:
-    """Class-smoothed contrastive loss over the anchor's positive set.
+    """Class-smoothed contrastive loss of ``v`` against one bank's ``rows``.
 
     The anchor class keeps weight 1 - smoothing + smoothing/K and the other
     K - 1 positives share smoothing/K each; each term's denominator contains
     only that positive and the negatives, so competing positives never repel
-    one another. Positives {label} with smoothing 0 give plain InfoNCE.
+    one another. Positives {label} give plain InfoNCE for any smoothing in
+    [0, 1]: the anchor weight 1 - smoothing + smoothing rounds to exactly 1.
     """
-    rows = banks.rows(which)
     n = rows.shape[0]
     pos = sorted(set(int(p) for p in positives))
     if label not in pos:
@@ -100,7 +90,7 @@ def csc_loss(
     if not all(1 <= p <= n for p in pos):
         raise ValueError("positive set outside 1..n")
     k = len(pos)
-    z = rows @ v / banks.temperature
+    z = rows @ v / temperature
     pos_idx = np.asarray(pos) - 1
     neg_mask = np.ones(n, dtype=bool)
     neg_mask[pos_idx] = False
@@ -119,7 +109,7 @@ def csc_loss(
         p = exp_l / total
         grad_z[j] -= s_j * (1.0 - p[0])
         grad_z[neg_mask] += s_j * p[1:]
-    return LossOutput(float(value), rows.T @ grad_z / banks.temperature)
+    return LossOutput(float(value), rows.T @ grad_z / temperature)
 
 
 def combined_loss(
@@ -128,17 +118,10 @@ def combined_loss(
     positives: Iterable[int],
     banks: MemoryBanks,
     cfg: TrainConfig,
-    kind: str = "csc",
 ) -> LossOutput:
     """Weighted sum of the hard-memory and centroid-memory losses."""
-    if kind == "csc":
-        smoothing = cfg.smoothing
-    elif kind == "infonce":
-        positives, smoothing = (label,), 0.0
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    hard = csc_loss(v, label, positives, banks, WHICH_HARD, smoothing)
-    cent = csc_loss(v, label, positives, banks, WHICH_CENTROID, smoothing)
+    hard = csc_loss(v, label, positives, banks.hard, banks.temperature, cfg.smoothing)
+    cent = csc_loss(v, label, positives, banks.centroid, banks.temperature, cfg.smoothing)
     return LossOutput(
         cfg.hard_weight * hard.value + cfg.centroid_weight * cent.value,
         cfg.hard_weight * hard.grad + cfg.centroid_weight * cent.grad,

@@ -122,8 +122,12 @@ def nftp_all(
     feature_tracklets: Sequence[tuple[str, np.ndarray]],
     cfg: TrainConfig,
     filter_frames: bool = True,
+    do_partition: bool = True,
 ) -> list[tuple[FilteredTracklet, list[SubTracklet]]]:
-    """Filter and partition every tracklet once (one call per epoch)."""
+    """Filter and partition every tracklet once (one call per epoch).
+
+    Without partitioning each tracklet is one unit spanning all its surviving frames.
+    """
     out = []
     for tid, frames in feature_tracklets:
         if filter_frames:
@@ -131,5 +135,6 @@ def nftp_all(
             ft = FilteredTracklet(tid, ft.surviving_indices, ft.filtered_indices, ft.threshold)
         else:
             ft = keep_all(tid, frames.shape[0])
-        out.append((ft, partition(ft, cfg.partition_stride)))
+        stride = cfg.partition_stride if do_partition else len(ft.surviving_indices)
+        out.append((ft, partition(ft, stride)))
     return out

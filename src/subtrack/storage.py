@@ -52,9 +52,11 @@ def load_json(path):
 
 def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict] = None) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if len({t.id for t in tracklets}) != len(tracklets):
         raise StorageError("tracklet ids must be unique")
+    for t in tracklets:
+        if os.sep in t.id or (os.altsep and os.altsep in t.id):
+            raise StorageError(f"tracklet id {t.id!r} is not a file name")
     d_raw = tracklets[0].frames.shape[1]
     entries = []
     for t in tracklets:
@@ -121,10 +123,11 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
         if tid in seen:
             raise StorageError(f"duplicate tracklet id {tid!r}")
         seen.add(tid)
-        frame_count = _count(entry, "frame_count", f"tracklet {tid!r}")
-        name = os.path.normpath(_field(entry, "feature_file", f"tracklet {tid!r}", str))
+        where = f"tracklet {tid!r}"
+        frame_count = _count(entry, "frame_count", where)
+        name = os.path.normpath(_field(entry, "feature_file", where, str))
         if os.path.isabs(name) or name.split(os.sep)[0] == os.pardir:
-            raise StorageError(f"tracklet {tid!r}: feature file lies outside {in_dir}")
+            raise StorageError(f"{where}: feature file lies outside {in_dir}")
         path = in_dir / name
         if not path.is_file():
             raise StorageError(f"missing feature file for tracklet {tid!r}")
@@ -132,12 +135,12 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
         actual = path.stat().st_size
         if actual != expected:
             raise StorageError(
-                f"tracklet {tid!r}: feature file is {actual} bytes, manifest implies {expected}"
+                f"{where}: feature file is {actual} bytes, manifest implies {expected}"
             )
         frames = np.fromfile(path, dtype="<f4").reshape(frame_count, d_raw)
-        tracklets.append(
-            Tracklet(tid, frames, identity=entry.get("identity"), camera=entry.get("camera"))
-        )
+        identity, camera = (None if entry.get(k) is None else _field(entry, k, where, int)
+                            for k in ("identity", "camera"))
+        tracklets.append(Tracklet(tid, frames, identity=identity, camera=camera))
     splice_log: dict[str, list[SpliceRecord]] = {}
     splice_path = in_dir / "splices.json"
     if splice_path.exists():

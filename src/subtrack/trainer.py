@@ -132,7 +132,14 @@ class PipelineToggles:
     filter_frames: bool = True
     do_partition: bool = True
     merge: str = MERGE_PROGRESSIVE
-    loss: str = "csc"
+
+    @property
+    def loss(self) -> str:
+        """Without merging every positive set is {y}, where the CSC loss is InfoNCE."""
+        return "infonce" if self.merge == MERGE_NONE else "csc"
+
+
+BASELINE = PipelineToggles("baseline", filter_frames=False, do_partition=False, merge=MERGE_NONE)
 
 
 def _positive_state(
@@ -165,12 +172,8 @@ def cluster_epoch(
     """
     encoded = [(t.id, encode_frames(enc, t.frames)) for t in tracklets]
     raw_by_id = {t.id: t.frames for t in tracklets}
-    parts = nftp.nftp_all(encoded, cfg, filter_frames=toggles.filter_frames)
-    if not toggles.do_partition:
-        parts = [
-            (ft, [SubTracklet(ft.parent_id, 1, (0, len(ft.surviving_indices) - 1))])
-            for ft, _ in parts
-        ]
+    parts = nftp.nftp_all(encoded, cfg, filter_frames=toggles.filter_frames,
+                          do_partition=toggles.do_partition)
     filtered_frames = sum(len(ft.filtered_indices) for ft, _ in parts)
 
     subtracklets: list[SubTracklet] = []
@@ -218,8 +221,6 @@ def train_with_toggles(
     toggles: PipelineToggles,
     fixed_k: Optional[int] = None,
 ) -> TrainResult:
-    if toggles.loss == "csc" and toggles.merge == MERGE_NONE and fixed_k is None:
-        raise ValueError("the class-smoothing loss needs a merging mode (or fixed_k)")
     if not tracklets:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.rng_seed)
@@ -267,7 +268,7 @@ def train_with_toggles(
                     raw.shape[0], cfg.frames_per_sample, cfg.sample_stride, rng
                 )
                 v, cache = _embed_with_cache(enc, raw[sample])
-                out = combined_loss(v, y, state.positive_sets[y], banks, cfg, kind=toggles.loss)
+                out = combined_loss(v, y, state.positive_sets[y], banks, cfg)
                 grad_w += _backprop_to_weights(out.grad, cache) / cfg.batch_size
                 losses.append(out.value)
                 batch.append((v, y))
@@ -289,12 +290,7 @@ def train(tracklets: Sequence[Tracklet], cfg: TrainConfig) -> TrainResult:
 
 def train_baseline(tracklets: Sequence[Tracklet], cfg: TrainConfig) -> TrainResult:
     """Whole-tracklet units, no filtering or merging, plain contrastive loss."""
-    return train_with_toggles(
-        tracklets,
-        cfg,
-        PipelineToggles(name="baseline", filter_frames=False, do_partition=False,
-                        merge=MERGE_NONE, loss="infonce"),
-    )
+    return train_with_toggles(tracklets, cfg, BASELINE)
 
 
 def ablation_matrix(
@@ -307,15 +303,13 @@ def ablation_matrix(
 
 
 def standard_ablation_rows() -> list[PipelineToggles]:
-    """The seven structural rows of the component ablation."""
+    """The five structural rows of the component ablation; the loss follows the merge."""
     return [
-        PipelineToggles("baseline", False, False, MERGE_NONE, "infonce"),
-        PipelineToggles("nftp_infonce", True, True, MERGE_NONE, "infonce"),
-        PipelineToggles("nftp_reachable_infonce", True, True, MERGE_REACHABLE, "infonce"),
-        PipelineToggles("nftp_direct_infonce", True, True, MERGE_DIRECT, "infonce"),
-        PipelineToggles("nftp_reachable_csc", True, True, MERGE_REACHABLE, "csc"),
-        PipelineToggles("nftp_direct_csc", True, True, MERGE_DIRECT, "csc"),
-        PipelineToggles("full", True, True, MERGE_PROGRESSIVE, "csc"),
+        BASELINE,
+        PipelineToggles("nftp_infonce", merge=MERGE_NONE),
+        PipelineToggles("nftp_reachable_csc", merge=MERGE_REACHABLE),
+        PipelineToggles("nftp_direct_csc", merge=MERGE_DIRECT),
+        PipelineToggles("full"),
     ]
 
 

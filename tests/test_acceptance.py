@@ -25,8 +25,6 @@ from subtrack.clustering import dbscan
 from subtrack.evaluation import map_cmc
 from subtrack.experiment import compare_full_vs_baseline
 from subtrack.memory import (
-    WHICH_CENTROID,
-    WHICH_HARD,
     MemoryBanks,
     combined_loss,
     csc_loss,
@@ -109,10 +107,10 @@ def test_criterion_03_gradient_suite(capsys):
         label = int(rng.integers(1, n + 1))
         pos = {label, int(rng.integers(1, n + 1))}
         for out, fn in (
-            (combined_loss(v, label, pos, banks, cfg, kind="infonce"),
-             lambda x: combined_loss(x, label, pos, banks, cfg, kind="infonce").value),
-            (csc_loss(v, label, pos, banks, WHICH_HARD, 0.1),
-             lambda x: csc_loss(x, label, pos, banks, WHICH_HARD, 0.1).value),
+            (combined_loss(v, label, {label}, banks, cfg),
+             lambda x: combined_loss(x, label, {label}, banks, cfg).value),
+            (csc_loss(v, label, pos, banks.hard, banks.temperature, 0.1),
+             lambda x: csc_loss(x, label, pos, banks.hard, banks.temperature, 0.1).value),
             (combined_loss(v, label, pos, banks, cfg),
              lambda x: combined_loss(x, label, pos, banks, cfg).value),
         ):
@@ -161,7 +159,7 @@ def test_criterion_04_csc_reduction(capsys):
         v = rng.normal(size=dim)
         label = int(rng.integers(1, n + 1))
         smoothing = float(rng.uniform(0.0, 0.5))
-        a = csc_loss(v, label, {label}, banks, WHICH_CENTROID, smoothing)
+        a = csc_loss(v, label, {label}, rows, banks.temperature, smoothing)
         value, grad = softmax_cross_entropy(v, label, rows, banks.temperature)
         worst = max(worst, abs(a.value - value), float(np.abs(a.grad - grad).max()))
     ok = worst <= 1e-12

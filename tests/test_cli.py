@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from subtrack.cli import main
 from subtrack.model import Tracklet
-from subtrack.storage import load_json, read_dataset, write_dataset
+from subtrack.storage import load_json, read_dataset, write_dataset, write_weights
 
 
 @pytest.fixture
@@ -150,7 +150,7 @@ def test_ablate_subcommand(tmp_path, dataset_dir, config_file):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("name,filter,partition,merge,loss,map")
-    assert len(lines) == 8  # header + seven rows
+    assert len(lines) == 6  # header + five rows
     names = [line.split(",")[0] for line in lines[1:]]
     assert names[0] == "baseline" and names[-1] == "full"
 
@@ -247,6 +247,9 @@ def _keep(manifest, key):
     pytest.param(_retype(2.0), "frame_count", None, id="float-frame_count"),
     pytest.param(_retype("3"), "d_raw", None, id="string-d_raw"),
     pytest.param(_retype(True), "frame_count", None, id="bool-frame_count"),
+    pytest.param(_retype({"a": 1}), "identity", None, id="dict-identity"),
+    pytest.param(_retype(True), "camera", None, id="bool-camera"),
+    pytest.param(_retype(1.5), "identity", None, id="float-identity"),
     pytest.param(_keep, "end", {"t0": [{"start": 0, "source_identity": 1}]},
                  id="splice-no-end"),
     pytest.param(_keep, "splices", [{"start": 0, "end": 1, "source_identity": 1}],
@@ -269,6 +272,59 @@ def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key, splices)
     assert err["error"] == "CliError"
     assert key in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+def _valid_run_inputs(root):
+    """Two identities seen by two cameras, weights, a split and a labels file."""
+    rng = np.random.default_rng(0)
+    ids = [f"t{i}" for i in range(4)]
+    write_dataset([Tracklet(tid, rng.normal(size=(12, 4)), identity=i // 2, camera=i % 2)
+                   for i, tid in enumerate(ids)], root / "data")
+    write_weights(rng.normal(size=(4, 4)), root / "weights.npy")
+    (root / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
+    labels = {"assignment": [{"tracklet": "t0", "label": 1}, {"tracklet": "t1", "label": 2}]}
+    (root / "labels.json").write_text(json.dumps(labels), encoding="utf-8")
+
+
+def _eval_argv(root):
+    return ["eval", "--data", str(root / "data"), "--weights", str(root / "weights.npy"),
+            "--split", str(root / "split.json"), "--out", str(root / "eval.json")]
+
+
+def _stats_argv(root):
+    return ["stats", "--labels", str(root / "labels.json"), "--data", str(root / "data"),
+            "--out", str(root / "stats.json")]
+
+
+@pytest.mark.parametrize("argv,file,payload,key", [
+    pytest.param(_stats_argv, "labels.json", {"mode": "DIRECT"}, "assignment",
+                 id="labels-no-assignment"),
+    pytest.param(_stats_argv, "labels.json", {"assignment": {"t0": 1}}, "assignment",
+                 id="labels-assignment-dict"),
+    pytest.param(_stats_argv, "labels.json", {"assignment": [{"tracklet": 0, "label": 1}]},
+                 "tracklet", id="labels-int-tracklet"),
+    pytest.param(_stats_argv, "labels.json", {"assignment": [{"tracklet": "t0"}]}, "label",
+                 id="labels-no-label"),
+    pytest.param(_stats_argv, "labels.json", {"assignment": [{"tracklet": "t0", "label": True}]},
+                 "label", id="labels-bool-label"),
+    pytest.param(_eval_argv, "split.json", ["t0", "t1"], "query", id="split-list"),
+    pytest.param(_eval_argv, "split.json", {"gallery": ["t0"]}, "query", id="split-no-query"),
+    pytest.param(_eval_argv, "split.json", {"query": ["t0"], "gallery": "t0"}, "gallery",
+                 id="split-gallery-string"),
+    pytest.param(_eval_argv, "split.json", {"query": [{"id": "t0"}], "gallery": ["t0"]}, "query",
+                 id="split-dict-id"),
+])
+def test_malformed_split_and_labels_error_as_json(tmp_path, capsys, argv, file, payload, key):
+    _valid_run_inputs(tmp_path)
+    assert main(argv(tmp_path)) == 0
+    capsys.readouterr()
+    (tmp_path / file).write_text(json.dumps(payload), encoding="utf-8")
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    assert key in err["message"]
 
 
 KEEP, DROP, SET = "keep", "drop", "set"
@@ -302,12 +358,12 @@ def _apply(obj, key, change):
     splice_file=FIELD,
 )
 def test_train_on_fuzzed_inputs_succeeds_or_errors_as_json(top, entry, record, splice_file):
-    rng = np.random.default_rng(0)
+    # train, then eval and stats with fixed valid weights, split and labels
     with tempfile.TemporaryDirectory() as tmp:
-        data, out = Path(tmp) / "data", Path(tmp) / "run"
-        write_dataset([Tracklet(f"t{i}", rng.normal(size=(12, 4)), identity=i, camera=0)
-                       for i in range(2)], data)
-        config = Path(tmp) / "config.json"
+        root = Path(tmp)
+        _valid_run_inputs(root)
+        data = root / "data"
+        config = root / "config.json"
         config.write_text(json.dumps({"dim": 4, "epochs": 1, "batch_size": 4,
                                       "partition_stride": 4}), encoding="utf-8")
         manifest = load_json(data / "manifest.json")
@@ -322,13 +378,14 @@ def test_train_on_fuzzed_inputs_succeeds_or_errors_as_json(top, entry, record, s
         if splice_file[0] != DROP:
             payload = splices if splice_file[0] == KEEP else splice_file[1]
             (data / "splices.json").write_text(json.dumps(payload), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["train", "--data", str(data), "--config", str(config),
-                         "--out", str(out)])
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == []
-    else:
-        assert code == 1 and len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
+        train = ["train", "--data", str(data), "--config", str(config), "--out", str(root / "run")]
+        for argv in (train, _eval_argv(root), _stats_argv(root)):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == []
+            else:
+                assert code == 1 and len(lines) == 1
+                assert set(json.loads(lines[0])) == {"error", "message"}

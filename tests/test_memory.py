@@ -3,7 +3,6 @@ import pytest
 
 from oracles import central_difference_grad, relative_error, softmax_cross_entropy
 from subtrack.memory import (
-    WHICH_CENTROID,
     MemoryBanks,
     combined_loss,
     csc_loss,
@@ -50,7 +49,7 @@ def test_infonce_softmax_probabilities_sum_to_one():
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     # the centroid term of the plain contrastive loss is -log p[label - 1]
     cfg = default_config(hard_weight=0.0, centroid_weight=1.0)
-    out = combined_loss(v, 3, (), banks, cfg, kind="infonce")
+    out = combined_loss(v, 3, {3}, banks, cfg)
     assert out.value == pytest.approx(-np.log(p[2]), abs=1e-12)
 
 
@@ -60,9 +59,9 @@ def test_infonce_rejects_bad_label():
     v = _unit(rng.normal(size=3))
     cfg = default_config()
     with pytest.raises(ValueError):
-        combined_loss(v, 0, (), banks, cfg, kind="infonce")
+        combined_loss(v, 0, {0}, banks, cfg)
     with pytest.raises(ValueError):
-        combined_loss(v, 5, (), banks, cfg, kind="infonce")
+        combined_loss(v, 5, {5}, banks, cfg)
 
 
 def _checkable(grad):
@@ -84,11 +83,11 @@ def test_csc_gradient_matches_finite_differences():
         others = [c for c in range(1, n + 1) if c != label]
         rng.shuffle(others)
         pos = {label, *others[: k - 1]}
-        out = csc_loss(v, label, pos, banks, WHICH_CENTROID, smoothing=0.1)
+        out = csc_loss(v, label, pos, banks.centroid, banks.temperature, smoothing=0.1)
         if not _checkable(out.grad):
             continue
         fd = central_difference_grad(
-            lambda x: csc_loss(x, label, pos, banks, WHICH_CENTROID, 0.1).value, v
+            lambda x: csc_loss(x, label, pos, banks.centroid, banks.temperature, 0.1).value, v
         )
         assert relative_error(out.grad, fd) <= 1e-5
         checked += 1
@@ -105,12 +104,13 @@ def test_combined_gradient_matches_finite_differences():
         v = rng.normal(size=dim)
         label = int(rng.integers(1, n + 1))
         pos = {label, int(rng.integers(1, n + 1))}
-        kind = "csc" if rng.random() < 0.5 else "infonce"
-        out = combined_loss(v, label, pos, banks, cfg, kind=kind)
+        if rng.random() >= 0.5:
+            pos = {label}  # the plain contrastive (InfoNCE) case
+        out = combined_loss(v, label, pos, banks, cfg)
         if not _checkable(out.grad):
             continue
         fd = central_difference_grad(
-            lambda x: combined_loss(x, label, pos, banks, cfg, kind=kind).value, v
+            lambda x: combined_loss(x, label, pos, banks, cfg).value, v
         )
         assert relative_error(out.grad, fd) <= 1e-5
         checked += 1
@@ -125,10 +125,28 @@ def test_csc_singleton_positive_set_reduces_to_infonce():
         v = rng.normal(size=dim)
         label = int(rng.integers(1, n + 1))
         smoothing = float(rng.uniform(0.0, 0.5))
-        a = csc_loss(v, label, {label}, banks, WHICH_CENTROID, smoothing)
+        a = csc_loss(v, label, {label}, banks.centroid, banks.temperature, smoothing)
         value, grad = softmax_cross_entropy(v, label, banks.centroid, banks.temperature)
         assert abs(a.value - value) <= 1e-12
         assert np.abs(a.grad - grad).max() <= 1e-12
+
+
+def test_combined_loss_over_singleton_ignores_smoothing_bit_for_bit():
+    # with positives {y} the anchor weight 1 - s + s/1 rounds to exactly 1.0 for
+    # every s in [0, 1], so training without merging is InfoNCE whatever the smoothing
+    rng = np.random.default_rng(14)
+    draws = [0.5, 1.0, 5e-324, 1e-17, 0.1, 0.3, 1.0 - 2**-53, *rng.uniform(0.0, 1.0, size=200)]
+    for s in draws:
+        assert 1.0 - s + s / 1 == 1.0
+        n = int(rng.integers(1, 10))
+        dim = int(rng.integers(2, 8))
+        banks = _random_banks(rng, n, dim, temperature=float(rng.uniform(0.05, 0.5)))
+        v = rng.normal(size=dim)
+        label = int(rng.integers(1, n + 1))
+        plain = combined_loss(v, label, {label}, banks, default_config(smoothing=0.0))
+        smoothed = combined_loss(v, label, {label}, banks, default_config(smoothing=float(s)))
+        assert smoothed.value == plain.value
+        assert np.array_equal(smoothed.grad, plain.grad)
 
 
 def test_csc_positive_exclusion_property():
@@ -141,7 +159,7 @@ def test_csc_positive_exclusion_property():
 
     def anchor_term(rows):
         b = MemoryBanks(rows, rows, banks.temperature, banks.momentum)
-        full = csc_loss(v, label, {label, other}, b, WHICH_CENTROID, 0.1).value
+        full = csc_loss(v, label, {label, other}, b.centroid, b.temperature, 0.1).value
         # subtract the competing positive's term to isolate the anchor term
         z = rows @ v / b.temperature
         neg = np.delete(z, [label - 1, other - 1])
@@ -166,7 +184,7 @@ def test_csc_weights_sum_to_one():
     rows = np.tile(row, (4, 1))
     banks = MemoryBanks(rows, rows, 0.05, 0.1)
     v = _unit(rng.normal(size=dim))
-    out = csc_loss(v, 1, {1, 2, 3}, banks, WHICH_CENTROID, 0.1)
+    out = csc_loss(v, 1, {1, 2, 3}, banks.centroid, banks.temperature, 0.1)
     # with identical rows every per-positive term is the same two-block
     # softmax, and the weights sum to 1, so the total equals a single term
     z = rows @ v / banks.temperature
@@ -181,7 +199,7 @@ def test_csc_rejects_label_outside_positive_set():
     rng = np.random.default_rng(8)
     banks = _random_banks(rng, 4, 3)
     with pytest.raises(ValueError):
-        csc_loss(np.ones(3), 1, {2, 3}, banks, WHICH_CENTROID, 0.1)
+        csc_loss(np.ones(3), 1, {2, 3}, banks.centroid, banks.temperature, 0.1)
 
 
 def test_combined_loss_linearity_in_weights():

@@ -185,6 +185,18 @@ def test_nftp_all_one_subtracklet_per_exact_stride():
     assert sum(len(sts) for _, sts in out) == 5
 
 
+def test_nftp_all_without_partition_gives_one_unit_spanning_survivors():
+    cfg = default_config(partition_stride=4)
+    rng = np.random.default_rng(2)
+    tracklets = [("t%d" % i, rng.normal(size=(int(rng.integers(1, 40)), 6))) for i in range(8)]
+    for filter_frames in (True, False):
+        out = nftp_all(tracklets, cfg, filter_frames=filter_frames, do_partition=False)
+        assert [ft.parent_id for ft, _ in out] == [tid for tid, _ in tracklets]
+        for ft, sts in out:
+            assert [(st.parent_id, st.segment_index) for st in sts] == [(ft.parent_id, 1)]
+            assert sts[0].frame_range == (0, len(ft.surviving_indices) - 1)
+
+
 def test_nftp_filter_recall_on_spliced_data():
     # spliced frames deviate from the tracklet center, so the filter should
     # catch a clear majority of them on well-separated synthetic data

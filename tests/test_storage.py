@@ -76,6 +76,15 @@ def test_duplicate_ids_rejected(tmp_path):
         write_dataset(dup, tmp_path)
 
 
+def test_write_dataset_rejects_ids_that_are_not_file_names(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(StorageError, match="not a file name"):
+        write_dataset([Tracklet("ok", np.zeros((1, 2))), Tracklet("../escaped", np.zeros((1, 2)))],
+                      out)
+    assert not (tmp_path / "escaped.f32").exists()
+    assert not out.exists()
+
+
 def test_synthetic_round_trip_with_splices(tmp_path):
     spec = SyntheticSpec(
         num_identities=4,

@@ -99,10 +99,10 @@ def test_end_to_end_gradient_matches_finite_differences():
 
         def loss_of(w):
             v, _ = _embed_with_cache(Encoder(w), frames)
-            return combined_loss(v, label, pos, banks, cfg, kind="csc").value
+            return combined_loss(v, label, pos, banks, cfg).value
 
         v, cache = _embed_with_cache(Encoder(weights), frames)
-        out = combined_loss(v, label, pos, banks, cfg, kind="csc")
+        out = combined_loss(v, label, pos, banks, cfg)
         grad_w = _backprop_to_weights(out.grad, cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
@@ -188,7 +188,7 @@ def test_cluster_epoch_without_partition_gives_one_unit_per_tracklet():
     cfg = _small_cfg()
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
     toggles = PipelineToggles(name="whole", filter_frames=False, do_partition=False,
-                              merge=MERGE_NONE, loss="infonce")
+                              merge=MERGE_NONE)
     state, subtracklets, *_ = cluster_epoch(enc, tracklets, cfg, 1, toggles)
     assert len(subtracklets) == len(tracklets)
     assert {st.parent_id for st in subtracklets} == {t.id for t in tracklets}
@@ -218,14 +218,18 @@ def test_train_baseline_runs_and_differs_from_full():
     assert not np.array_equal(full.encoder.weights, base.encoder.weights)
 
 
-def test_csc_without_merging_requires_fixed_k():
+def test_training_without_merging_runs_with_and_without_fixed_k():
     tracklets = _small_dataset()
     cfg = _small_cfg(epochs=1)
-    toggles = PipelineToggles(name="bad", merge=MERGE_NONE, loss="csc")
-    with pytest.raises(ValueError):
-        train_with_toggles(tracklets, cfg, toggles)
+    toggles = PipelineToggles(name="nftp_infonce", merge=MERGE_NONE)
+    assert toggles.loss == "infonce"
+    plain = train_with_toggles(tracklets, cfg, toggles)
+    assert plain.labels.check() == []
+    assert all(pos == {y} for y, pos in plain.labels.positive_sets.items())
+    assert np.isfinite(plain.reports[0].mean_loss)
     result = train_with_toggles(tracklets, cfg, toggles, fixed_k=2)
     assert result.labels.check() == []
+    assert result.labels.mode == MODE_DIRECT
 
 
 def test_train_rejects_empty_dataset():
@@ -235,13 +239,22 @@ def test_train_rejects_empty_dataset():
 
 def test_standard_ablation_rows_cover_structures():
     rows = standard_ablation_rows()
-    assert len(rows) == 7
-    assert len({r.name for r in rows}) == 7
+    assert [r.name for r in rows] == [
+        "baseline", "nftp_infonce", "nftp_reachable_csc", "nftp_direct_csc", "full",
+    ]
     assert rows[0].merge == MERGE_NONE and rows[0].loss == "infonce"
     assert rows[-1].merge == MERGE_PROGRESSIVE and rows[-1].loss == "csc"
     assert {r.merge for r in rows} == {
         MERGE_NONE, MERGE_DIRECT, MERGE_REACHABLE, MERGE_PROGRESSIVE,
     }
+    assert all(r.loss == ("infonce" if r.merge == MERGE_NONE else "csc") for r in rows)
+
+
+def test_standard_ablation_rows_are_structurally_distinct():
+    # the loss follows the merge, so two rows with the same structure would
+    # train identical weights and measure nothing
+    keys = [(r.filter_frames, r.do_partition, r.merge) for r in standard_ablation_rows()]
+    assert len(set(keys)) == len(keys)
 
 
 def test_ablation_matrix_smoke():
