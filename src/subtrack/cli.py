@@ -140,6 +140,8 @@ def cmd_eval(args) -> None:
     sides = []
     for side in ("query", "gallery"):
         ids = storage._field(split, side, "split file", list)
+        if not ids:
+            raise CliError(f"split {side} is empty")
         try:
             sides.append([by_id[storage._field(ids, i, f"split {side}", str)]
                           for i in range(len(ids))])

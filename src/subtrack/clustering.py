@@ -28,10 +28,11 @@ def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
-def _k_reciprocal_neighbors(initial_rank: np.ndarray, i: int, k: int) -> np.ndarray:
-    forward = initial_rank[i, : k + 1]
-    backward = initial_rank[forward, : k + 1]
-    return forward[np.any(backward == i, axis=1)]
+def _reciprocal(initial_rank: np.ndarray, k: int):
+    """Every row's k + 1 forward neighbors, and which of them rank the row within their k + 1."""
+    forward = initial_rank[:, : k + 1]
+    rows = np.arange(initial_rank.shape[0])[:, None, None]
+    return forward, (initial_rank[forward, : k + 1] == rows).any(axis=2)
 
 
 def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatrix:
@@ -57,22 +58,30 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
     initial_rank = np.argsort(ranking_dist, axis=1, kind="stable")
 
     half = int(np.around(k1 / 2))
-    nn_k1 = [_k_reciprocal_neighbors(initial_rank, i, k1) for i in range(n)]
-    nn_half = [_k_reciprocal_neighbors(initial_rank, i, half) for i in range(n)]
+    near, near_ok = _reciprocal(initial_rank, k1)
+    halves, halves_ok = _reciprocal(initial_rank, half)
+    member = np.zeros((n, n), dtype=bool)
+    member[np.nonzero(near_ok)[0], near[near_ok]] = True
+    # each candidate's half-set, and how much of it lies in the row's k1 set
+    cand, cand_ok = halves[near], halves_ok[near]
+    overlap = (member[np.arange(n)[:, None, None], cand] & cand_ok).sum(axis=2)
+    accept = near_ok & (overlap >= (2.0 / 3.0) * cand_ok.sum(axis=2))
+    # accepted half-sets join the k1 set, so member becomes each row's expansion
+    take = accept[:, :, None] & cand_ok
+    member[np.nonzero(take)[0], cand[take]] = True
 
     W = np.zeros((n, n))
     for i in range(n):
-        expansion = nn_k1[i]
-        for cand in nn_k1[i]:
-            cand_set = nn_half[cand]
-            if np.intersect1d(cand_set, nn_k1[i]).size >= (2.0 / 3.0) * cand_set.size:
-                expansion = np.append(expansion, cand_set)
-        expansion = np.unique(expansion)
+        expansion = np.flatnonzero(member[i])
         weights = np.exp(-dist[i, expansion])
         W[i, expansion] = weights / weights.sum()
 
     if k2 > 1:
-        W = W[initial_rank[:, :k2]].mean(axis=1)
+        # running sum over the k2 nearest rows: the same additions as a mean over axis 1
+        smooth = W[initial_rank[:, 0]]
+        for col in initial_rank[:, 1:k2].T:
+            smooth += W[col]
+        W = smooth / k2
 
     jac = kernels.jaccard_from_weights(W)
     jac = (jac + jac.T) / 2.0

@@ -1,7 +1,9 @@
 """Hot numeric kernels: pairwise Jaccard distance and density clustering.
 
-Both run in plain numpy on a single core; the hot loops are vectorized over
-one row at a time, so memory stays O(n^2).
+Both run in plain numpy on a single core. The Jaccard kernel treats its
+weight rows as sparse: it visits each column's nonzero rows (an inverted
+index), so its work is the sum over columns of nnz^2, and its memory is the
+n x n output plus one n x n scratch array at a time.
 """
 
 from __future__ import annotations
@@ -15,21 +17,26 @@ USE_NUMBA = False
 def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
     """Pairwise Jaccard distance between nonnegative neighbor-weight rows.
 
-    The distance between i and j is 1 - sum(min(W[i], W[j])) / sum(max(W[i], W[j])),
-    using the identity sum(max) = sum(W[i]) + sum(W[j]) - sum(min); two
-    all-zero rows are at distance 0.
+    The distance between i and j is 1 - sum(min(W[i], W[j])) / sum(max(W[i], W[j])).
+    sum(min) is accumulated column by column over each column's nonzero rows,
+    at a cost of the sum over columns of nnz^2; the buffer then becomes
+    distances in place through sum(max) = sum(W[i]) + sum(W[j]) - sum(min).
+    Two all-zero rows are at distance 0.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
     n = W.shape[0]
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)  # a view; pair (a, b) sits at a * n + b
+    for col in np.ascontiguousarray(W.T):
+        idx = np.flatnonzero(col)
+        v = col[idx]
+        flat[(idx[:, None] * n + idx).ravel()] += np.minimum.outer(v, v).ravel()
     rowsum = W.sum(axis=1)
-    out = np.empty((n, n))
-    for i in range(n):
-        minsum = np.minimum(W[i], W).sum(axis=1)
-        maxsum = rowsum[i] + rowsum - minsum
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row = 1.0 - minsum / maxsum
-        row[maxsum <= 0.0] = 0.0
-        out[i] = row
+    maxsum = np.add.outer(rowsum, rowsum) - out
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(out, maxsum, out=out)
+    np.subtract(1.0, out, out=out)
+    out[maxsum <= 0.0] = 0.0
     return out
 
 

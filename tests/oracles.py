@@ -65,6 +65,47 @@ def jaccard_pairwise(W):
     return out
 
 
+def k_reciprocal_weights(features, k1, k2):
+    """k-reciprocal neighbor weight rows by per-unit set operations.
+
+    Ranks come from a stable sort of the cosine distances with self first.
+    Each unit's reciprocal k1 set takes in the reciprocal round(k1 / 2) set of
+    every member when 2/3 of that set lies inside it; the union is weighted by
+    exp(-distance) normalised to sum 1, and each row is then averaged with
+    those of its k2 nearest units.
+    """
+    f = np.asarray(features, dtype=np.float64)
+    n = f.shape[0]
+    dist = 1.0 - f @ f.T
+    dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    np.clip(dist, 0.0, 2.0, out=dist)
+    ranking = dist.copy()
+    np.fill_diagonal(ranking, -1.0)
+    rank = np.argsort(ranking, axis=1, kind="stable")
+
+    def reciprocal(i, k):
+        forward = rank[i, : k + 1]
+        return forward[np.any(rank[forward, : k + 1] == i, axis=1)]
+
+    half = int(np.around(k1 / 2))
+    nn_k1 = [reciprocal(i, k1) for i in range(n)]
+    nn_half = [reciprocal(i, half) for i in range(n)]
+    W = np.zeros((n, n))
+    for i in range(n):
+        expansion = nn_k1[i]
+        for cand in nn_k1[i]:
+            cand_set = nn_half[cand]
+            if np.intersect1d(cand_set, nn_k1[i]).size >= (2.0 / 3.0) * cand_set.size:
+                expansion = np.append(expansion, cand_set)
+        expansion = np.unique(expansion)
+        weights = np.exp(-dist[i, expansion])
+        W[i, expansion] = weights / weights.sum()
+    if k2 > 1:
+        W = W[rank[:, :k2]].mean(axis=1)
+    return W
+
+
 def partition_of(labels, outlier=0):
     """Canonical partition view of a label array (ignoring label names)."""
     labels = np.asarray(labels)

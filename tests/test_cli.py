@@ -313,6 +313,10 @@ def _stats_argv(root):
                  id="split-gallery-string"),
     pytest.param(_eval_argv, "split.json", {"query": [{"id": "t0"}], "gallery": ["t0"]}, "query",
                  id="split-dict-id"),
+    pytest.param(_eval_argv, "split.json", {"query": [], "gallery": ["t0"]}, "query",
+                 id="split-empty-query"),
+    pytest.param(_eval_argv, "split.json", {"query": ["t0"], "gallery": []}, "gallery",
+                 id="split-empty-gallery"),
 ])
 def test_malformed_split_and_labels_error_as_json(tmp_path, capsys, argv, file, payload, key):
     _valid_run_inputs(tmp_path)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import dbscan_closure, partition_of
+from oracles import dbscan_closure, jaccard_pairwise, k_reciprocal_weights, partition_of
+from subtrack import kernels
 from subtrack.clustering import (
     cosine_distance_matrix,
     dbscan,
@@ -66,6 +67,28 @@ def test_jaccard_matrix_properties():
     assert np.allclose(np.diag(d), 0.0)
     assert np.abs(d - d.T).max() < 1e-9
     assert d.min() >= 0.0 and d.max() <= 1.0
+
+
+def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):
+    rng = np.random.default_rng(12)
+    seen = []
+    real = kernels.jaccard_from_weights
+    monkeypatch.setattr(kernels, "jaccard_from_weights", lambda W: seen.append(W) or real(W))
+    cases = [(10, 1, 11), (30, 6, 31), (4, 3, 5)]  # (k1, k2, n): k2 == 1, n == k1 + 1
+    for _ in range(12):
+        k1 = int(rng.integers(3, 25))
+        cases.append((k1, int(rng.integers(1, k1)), int(rng.integers(k1 + 1, 90))))
+    for k1, k2, n in cases:
+        centers = rng.normal(size=(4, 6))
+        f = centers[rng.integers(0, 4, n)] + 0.3 * rng.normal(size=(n, 6))
+        f[rng.integers(0, n, n // 4)] = f[rng.integers(0, n, n // 4)]  # exact duplicates
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        dm = k_reciprocal_jaccard(f, k1, k2)
+        W = k_reciprocal_weights(f, k1, k2)
+        assert np.array_equal(seen.pop(), W)
+        jac = jaccard_pairwise(W)
+        for eps in (0.25, 0.5, 0.7):
+            assert np.array_equal(dbscan(dm, eps, 2), dbscan(jac, eps, 2))
 
 
 def test_jaccard_degenerate_falls_back_to_cosine():
