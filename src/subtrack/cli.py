@@ -172,8 +172,11 @@ def cmd_stats(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     by_id = {t.id: t for t in tracklets}
     payload = storage.load_json(args.labels)
+    assignment = storage._field(payload, "assignment", "labels file", list)
+    if not assignment:
+        raise CliError("labels file has an empty assignment")
     pseudo, gt, cams = [], [], []
-    for i, item in enumerate(storage._field(payload, "assignment", "labels file", list)):
+    for i, item in enumerate(assignment):
         tid = storage._field(item, "tracklet", f"labels record {i}", str)
         parent = by_id.get(tid)
         if parent is None:

@@ -1,15 +1,15 @@
-"""Centroid and hard-sample memory banks with contrastive losses.
+"""Centroid and hard-sample memory banks with the class-smoothed contrastive loss.
 
-All losses return both the scalar value and the analytic gradient with
-respect to the input embedding; the gradients are verified against finite
-differences in the test suite. Bank rows are kept unit-norm after every
-update so cosine logits stay on a fixed scale.
+The loss takes a mini-batch of B embeddings and returns each row's value and
+analytic gradient (verified against finite differences in the test suite) at
+O(B n) cost for n classes. Bank rows are kept unit-norm after every update so
+cosine logits stay on a fixed scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,15 +30,8 @@ class MemoryBanks:
 
 @dataclass(frozen=True)
 class LossOutput:
-    value: float
-    grad: np.ndarray  # d(value)/d(embedding)
-
-
-def _normalize_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero row")
-    return m / norms
+    value: np.ndarray  # (B,), one loss per batch row
+    grad: np.ndarray   # (B, dim), d(value[b])/d(V[b])
 
 
 def init_memory(
@@ -63,107 +56,115 @@ def init_memory(
         if members.shape[0] == 0:
             raise ValueError(f"class {j} has no members")
         centroid[j - 1] = members.mean(axis=0)
-    centroid = _normalize_rows(centroid)
+    norms = np.linalg.norm(centroid, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize a zero row")
+    centroid = centroid / norms
     return MemoryBanks(centroid, centroid.copy(), float(temperature), float(momentum))
 
 
-def csc_loss(
-    v: np.ndarray,
-    label: int,
-    positives: Iterable[int],
-    rows: np.ndarray,
-    temperature: float,
-    smoothing: float,
-) -> LossOutput:
-    """Class-smoothed contrastive loss of ``v`` against one bank's ``rows``.
+@dataclass(frozen=True)
+class PositiveTable:
+    """Row y - 1: class y's weight on each class, and which classes are its positives.
 
-    The anchor class keeps weight 1 - smoothing + smoothing/K and the other
-    K - 1 positives share smoothing/K each; each term's denominator contains
-    only that positive and the negatives, so competing positives never repel
-    one another. Positives {label} give plain InfoNCE for any smoothing in
-    [0, 1]: the anchor weight 1 - smoothing + smoothing rounds to exactly 1.
+    The anchor weighs 1 - smoothing + smoothing/K, each other positive
+    smoothing/K (0 when smoothing is, hence the mask) and each negative 0.
     """
-    n = rows.shape[0]
-    pos = sorted(set(int(p) for p in positives))
-    if label not in pos:
-        raise ValueError("anchor label must belong to its positive set")
-    if not all(1 <= p <= n for p in pos):
-        raise ValueError("positive set outside 1..n")
-    k = len(pos)
-    z = rows @ v / temperature
-    pos_idx = np.asarray(pos) - 1
-    neg_mask = np.ones(n, dtype=bool)
-    neg_mask[pos_idx] = False
-    z_neg = z[neg_mask]
 
-    value = 0.0
-    grad_z = np.zeros(n)
-    for j in pos_idx:
-        s_j = (1.0 - smoothing + smoothing / k) if j == label - 1 else smoothing / k
-        logits = np.concatenate(([z[j]], z_neg))
-        m = logits.max()
-        exp_l = np.exp(logits - m)
-        total = exp_l.sum()
-        # -s_j * log softmax_0(logits)
-        value -= s_j * (logits[0] - m - np.log(total))
-        p = exp_l / total
-        grad_z[j] -= s_j * (1.0 - p[0])
-        grad_z[neg_mask] += s_j * p[1:]
-    return LossOutput(float(value), rows.T @ grad_z / temperature)
+    weights: np.ndarray  # (n, n)
+    mask: np.ndarray     # (n, n) bool
 
 
-def combined_loss(
-    v: np.ndarray,
-    label: int,
-    positives: Iterable[int],
-    banks: MemoryBanks,
-    cfg: TrainConfig,
-) -> LossOutput:
-    """Weighted sum of the hard-memory and centroid-memory losses."""
-    hard = csc_loss(v, label, positives, banks.hard, banks.temperature, cfg.smoothing)
-    cent = csc_loss(v, label, positives, banks.centroid, banks.temperature, cfg.smoothing)
-    return LossOutput(
-        cfg.hard_weight * hard.value + cfg.centroid_weight * cent.value,
-        cfg.hard_weight * hard.grad + cfg.centroid_weight * cent.grad,
-    )
+def positive_table(positive_sets: Mapping[int, Iterable[int]], n: int,
+                   smoothing: float) -> PositiveTable:
+    """Check every class's positive set and tabulate its weights."""
+    weights = np.zeros((n, n))
+    mask = np.zeros((n, n), dtype=bool)
+    for y in range(1, n + 1):
+        pos = sorted(set(int(p) for p in positive_sets.get(y, ())))
+        if y not in pos:
+            raise ValueError("anchor label must belong to its positive set")
+        if not all(1 <= p <= n for p in pos):
+            raise ValueError("positive set outside 1..n")
+        mask[y - 1, np.asarray(pos) - 1] = True
+        weights[y - 1, mask[y - 1]] = smoothing / len(pos)
+        weights[y - 1, y - 1] = 1.0 - smoothing + smoothing / len(pos)
+    return PositiveTable(weights, mask)
 
 
-def _batch_by_label(batch: Sequence[tuple[np.ndarray, int]]) -> dict[int, list[np.ndarray]]:
-    grouped: dict[int, list[np.ndarray]] = {}
-    for v, y in batch:
-        grouped.setdefault(int(y), []).append(np.asarray(v, dtype=np.float64))
-    return grouped
+def csc_loss(V: np.ndarray, labels: np.ndarray, table: PositiveTable, rows: np.ndarray,
+             temperature: float) -> LossOutput:
+    """Class-smoothed contrastive loss of each row of ``V`` against one bank.
+
+    With z = rows @ v_b / T and L the log-sum-exp of z over the negatives,
+    positive j pays -s_j log p_j, p_j = 1 / (1 + e^(L - z_j)): its denominator
+    holds only itself and the negatives, so positives never repel one another.
+    The gradient is -s_j (1 - p_j) on z_j and softmax_neg(z)_k * sum_j
+    s_j (1 - p_j) on negative k, so a row costs O(n); one without negatives
+    pays 0. Positives {y} give plain InfoNCE for any smoothing in [0, 1]: the
+    anchor weight 1 - smoothing + smoothing rounds to exactly 1.
+    """
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 1 or labels.max() > rows.shape[0]):
+        raise ValueError("label outside 1..n")
+    s, pos = table.weights[labels - 1], table.mask[labels - 1]
+    z = V @ rows.T / temperature
+    z_neg = np.where(pos, -np.inf, z)
+    m = z_neg.max(axis=1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0  # a row without negatives
+    e_neg = np.exp(z_neg - m)
+    total = e_neg.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        d = m + np.log(total) - z  # L - z
+    log1p_e = np.logaddexp(0.0, d)  # log(1 + e^(L - z)), exact also where it is tiny
+    c = s * np.exp(d - log1p_e)  # s_j (1 - p_j) without the cancellation of 1 - p_j
+    soft_neg = np.divide(e_neg, total, out=np.zeros_like(e_neg), where=total > 0.0)
+    grad_z = soft_neg * c.sum(axis=1, keepdims=True) - c
+    return LossOutput((s * log1p_e).sum(axis=1), grad_z @ rows / temperature)
 
 
-def update_memory(banks: MemoryBanks, batch: Sequence[tuple[np.ndarray, int]]) -> MemoryBanks:
-    """Momentum update of the centroid bank with per-class batch means."""
-    if not batch:
+def combined_loss(V: np.ndarray, labels: np.ndarray, table: PositiveTable, banks: MemoryBanks,
+                  cfg: TrainConfig) -> LossOutput:
+    """Weighted sum of the hard-memory and centroid-memory losses, per row."""
+    hard = csc_loss(V, labels, table, banks.hard, banks.temperature)
+    cent = csc_loss(V, labels, table, banks.centroid, banks.temperature)
+    return LossOutput(cfg.hard_weight * hard.value + cfg.centroid_weight * cent.value,
+                      cfg.hard_weight * hard.grad + cfg.centroid_weight * cent.grad)
+
+
+def update_banks(banks: MemoryBanks, V: np.ndarray, labels: np.ndarray) -> MemoryBanks:
+    """Move each class's centroid row to its batch mean, hard row to its least similar sample."""
+    if labels.size == 0:
         raise ValueError("empty batch")
     a = banks.momentum
     if a == 1.0:
         return banks  # exact fixed point: renormalizing would only add round-off
-    centroid = banks.centroid.copy()
-    for y, members in _batch_by_label(batch).items():
-        mean = np.mean(members, axis=0)
-        row = a * centroid[y - 1] + (1.0 - a) * mean
-        centroid[y - 1] = row / np.linalg.norm(row)
-    return MemoryBanks(centroid, banks.hard, banks.temperature, banks.momentum)
+
+    def moved(rows, classes, targets):
+        out = rows.copy()
+        new = a * rows[classes - 1] + (1.0 - a) * targets
+        out[classes - 1] = new / np.linalg.norm(new, axis=1, keepdims=True)
+        return out
+
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = np.zeros((classes.size, V.shape[1]))
+    np.add.at(sums, inverse, V)
+    sims = np.einsum("ij,ij->i", V, banks.hard[labels - 1]) / np.linalg.norm(V, axis=1)
+    order = np.lexsort((np.arange(labels.size), sims, labels))  # a tie: the earliest sample
+    hardest = order[np.concatenate(([True], np.diff(labels[order]) != 0))]
+    return replace(banks, centroid=moved(banks.centroid, classes, sums / counts[:, None]),
+                   hard=moved(banks.hard, labels[hardest], V[hardest]))
+
+
+def _stack(batch: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray([v for v, _ in batch], dtype=np.float64), np.asarray([y for _, y in batch])
+
+
+def update_memory(banks: MemoryBanks, batch: Sequence[tuple[np.ndarray, int]]) -> MemoryBanks:
+    """Momentum update of the centroid bank with per-class batch means."""
+    return replace(update_banks(banks, *_stack(batch)), hard=banks.hard)
 
 
 def update_hard_memory(banks: MemoryBanks, batch: Sequence[tuple[np.ndarray, int]]) -> MemoryBanks:
-    """Momentum update of the hard bank with each class's least similar sample.
-
-    Ties on cosine similarity resolve to the earliest sample in the batch.
-    """
-    if not batch:
-        raise ValueError("empty batch")
-    a = banks.momentum
-    if a == 1.0:
-        return banks  # exact fixed point, as for the centroid update
-    hard = banks.hard.copy()
-    for y, members in _batch_by_label(batch).items():
-        sims = [float(m @ hard[y - 1]) / np.linalg.norm(m) for m in members]
-        hardest = members[int(np.argmin(sims))]
-        row = a * hard[y - 1] + (1.0 - a) * hardest
-        hard[y - 1] = row / np.linalg.norm(row)
-    return MemoryBanks(banks.centroid, hard, banks.temperature, banks.momentum)
+    """Momentum update of the hard bank with each class's least similar sample."""
+    return replace(update_banks(banks, *_stack(batch)), centroid=banks.centroid)

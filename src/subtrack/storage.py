@@ -138,6 +138,8 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
                 f"{where}: feature file is {actual} bytes, manifest implies {expected}"
             )
         frames = np.fromfile(path, dtype="<f4").reshape(frame_count, d_raw)
+        if not frames.any(axis=1).all():
+            raise StorageError(f"{where}: frame {np.argmin(frames.any(axis=1))} is all zeros")
         identity, camera = (None if entry.get(k) is None else _field(entry, k, where, int)
                             for k in ("identity", "camera"))
         tracklets.append(Tracklet(tid, frames, identity=identity, camera=camera))

@@ -2,9 +2,10 @@
 
 Each epoch: freeze the encoder, filter and partition every tracklet, embed
 the sub-tracklets (full surviving-frame mean for clustering), cluster, build
-positive sets, initialize the memory banks, then run mini-batch iterations of
-loss, optimizer step, and memory updates. The clustering phase always sees a
-single frozen weight snapshot.
+positive sets, initialize the memory banks, then run one batched step per
+mini-batch: one forward pass over its (B, F, raw_dim) frames, the O(B n) loss,
+one backward pass, the optimizer step, then the bank updates. The clustering
+phase always sees a single frozen weight snapshot.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import nftp
 from .clustering import sub_cluster_generate
-from .memory import MemoryBanks, combined_loss, init_memory, update_hard_memory, update_memory
+from .memory import MemoryBanks, combined_loss, init_memory, positive_table, update_banks
 from .merging import build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
@@ -40,14 +41,6 @@ class Encoder:
 
     weights: np.ndarray  # (raw_dim, dim)
 
-    @property
-    def raw_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
 
 def init_encoder(raw_dim: int, dim: int, rng: np.random.Generator) -> Encoder:
     return Encoder(rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim))
@@ -63,26 +56,29 @@ def encode_frames(enc: Encoder, raw_frames: np.ndarray) -> np.ndarray:
     return u / norms
 
 
-def _embed_with_cache(enc: Encoder, raw_frames: np.ndarray):
-    """Forward pass keeping everything the backward pass needs."""
-    X = np.asarray(raw_frames, dtype=np.float64)
+def _embed_batch(enc: Encoder, X: np.ndarray):
+    """Normalized means of the normalized frame encodings of a (B, F, raw_dim) batch.
+
+    Returns the (B, dim) embeddings and what the backward pass needs.
+    """
     U = X @ enc.weights
-    u_norms = np.linalg.norm(U, axis=1, keepdims=True)
+    u_norms = np.linalg.norm(U, axis=2, keepdims=True)
     if np.any(u_norms == 0.0):
         raise ValueError("zero vector after the linear map")
     G = U / u_norms
-    mean = G.mean(axis=0)
-    m_norm = np.linalg.norm(mean)
-    v = mean / m_norm
-    return v, (X, G, u_norms, v, m_norm)
+    mean = G.mean(axis=1)
+    m_norm = np.linalg.norm(mean, axis=1, keepdims=True)
+    V = mean / m_norm
+    return V, (X, G, u_norms, V, m_norm)
 
 
-def _backprop_to_weights(grad_v: np.ndarray, cache) -> np.ndarray:
-    X, G, u_norms, v, m_norm = cache
-    g_mean = (grad_v - (grad_v @ v) * v) / m_norm
-    gG = np.broadcast_to(g_mean / X.shape[0], G.shape)
-    gU = (gG - (gG * G).sum(axis=1, keepdims=True) * G) / u_norms
-    return X.T @ gU
+def _backprop_batch(grad_v: np.ndarray, cache) -> np.ndarray:
+    """Gradient with respect to the weights of sum_b grad_v[b] . V[b]."""
+    X, G, u_norms, V, m_norm = cache
+    g_mean = (grad_v - (grad_v * V).sum(axis=1, keepdims=True) * V) / m_norm
+    gG = np.broadcast_to(g_mean[:, None, :] / X.shape[1], G.shape)
+    gU = (gG - (gG * G).sum(axis=2, keepdims=True) * G) / u_norms
+    return X.reshape(-1, X.shape[2]).T @ gU.reshape(-1, G.shape[2])
 
 
 class AdamW:
@@ -256,29 +252,26 @@ def train_with_toggles(
 
         iters = cfg.iters_per_epoch or -(-len(labeled) // cfg.batch_size)
         lr = cfg.lr_at(epoch)
+        table = positive_table(state.positive_sets, banks.num_classes, cfg.smoothing)
+        X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
         losses = []
         for _ in range(iters):
             pick = rng.integers(0, len(labeled), size=cfg.batch_size)
-            grad_w = np.zeros_like(enc.weights)
-            batch = []
-            for i in pick:
-                st, y = labeled[i]
-                raw = raw_units[st]
-                sample = nftp.sample_frames(
-                    raw.shape[0], cfg.frames_per_sample, cfg.sample_stride, rng
-                )
-                v, cache = _embed_with_cache(enc, raw[sample])
-                out = combined_loss(v, y, state.positive_sets[y], banks, cfg)
-                grad_w += _backprop_to_weights(out.grad, cache) / cfg.batch_size
-                losses.append(out.value)
-                batch.append((v, y))
+            for b, i in enumerate(pick):
+                raw = raw_units[idx_map[i]]
+                X[b] = raw[nftp.sample_frames(raw.shape[0], cfg.frames_per_sample,
+                                              cfg.sample_stride, rng)]
+            y = labels_arr[pick]
+            V, cache = _embed_batch(enc, X)
+            out = combined_loss(V, y, table, banks, cfg)
+            grad_w = _backprop_batch(out.grad / cfg.batch_size, cache)
             enc.weights = opt.step(enc.weights, grad_w, lr)
-            banks = update_memory(banks, batch)
-            banks = update_hard_memory(banks, batch)
+            banks = update_banks(banks, V, y)
+            losses.append(out.value)
 
         result.reports.append(
             EpochReport(epoch, state.num_clusters, state.num_outliers, state.mode,
-                        float(np.mean(losses)), filtered, time.perf_counter() - t0)
+                        float(np.mean(np.concatenate(losses))), filtered, time.perf_counter() - t0)
         )
     return result
 

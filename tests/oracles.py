@@ -2,7 +2,8 @@
 
 These deliberately avoid sharing code paths with the package: reachability
 closures use boolean matrix powers, AP and Jaccard distances are computed by
-direct enumeration, and gradients come from central finite differences.
+direct enumeration, gradients come from central finite differences, and the
+training step's loss, embedding and bank updates run one sample at a time.
 """
 
 import numpy as np
@@ -166,6 +167,103 @@ def softmax_cross_entropy(v, label, rows, temperature):
     p = np.exp(z - log_total)
     p[label - 1] -= 1.0
     return float(log_total - z[label - 1]), rows.T @ p / temperature
+
+
+def csc_loss_per_sample(v, label, positives, rows, temperature, smoothing):
+    """Class-smoothed contrastive loss of one embedding, one softmax per positive.
+
+    Positive j of K carries weight 1 - smoothing + smoothing/K for the anchor
+    and smoothing/K otherwise, over a denominator holding only that positive
+    and the negatives. Returns (value, gradient with respect to v).
+    """
+    n = rows.shape[0]
+    pos = sorted(set(int(p) for p in positives))
+    if label not in pos:
+        raise ValueError("anchor label must belong to its positive set")
+    if not all(1 <= p <= n for p in pos):
+        raise ValueError("positive set outside 1..n")
+    k = len(pos)
+    z = rows @ v / temperature
+    pos_idx = np.asarray(pos) - 1
+    neg_mask = np.ones(n, dtype=bool)
+    neg_mask[pos_idx] = False
+    z_neg = z[neg_mask]
+    value = 0.0
+    grad_z = np.zeros(n)
+    for j in pos_idx:
+        s_j = (1.0 - smoothing + smoothing / k) if j == label - 1 else smoothing / k
+        logits = np.concatenate(([z[j]], z_neg))
+        m = logits.max()
+        exp_l = np.exp(logits - m)
+        total = exp_l.sum()
+        value -= s_j * (logits[0] - m - np.log(total))
+        p = exp_l / total
+        grad_z[j] -= s_j * (1.0 - p[0])
+        grad_z[neg_mask] += s_j * p[1:]
+    return float(value), rows.T @ grad_z / temperature
+
+
+def combined_loss_per_sample(v, label, positives, banks, cfg):
+    """Weighted sum of the per-sample losses against the hard and centroid banks."""
+    hard = csc_loss_per_sample(v, label, positives, banks.hard, banks.temperature, cfg.smoothing)
+    cent = csc_loss_per_sample(v, label, positives, banks.centroid, banks.temperature,
+                               cfg.smoothing)
+    return (cfg.hard_weight * hard[0] + cfg.centroid_weight * cent[0],
+            cfg.hard_weight * hard[1] + cfg.centroid_weight * cent[1])
+
+
+def embed_with_cache(weights, raw_frames):
+    """One sample's forward pass: normalized mean of normalized frame encodings."""
+    X = np.asarray(raw_frames, dtype=np.float64)
+    U = X @ weights
+    u_norms = np.linalg.norm(U, axis=1, keepdims=True)
+    G = U / u_norms
+    mean = G.mean(axis=0)
+    m_norm = np.linalg.norm(mean)
+    v = mean / m_norm
+    return v, (X, G, u_norms, v, m_norm)
+
+
+def backprop_to_weights(grad_v, cache):
+    """One sample's backward pass from d(loss)/dv to d(loss)/d(weights)."""
+    X, G, u_norms, v, m_norm = cache
+    g_mean = (grad_v - (grad_v @ v) * v) / m_norm
+    gG = np.broadcast_to(g_mean / X.shape[0], G.shape)
+    gU = (gG - (gG * G).sum(axis=1, keepdims=True) * G) / u_norms
+    return X.T @ gU
+
+
+def batch_by_label(batch):
+    """Batch samples grouped by label, in batch order within each label."""
+    grouped = {}
+    for v, y in batch:
+        grouped.setdefault(int(y), []).append(np.asarray(v, dtype=np.float64))
+    return grouped
+
+
+def _momentum_row(row, target, momentum):
+    row = momentum * row + (1.0 - momentum) * target
+    return row / np.linalg.norm(row)
+
+
+def update_memory_per_sample(centroid, batch, momentum):
+    """Centroid rows after moving each batch class toward its batch mean."""
+    centroid = np.array(centroid, dtype=np.float64)
+    for y, members in batch_by_label(batch).items():
+        centroid[y - 1] = _momentum_row(centroid[y - 1], np.mean(members, axis=0), momentum)
+    return centroid
+
+
+def update_hard_memory_per_sample(hard, batch, momentum):
+    """Hard rows after moving each batch class toward its least similar sample.
+
+    The first sample with the smallest cosine similarity wins a tie.
+    """
+    hard = np.array(hard, dtype=np.float64)
+    for y, members in batch_by_label(batch).items():
+        sims = [float(m @ hard[y - 1]) / np.linalg.norm(m) for m in members]
+        hard[y - 1] = _momentum_row(hard[y - 1], members[int(np.argmin(sims))], momentum)
+    return hard
 
 
 def central_difference_grad(f, x, step=1e-6):

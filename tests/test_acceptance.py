@@ -28,13 +28,14 @@ from subtrack.memory import (
     MemoryBanks,
     combined_loss,
     csc_loss,
+    positive_table,
     update_memory,
 )
 from subtrack.merging import ReachabilityGraph, direct_positive_sets, reachable_positive_sets
 from subtrack.model import default_config
 from subtrack.nftp import keep_all, noise_filter, partition
 from subtrack.storage import load_json
-from subtrack.trainer import Encoder, _backprop_to_weights, _embed_with_cache
+from subtrack.trainer import Encoder, _backprop_batch, _embed_batch
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,7 +92,18 @@ def test_criterion_02_connectivity_oracle(capsys):
              ok)
 
 
+def _unit_rows(rng, n, dim):
+    rows = rng.normal(size=(n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _multi_label_sets(rng, n):
+    return {y: {y, int(rng.integers(1, n + 1))} for y in range(1, n + 1)}
+
+
 def test_criterion_03_gradient_suite(capsys):
+    # each batched loss is checked on a batch of several rows; row b's value
+    # depends on V[b] only, so the gradient of the summed values stacks the rows'
     rng = np.random.default_rng(103)
     cfg = default_config()
     worst_loss = 0.0
@@ -100,43 +112,44 @@ def test_criterion_03_gradient_suite(capsys):
     while checked_loss < 100:
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 7))
-        rows = rng.normal(size=(n, dim))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = _unit_rows(rng, n, dim)
         banks = MemoryBanks(rows, np.flipud(rows).copy(), float(rng.uniform(0.05, 0.5)), 0.1)
-        v = rng.normal(size=dim)
-        label = int(rng.integers(1, n + 1))
-        pos = {label, int(rng.integers(1, n + 1))}
+        V = rng.normal(size=(int(rng.integers(1, 4)), dim))
+        labels = rng.integers(1, n + 1, size=V.shape[0])
+        single = positive_table({y: {y} for y in range(1, n + 1)}, n, cfg.smoothing)
+        multi = positive_table(_multi_label_sets(rng, n), n, cfg.smoothing)
+        smoothed = positive_table(_multi_label_sets(rng, n), n, 0.1)
         for out, fn in (
-            (combined_loss(v, label, {label}, banks, cfg),
-             lambda x: combined_loss(x, label, {label}, banks, cfg).value),
-            (csc_loss(v, label, pos, banks.hard, banks.temperature, 0.1),
-             lambda x: csc_loss(x, label, pos, banks.hard, banks.temperature, 0.1).value),
-            (combined_loss(v, label, pos, banks, cfg),
-             lambda x: combined_loss(x, label, pos, banks, cfg).value),
+            (combined_loss(V, labels, single, banks, cfg),
+             lambda x: combined_loss(x, labels, single, banks, cfg).value.sum()),
+            (csc_loss(V, labels, smoothed, banks.hard, banks.temperature),
+             lambda x: csc_loss(x, labels, smoothed, banks.hard, banks.temperature).value.sum()),
+            (combined_loss(V, labels, multi, banks, cfg),
+             lambda x: combined_loss(x, labels, multi, banks, cfg).value.sum()),
         ):
             if np.linalg.norm(out.grad) < 1e-3:
                 continue
-            worst_loss = max(worst_loss, relative_error(out.grad, central_difference_grad(fn, v.copy())))
+            worst_loss = max(worst_loss, relative_error(out.grad, central_difference_grad(fn, V.copy())))
         checked_loss += 1
     while checked_e2e < 100:
+        # weights -> batched embed -> batched loss -> batch mean, as in one training step
         raw_dim = int(rng.integers(2, 8))
         dim = int(rng.integers(2, 6))
-        frames = rng.normal(size=(int(rng.integers(1, 6)), raw_dim))
+        X = rng.normal(size=(int(rng.integers(2, 5)), int(rng.integers(1, 6)), raw_dim))
         n = int(rng.integers(2, 6))
-        rows = rng.normal(size=(n, dim))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = _unit_rows(rng, n, dim)
         banks = MemoryBanks(rows, np.flipud(rows).copy(), 0.2, 0.1)
-        label = int(rng.integers(1, n + 1))
-        pos = {label, int(rng.integers(1, n + 1))}
+        labels = rng.integers(1, n + 1, size=X.shape[0])
+        table = positive_table(_multi_label_sets(rng, n), n, cfg.smoothing)
         weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
 
         def loss_of(w):
-            ve, _ = _embed_with_cache(Encoder(w), frames)
-            return combined_loss(ve, label, pos, banks, cfg).value
+            Ve, _ = _embed_batch(Encoder(w), X)
+            return combined_loss(Ve, labels, table, banks, cfg).value.mean()
 
-        ve, cache = _embed_with_cache(Encoder(weights), frames)
-        out = combined_loss(ve, label, pos, banks, cfg)
-        grad_w = _backprop_to_weights(out.grad, cache)
+        Ve, cache = _embed_batch(Encoder(weights), X)
+        out = combined_loss(Ve, labels, table, banks, cfg)
+        grad_w = _backprop_batch(out.grad / X.shape[0], cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
         worst_e2e = max(worst_e2e, relative_error(grad_w, central_difference_grad(loss_of, weights.copy())))
@@ -153,15 +166,16 @@ def test_criterion_04_csc_reduction(capsys):
     for _ in range(100):
         n = int(rng.integers(2, 12))
         dim = int(rng.integers(2, 9))
-        rows = rng.normal(size=(n, dim))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        banks = MemoryBanks(rows, rows.copy(), float(rng.uniform(0.05, 0.5)), 0.1)
-        v = rng.normal(size=dim)
-        label = int(rng.integers(1, n + 1))
+        rows = _unit_rows(rng, n, dim)
+        temperature = float(rng.uniform(0.05, 0.5))
+        V = rng.normal(size=(4, dim))
+        labels = rng.integers(1, n + 1, size=4)
         smoothing = float(rng.uniform(0.0, 0.5))
-        a = csc_loss(v, label, {label}, rows, banks.temperature, smoothing)
-        value, grad = softmax_cross_entropy(v, label, rows, banks.temperature)
-        worst = max(worst, abs(a.value - value), float(np.abs(a.grad - grad).max()))
+        table = positive_table({y: {y} for y in range(1, n + 1)}, n, smoothing)
+        out = csc_loss(V, labels, table, rows, temperature)
+        for b in range(4):
+            value, grad = softmax_cross_entropy(V[b], labels[b], rows, temperature)
+            worst = max(worst, abs(out.value[b] - value), float(np.abs(out.grad[b] - grad).max()))
     ok = worst <= 1e-12
     _verdict(capsys, 4,
              f"singleton-positive smoothed loss equals plain contrastive loss ({worst:.2e} <= 1e-12)",

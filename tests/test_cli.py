@@ -237,6 +237,10 @@ def _keep(manifest, key):
     pass
 
 
+def _zero_frame(manifest, key):
+    manifest["tracklets"][0]["feature_file"] = "zero.f32"  # its frame 1 is all zeros
+
+
 @pytest.mark.parametrize("edit,key,splices", [
     pytest.param(_drop_top, "d_raw", None, id="no-d_raw"),
     pytest.param(_drop_top, "tracklets", None, id="no-tracklets"),
@@ -254,11 +258,13 @@ def _keep(manifest, key):
                  id="splice-no-end"),
     pytest.param(_keep, "splices", [{"start": 0, "end": 1, "source_identity": 1}],
                  id="splices-list"),
+    pytest.param(_zero_frame, "'t0': frame 1 ", None, id="zero-frame"),
 ])
 def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key, splices):
     data = tmp_path / "bad"
-    (tmp_path / "x.f32").write_bytes(np.zeros((2, 3), dtype="<f4").tobytes())
-    write_dataset([Tracklet("t0", np.zeros((2, 3)))], data)
+    (tmp_path / "x.f32").write_bytes(np.ones((2, 3), dtype="<f4").tobytes())
+    write_dataset([Tracklet("t0", np.ones((2, 3)))], data)
+    (data / "zero.f32").write_bytes(np.array([[1, 2, 3], [0, 0, 0]], dtype="<f4").tobytes())
     manifest = load_json(data / "manifest.json")
     edit(manifest, key)
     (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
@@ -307,6 +313,8 @@ def _stats_argv(root):
                  id="labels-no-label"),
     pytest.param(_stats_argv, "labels.json", {"assignment": [{"tracklet": "t0", "label": True}]},
                  "label", id="labels-bool-label"),
+    pytest.param(_stats_argv, "labels.json", {"assignment": []}, "assignment",
+                 id="labels-empty-assignment"),
     pytest.param(_eval_argv, "split.json", ["t0", "t1"], "query", id="split-list"),
     pytest.param(_eval_argv, "split.json", {"gallery": ["t0"]}, "query", id="split-no-query"),
     pytest.param(_eval_argv, "split.json", {"query": ["t0"], "gallery": "t0"}, "gallery",

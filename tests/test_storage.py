@@ -52,6 +52,14 @@ def test_size_mismatch_names_tracklet(tmp_path):
         read_dataset(tmp_path)
 
 
+def test_all_zero_frame_names_tracklet_and_frame(tmp_path):
+    frames = np.ones((4, 3))
+    frames[2] = 0.0
+    write_dataset([Tracklet("dark", frames)], tmp_path)
+    with pytest.raises(StorageError, match="'dark': frame 2 is all zeros"):
+        read_dataset(tmp_path)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(StorageError, match="manifest"):
         read_dataset(tmp_path)

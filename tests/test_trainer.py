@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, relative_error
-from subtrack.memory import MemoryBanks, combined_loss
+from oracles import (
+    backprop_to_weights,
+    central_difference_grad,
+    combined_loss_per_sample,
+    embed_with_cache,
+    relative_error,
+)
+from subtrack import nftp
+from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
 from subtrack.model import MODE_DIRECT, MODE_REACHABLE, default_config
 from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import (
@@ -13,8 +20,8 @@ from subtrack.trainer import (
     AdamW,
     Encoder,
     PipelineToggles,
-    _backprop_to_weights,
-    _embed_with_cache,
+    _backprop_batch,
+    _embed_batch,
     ablation_matrix,
     cluster_epoch,
     encode_frames,
@@ -74,41 +81,93 @@ def test_encode_frames_scale_invariant():
 def test_embed_with_cache_matches_plain_forward():
     rng = np.random.default_rng(2)
     enc = init_encoder(12, 5, rng)
-    frames = rng.normal(size=(7, 12))
-    v, _ = _embed_with_cache(enc, frames)
-    mean = encode_frames(enc, frames).mean(axis=0)
-    assert np.allclose(v, mean / np.linalg.norm(mean), atol=1e-12)
+    X = rng.normal(size=(6, 7, 12))
+    V, _ = _embed_batch(enc, X)
+    for b in range(6):
+        mean = encode_frames(enc, X[b]).mean(axis=0)
+        assert np.allclose(V[b], mean / np.linalg.norm(mean), atol=1e-12)
+
+
+def _random_step(rng, raw_dim, dim, n, batch_size, frames):
+    """Weights, a frame batch, labels, a multi-label positive table and banks."""
+    weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
+    X = rng.normal(size=(batch_size, frames, raw_dim))
+    labels = rng.integers(1, n + 1, size=batch_size)
+    psets = {y: {y, int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))}
+             for y in range(1, n + 1)}
+    rows = rng.normal(size=(n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    banks = MemoryBanks(rows, np.flipud(rows).copy(), 0.2, 0.1)
+    return weights, X, labels, psets, banks
 
 
 def test_end_to_end_gradient_matches_finite_differences():
+    # weights -> batched embed -> batched loss -> batch mean, as in one training step
     rng = np.random.default_rng(3)
     cfg = default_config()
     checked = 0
     while checked < 100:
-        raw_dim = int(rng.integers(2, 9))
-        dim = int(rng.integers(2, 6))
-        n_frames = int(rng.integers(1, 6))
-        n_classes = int(rng.integers(2, 6))
-        frames = rng.normal(size=(n_frames, raw_dim))
-        rows = rng.normal(size=(n_classes, dim))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        banks = MemoryBanks(rows, np.flipud(rows).copy(), 0.2, 0.1)
-        label = int(rng.integers(1, n_classes + 1))
-        pos = {label, int(rng.integers(1, n_classes + 1))}
-        weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
+        weights, X, labels, psets, banks = _random_step(
+            rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6)),
+            int(rng.integers(2, 5)), int(rng.integers(1, 6)))
+        table = positive_table(psets, banks.num_classes, cfg.smoothing)
 
         def loss_of(w):
-            v, _ = _embed_with_cache(Encoder(w), frames)
-            return combined_loss(v, label, pos, banks, cfg).value
+            V, _ = _embed_batch(Encoder(w), X)
+            return combined_loss(V, labels, table, banks, cfg).value.mean()
 
-        v, cache = _embed_with_cache(Encoder(weights), frames)
-        out = combined_loss(v, label, pos, banks, cfg)
-        grad_w = _backprop_to_weights(out.grad, cache)
+        V, cache = _embed_batch(Encoder(weights), X)
+        out = combined_loss(V, labels, table, banks, cfg)
+        grad_w = _backprop_batch(out.grad / len(labels), cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
         fd = central_difference_grad(loss_of, weights.copy())
         assert relative_error(grad_w, fd) <= 1e-4
         checked += 1
+
+
+def test_batched_gradient_is_mean_of_per_sample_oracle():
+    rng = np.random.default_rng(17)
+    cfg = default_config()
+    for _ in range(50):
+        weights, X, labels, psets, banks = _random_step(rng, 16, 8, 7, 32, 4)
+        V, cache = _embed_batch(Encoder(weights), X)
+        out = combined_loss(V, labels, positive_table(psets, 7, cfg.smoothing), banks, cfg)
+        grad_w = _backprop_batch(out.grad / len(labels), cache)
+        expected = np.zeros_like(weights)
+        for b, y in enumerate(labels):
+            v, sample_cache = embed_with_cache(weights, X[b])
+            _, grad_v = combined_loss_per_sample(v, y, psets[y], banks, cfg)
+            expected += backprop_to_weights(grad_v, sample_cache) / len(labels)
+        assert relative_error(grad_w, expected) <= 1e-12
+
+
+def test_train_iteration_matches_per_sample_oracle():
+    # one epoch of one iteration, replayed sample by sample from the same rng
+    tracklets = _small_dataset()
+    cfg = _small_cfg(epochs=1, iters_per_epoch=1, batch_size=16)
+    result = train(tracklets, cfg)
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, rng)
+    state, subtracklets, features, raw_units, _ = cluster_epoch(enc, tracklets, cfg, 1)
+    labeled = state.labeled_items()
+    feat_map = dict(zip(subtracklets, features))
+    banks = init_memory(np.asarray([feat_map[st] for st, _ in labeled]),
+                        np.asarray([y for _, y in labeled]), cfg.temperature, cfg.momentum)
+    grad_w = np.zeros_like(enc.weights)
+    values = []
+    for i in rng.integers(0, len(labeled), size=cfg.batch_size):
+        st, y = labeled[i]
+        raw = raw_units[st]
+        sample = nftp.sample_frames(raw.shape[0], cfg.frames_per_sample, cfg.sample_stride, rng)
+        v, cache = embed_with_cache(enc.weights, raw[sample])
+        value, grad_v = combined_loss_per_sample(v, y, state.positive_sets[y], banks, cfg)
+        grad_w += backprop_to_weights(grad_v, cache) / cfg.batch_size
+        values.append(value)
+    weights = AdamW(enc.weights.shape, cfg.weight_decay).step(enc.weights, grad_w, cfg.lr_at(1))
+    assert relative_error(result.encoder.weights, weights) <= 1e-12
+    assert result.reports[0].mean_loss == pytest.approx(np.mean(values), rel=1e-12)
 
 
 def test_adamw_decoupled_weight_decay():
