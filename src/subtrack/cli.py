@@ -46,7 +46,10 @@ def _load_config(path) -> TrainConfig:
     unknown = set(overrides) - known
     if unknown:
         raise CliError(f"unknown config fields: {sorted(unknown)}")
-    cfg = default_config(**overrides)
+    return _checked(default_config(**overrides))
+
+
+def _checked(cfg: TrainConfig) -> TrainConfig:
     problems = validate_config(cfg)
     if problems:
         raise CliError("invalid config: " + "; ".join(problems))
@@ -231,17 +234,21 @@ def cmd_sweep(args) -> None:
         raise CliError(f"unknown sweep param {args.param!r}; choose from {sorted(SWEEP_PARAMS)}")
     tracklets, _ = _read_dataset(args.data)
     cfg = _load_config(args.config)
-    values = args.values.split(",")
-    header = ["param", "value", "map", "rank1", "pairwise_f1", "filtered_frames_per_epoch"]
-    rows = []
-    for raw_value in values:
+    runs = []  # every value is checked before the first run
+    for raw_value in args.values.split(","):
         if args.param == "K":
             k = int(raw_value)
-            result = train_with_toggles(tracklets, cfg, PipelineToggles(), fixed_k=k)
+            if k < 1:
+                raise CliError(f"sweep K must be >= 1, not {k}")
+            runs.append((raw_value, cfg, k))
         else:
             field = SWEEP_PARAMS[args.param]
             value = int(raw_value) if field == "partition_stride" else float(raw_value)
-            result = train(tracklets, cfg.replace(**{field: value}))
+            runs.append((raw_value, _checked(cfg.replace(**{field: value})), None))
+    header = ["param", "value", "map", "rank1", "pairwise_f1", "filtered_frames_per_epoch"]
+    rows = []
+    for raw_value, run_cfg, k in runs:
+        result = train_with_toggles(tracklets, run_cfg, PipelineToggles(), fixed_k=k)
         m = _run_metrics_row(tracklets, result)
         rows.append([
             args.param, raw_value,

@@ -9,7 +9,7 @@ cosine logits stay on a fixed scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -155,16 +155,3 @@ def update_banks(banks: MemoryBanks, V: np.ndarray, labels: np.ndarray) -> Memor
     return replace(banks, centroid=moved(banks.centroid, classes, sums / counts[:, None]),
                    hard=moved(banks.hard, labels[hardest], V[hardest]))
 
-
-def _stack(batch: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray([v for v, _ in batch], dtype=np.float64), np.asarray([y for _, y in batch])
-
-
-def update_memory(banks: MemoryBanks, batch: Sequence[tuple[np.ndarray, int]]) -> MemoryBanks:
-    """Momentum update of the centroid bank with per-class batch means."""
-    return replace(update_banks(banks, *_stack(batch)), hard=banks.hard)
-
-
-def update_hard_memory(banks: MemoryBanks, batch: Sequence[tuple[np.ndarray, int]]) -> MemoryBanks:
-    """Momentum update of the hard bank with each class's least similar sample."""
-    return replace(update_banks(banks, *_stack(batch)), centroid=banks.centroid)

@@ -92,9 +92,6 @@ class LabelState:
     def num_outliers(self) -> int:
         return sum(1 for v in self.assignment.values() if v == OUTLIER)
 
-    def labeled_items(self):
-        return [(st, y) for st, y in self.assignment.items() if y != OUTLIER]
-
     def check(self) -> list[str]:
         """Return all violated LabelState invariants (empty when consistent)."""
         problems = []

@@ -16,11 +16,12 @@ import numpy as np
 from .model import SubTracklet, TrainConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredTracklet:
-    parent_id: str
-    surviving_indices: tuple[int, ...]
-    filtered_indices: tuple[int, ...]
+    """One tracklet's noise-filter outcome as ascending int index arrays into its frames."""
+
+    surviving_indices: np.ndarray
+    filtered_indices: np.ndarray
     threshold: float
 
 
@@ -64,26 +65,25 @@ def noise_filter(frames: np.ndarray, filter_factor: float) -> FilteredTracklet:
         # center so the partition below always has input.
         keep = np.zeros_like(keep)
         keep[int(np.argmin(dist))] = True
-    surviving = tuple(int(i) for i in np.flatnonzero(keep))
-    filtered = tuple(int(i) for i in np.flatnonzero(~keep))
-    return FilteredTracklet("", surviving, filtered, threshold)
+    return FilteredTracklet(np.flatnonzero(keep), np.flatnonzero(~keep), threshold)
 
 
-def keep_all(parent_id: str, length: int) -> FilteredTracklet:
+def keep_all(length: int) -> FilteredTracklet:
     """A FilteredTracklet that filters nothing (partition-only path)."""
-    return FilteredTracklet(parent_id, tuple(range(length)), (), float("inf"))
+    return FilteredTracklet(np.arange(length), np.arange(0), float("inf"))
 
 
-def partition(ft: FilteredTracklet, stride: int) -> list[SubTracklet]:
-    """Split surviving frames into segments of ``stride`` frames.
+def partition(parent_id: str, length: int, stride: int) -> list[SubTracklet]:
+    """Split ``length`` surviving frames of tracklet ``parent_id`` into segments of ``stride``.
 
-    A trailing remainder shorter than the stride is appended to the last full
-    segment, so the final segment has length in [stride, 2*stride - 1]; a
-    tracklet shorter than the stride becomes a single segment.
+    Each segment's ``frame_range`` indexes the surviving frames, i.e. the
+    tracklet's frames at ``surviving_indices``. A trailing remainder shorter
+    than the stride is appended to the last full segment, so the final segment
+    has length in [stride, 2*stride - 1]; a tracklet shorter than the stride
+    becomes a single segment.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    length = len(ft.surviving_indices)
     if length == 0:
         return []
     bounds = []
@@ -94,10 +94,7 @@ def partition(ft: FilteredTracklet, stride: int) -> list[SubTracklet]:
         for t in range(full - 1):
             bounds.append((t * stride, (t + 1) * stride - 1))
         bounds.append(((full - 1) * stride, length - 1))
-    return [
-        SubTracklet(ft.parent_id, t + 1, rng)
-        for t, rng in enumerate(bounds)
-    ]
+    return [SubTracklet(parent_id, t + 1, rng) for t, rng in enumerate(bounds)]
 
 
 def sample_frames(segment_length: int, count: int, stride: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,11 +127,7 @@ def nftp_all(
     """
     out = []
     for tid, frames in feature_tracklets:
-        if filter_frames:
-            ft = noise_filter(frames, cfg.filter_factor)
-            ft = FilteredTracklet(tid, ft.surviving_indices, ft.filtered_indices, ft.threshold)
-        else:
-            ft = keep_all(tid, frames.shape[0])
-        stride = cfg.partition_stride if do_partition else len(ft.surviving_indices)
-        out.append((ft, partition(ft, stride)))
+        ft = noise_filter(frames, cfg.filter_factor) if filter_frames else keep_all(frames.shape[0])
+        length = len(ft.surviving_indices)
+        out.append((ft, partition(tid, length, cfg.partition_stride if do_partition else length)))
     return out

@@ -23,6 +23,7 @@ from .merging import build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
     MODE_REACHABLE,
+    OUTLIER,
     LabelState,
     SubTracklet,
     Tracklet,
@@ -163,29 +164,28 @@ def cluster_epoch(
 ):
     """The frozen-encoder phase of one epoch: NFTP, embed, cluster, merge.
 
-    Returns (state, subtracklets, features, surviving raw frames per unit,
-    filtered-frame count).
+    Returns (state, subtracklets, features, raw_units, filtered-frame count):
+    unit i is ``subtracklets[i]``, ``features[i]`` its normalized mean
+    encoding and ``raw_units[i]`` its (len, raw_dim) raw surviving frames.
     """
-    encoded = [(t.id, encode_frames(enc, t.frames)) for t in tracklets]
-    raw_by_id = {t.id: t.frames for t in tracklets}
-    parts = nftp.nftp_all(encoded, cfg, filter_frames=toggles.filter_frames,
-                          do_partition=toggles.do_partition)
+    if len({t.id for t in tracklets}) != len(tracklets):
+        raise ValueError("tracklet ids must be unique")
+    encoded = [encode_frames(enc, t.frames) for t in tracklets]
+    parts = nftp.nftp_all([(t.id, e) for t, e in zip(tracklets, encoded)], cfg,
+                          filter_frames=toggles.filter_frames, do_partition=toggles.do_partition)
     filtered_frames = sum(len(ft.filtered_indices) for ft, _ in parts)
 
     subtracklets: list[SubTracklet] = []
-    features = []
-    raw_units: dict[SubTracklet, np.ndarray] = {}
-    feats_by_id = dict(encoded)
-    for ft, sts in parts:
-        surv = np.asarray(ft.surviving_indices, dtype=np.int64)
-        enc_frames = feats_by_id[ft.parent_id][surv]
-        raw_frames = raw_by_id[ft.parent_id][surv]
+    features, raw_units = [], []
+    for t, encoded_frames, (ft, sts) in zip(tracklets, encoded, parts):
+        enc_frames = encoded_frames[ft.surviving_indices]
+        raw_frames = t.frames[ft.surviving_indices]
         for st in sts:
             a, b = st.frame_range
             mean = enc_frames[a : b + 1].mean(axis=0)
             features.append(mean / np.linalg.norm(mean))
-            subtracklets.append(st)
-            raw_units[st] = raw_frames[a : b + 1]
+            raw_units.append(raw_frames[a : b + 1])
+        subtracklets += sts
     features = np.asarray(features)
     state = sub_cluster_generate(features, cfg, keys=subtracklets)
     if toggles.merge != MERGE_NONE:
@@ -230,38 +230,35 @@ def train_with_toggles(
         state, subtracklets, features, raw_units, filtered = cluster_epoch(
             enc, tracklets, cfg, epoch, toggles
         )
-        labeled = state.labeled_items()
+        labels = np.fromiter((state.assignment[st] for st in subtracklets), dtype=np.int64,
+                             count=len(subtracklets))
+        labeled = np.flatnonzero(labels != OUTLIER)
         result.labels, result.subtracklets, result.features = state, subtracklets, features
 
-        if not labeled:
+        if not labeled.size:
             result.reports.append(
                 EpochReport(epoch, 0, state.num_outliers, state.mode, float("nan"), filtered,
                             time.perf_counter() - t0)
             )
             continue
 
-        labels_arr = np.fromiter((y for _, y in labeled), dtype=np.int64, count=len(labeled))
-        idx_map = [st for st, _ in labeled]
-        feat_map = {st: f for st, f in zip(subtracklets, features)}
-        banks = init_memory(
-            np.asarray([feat_map[st] for st in idx_map]), labels_arr, cfg.temperature, cfg.momentum
-        )
+        banks = init_memory(features, labels, cfg.temperature, cfg.momentum)  # skips OUTLIER rows
         if fixed_k is not None:
             state = _fixed_k_positive_sets(state, banks, fixed_k)
             result.labels = state
 
-        iters = cfg.iters_per_epoch or -(-len(labeled) // cfg.batch_size)
+        iters = cfg.iters_per_epoch or -(-labeled.size // cfg.batch_size)
         lr = cfg.lr_at(epoch)
         table = positive_table(state.positive_sets, banks.num_classes, cfg.smoothing)
         X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
         losses = []
         for _ in range(iters):
-            pick = rng.integers(0, len(labeled), size=cfg.batch_size)
-            for b, i in enumerate(pick):
-                raw = raw_units[idx_map[i]]
+            units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
+            for b, i in enumerate(units):
+                raw = raw_units[i]
                 X[b] = raw[nftp.sample_frames(raw.shape[0], cfg.frames_per_sample,
                                               cfg.sample_stride, rng)]
-            y = labels_arr[pick]
+            y = labels[units]
             V, cache = _embed_batch(enc, X)
             out = combined_loss(V, y, table, banks, cfg)
             grad_w = _backprop_batch(out.grad / cfg.batch_size, cache)

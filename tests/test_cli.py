@@ -184,6 +184,24 @@ def test_unknown_sweep_param_errors(tmp_path, dataset_dir, config_file, capsys):
     assert "bogus" in err["message"]
 
 
+@pytest.mark.parametrize("param,value,key", [
+    ("lambda", "2.0", "smoothing"),
+    ("K", "-1", "K"),
+    ("K", "0", "K"),
+])
+def test_invalid_sweep_value_errors(tmp_path, dataset_dir, config_file, capsys, param, value, key):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--data", str(dataset_dir), "--config", str(config_file),
+        "--param", param, "--values", value, "--out", str(out),
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError"
+    assert key in err["message"]
+    assert not out.exists()
+
+
 def test_missing_dataset_errors_as_json(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert code == 1

@@ -16,8 +16,6 @@ from subtrack.memory import (
     init_memory,
     positive_table,
     update_banks,
-    update_hard_memory,
-    update_memory,
 )
 from subtrack.model import default_config
 
@@ -296,31 +294,32 @@ def test_update_memory_hand_example():
     banks = MemoryBanks(
         np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), 0.05, momentum=0.1
     )
-    updated = update_memory(banks, [(np.array([0.0, 1.0]), 1)])
+    updated = update_banks(banks, np.array([[0.0, 1.0]]), np.array([1]))
     expected = _unit([0.1, 0.9])
     assert updated.centroid[0] == pytest.approx(expected, abs=1e-4)
     assert updated.centroid[0][0] == pytest.approx(0.1104, abs=1e-4)
     assert updated.centroid[0][1] == pytest.approx(0.9939, abs=1e-4)
-    # hard bank untouched by the centroid update
-    assert np.array_equal(updated.hard, banks.hard)
+    # one sample is both the class's batch mean and its hardest sample
+    assert np.array_equal(updated.hard, updated.centroid)
 
 
 def test_update_memory_fixed_point_and_alpha_one():
     rng = np.random.default_rng(10)
     banks = _random_banks(rng, 3, 4, momentum=0.1)
-    same = update_memory(banks, [(banks.centroid[1].copy(), 2)])
+    same = update_banks(banks, banks.centroid[1:2].copy(), np.array([2]))
     assert np.allclose(same.centroid[1], banks.centroid[1], atol=1e-12)
 
     frozen = MemoryBanks(banks.centroid, banks.hard, banks.temperature, momentum=1.0)
-    out = update_memory(frozen, [(rng.normal(size=4), 1), (rng.normal(size=4), 3)])
+    out = update_banks(frozen, rng.normal(size=(2, 4)), np.array([1, 3]))
     assert np.array_equal(out.centroid, frozen.centroid)
+    assert np.array_equal(out.hard, frozen.hard)
 
 
 def test_update_memory_batch_mean_and_untouched_rows():
     rng = np.random.default_rng(11)
     banks = _random_banks(rng, 3, 4, momentum=0.3)
     a, b = rng.normal(size=4), rng.normal(size=4)
-    out = update_memory(banks, [(a, 2), (b, 2)])
+    out = update_banks(banks, np.array([a, b]), np.array([2, 2]))
     row = 0.3 * banks.centroid[1] + 0.7 * (a + b) / 2
     assert np.allclose(out.centroid[1], row / np.linalg.norm(row), atol=1e-12)
     assert np.array_equal(out.centroid[0], banks.centroid[0])
@@ -332,8 +331,7 @@ def test_update_memory_rows_stay_unit_norm():
     banks = _random_banks(rng, 4, 6)
     for _ in range(20):
         batch = [(rng.normal(size=6), int(rng.integers(1, 5))) for _ in range(8)]
-        banks = update_memory(banks, batch)
-        banks = update_hard_memory(banks, batch)
+        banks = update_banks(banks, np.array([v for v, _ in batch]), np.array([y for _, y in batch]))
         assert np.allclose(np.linalg.norm(banks.centroid, axis=1), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(banks.hard, axis=1), 1.0, atol=1e-12)
 
@@ -344,10 +342,12 @@ def test_update_hard_memory_selects_least_similar():
     )
     close = np.array([0.9, 0.1])
     far = np.array([-0.2, 1.0])
-    out = update_hard_memory(banks, [(close, 1), (far, 1)])
+    out = update_banks(banks, np.array([close, far]), np.array([1, 1]))
     row = 0.5 * np.array([1.0, 0.0]) + 0.5 * far
     assert np.allclose(out.hard[0], row / np.linalg.norm(row), atol=1e-12)
-    assert np.array_equal(out.centroid, banks.centroid)
+    # the centroid row moves toward the batch mean instead
+    row = 0.5 * np.array([1.0, 0.0]) + 0.5 * (close + far) / 2
+    assert np.allclose(out.centroid[0], row / np.linalg.norm(row), atol=1e-12)
 
 
 def test_update_hard_memory_tie_breaks_to_earliest():
@@ -356,8 +356,8 @@ def test_update_hard_memory_tie_breaks_to_earliest():
     )
     a = np.array([0.6, 0.8])
     b = np.array([0.6, -0.8])  # the same cosine similarity (0.6) as a, exactly
-    for batch, first in (([(a, 1), (b, 1)], a), ([(b, 1), (a, 1)], b)):
-        out = update_hard_memory(banks, batch)
+    for batch, first in ((np.array([a, b]), a), (np.array([b, a]), b)):
+        out = update_banks(banks, batch, np.array([1, 1]))
         row = 0.5 * np.array([1.0, 0.0]) + 0.5 * first
         assert np.allclose(out.hard[0], row / np.linalg.norm(row), atol=1e-12)
 
@@ -385,18 +385,12 @@ def test_batched_updates_match_per_sample_oracle():
         centroid = update_memory_per_sample(banks.centroid, batch, momentum)
         hard = update_hard_memory_per_sample(banks.hard, batch, momentum)
         both = update_banks(banks, V, labels)
-        for got, want in ((both.centroid, centroid), (both.hard, hard),
-                          (update_memory(banks, batch).centroid, centroid),
-                          (update_hard_memory(banks, batch).hard, hard)):
+        for got, want in ((both.centroid, centroid), (both.hard, hard)):
             assert np.abs(got - want).max() <= 1e-15
 
 
 def test_update_rejects_empty_batch():
     rng = np.random.default_rng(13)
     banks = _random_banks(rng, 2, 3)
-    with pytest.raises(ValueError):
-        update_memory(banks, [])
-    with pytest.raises(ValueError):
-        update_hard_memory(banks, [])
     with pytest.raises(ValueError):
         update_banks(banks, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))

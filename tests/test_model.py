@@ -133,4 +133,3 @@ def test_outlier_counting():
     )
     assert state.num_outliers == 1
     assert state.num_clusters == 1
-    assert len(state.labeled_items()) == 2

@@ -61,8 +61,8 @@ def test_noise_filter_identical_frames_nothing_removed():
     frames = np.tile([1.0, 0.0], (4, 1))
     ft = noise_filter(frames, 0.7)
     assert ft.threshold == 0.0
-    assert ft.surviving_indices == (0, 1, 2, 3)
-    assert ft.filtered_indices == ()
+    assert ft.surviving_indices.tolist() == [0, 1, 2, 3]
+    assert ft.filtered_indices.tolist() == []
 
 
 def test_noise_filter_worked_example():
@@ -71,15 +71,15 @@ def test_noise_filter_worked_example():
     q_expected = (2 * (1 - 2 / np.sqrt(5)) ** 2 + (1 - 1 / np.sqrt(5)) ** 2) / (3 * 0.7)
     assert ft.threshold == pytest.approx(q_expected, abs=1e-12)
     assert ft.threshold == pytest.approx(0.1561, abs=1e-4)
-    assert ft.surviving_indices == (0, 1)
-    assert ft.filtered_indices == (2,)
+    assert ft.surviving_indices.tolist() == [0, 1]
+    assert ft.filtered_indices.tolist() == [2]
 
 
 def test_noise_filter_small_factor_keeps_everything():
     frames = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     ft = noise_filter(frames, 0.05)
     assert ft.threshold > 2.0
-    assert ft.filtered_indices == ()
+    assert ft.filtered_indices.tolist() == []
 
 
 def test_noise_filter_monotone_in_factor():
@@ -114,10 +114,17 @@ def test_noise_filter_permutation_covariant():
     ],
 )
 def test_partition_lengths(length, stride, expected_lengths):
-    ft = keep_all("t", length)
-    parts = partition(ft, stride)
+    parts = partition("t", length, stride)
     assert [len(p) for p in parts] == expected_lengths
+    assert all(p.parent_id == "t" for p in parts)
     assert [p.segment_index for p in parts] == list(range(1, len(parts) + 1))
+
+
+def test_keep_all_filters_nothing():
+    ft = keep_all(5)
+    assert ft.surviving_indices.tolist() == [0, 1, 2, 3, 4]
+    assert ft.filtered_indices.tolist() == []
+    assert ft.threshold == float("inf")
 
 
 def test_partition_reconstruction_random():
@@ -125,8 +132,7 @@ def test_partition_reconstruction_random():
     for _ in range(200):
         length = int(rng.integers(1, 200))
         stride = int(rng.integers(1, 50))
-        ft = keep_all("t", length)
-        parts = partition(ft, stride)
+        parts = partition("t", length, stride)
         covered = []
         for p in parts:
             covered.extend(range(p.frame_range[0], p.frame_range[1] + 1))
@@ -191,9 +197,9 @@ def test_nftp_all_without_partition_gives_one_unit_spanning_survivors():
     tracklets = [("t%d" % i, rng.normal(size=(int(rng.integers(1, 40)), 6))) for i in range(8)]
     for filter_frames in (True, False):
         out = nftp_all(tracklets, cfg, filter_frames=filter_frames, do_partition=False)
-        assert [ft.parent_id for ft, _ in out] == [tid for tid, _ in tracklets]
-        for ft, sts in out:
-            assert [(st.parent_id, st.segment_index) for st in sts] == [(ft.parent_id, 1)]
+        assert len(out) == len(tracklets)
+        for (tid, _), (ft, sts) in zip(tracklets, out):
+            assert [(st.parent_id, st.segment_index) for st in sts] == [(tid, 1)]
             assert sts[0].frame_range == (0, len(ft.surviving_indices) - 1)
 
 

@@ -10,7 +10,7 @@ from oracles import (
 )
 from subtrack import nftp
 from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
-from subtrack.model import MODE_DIRECT, MODE_REACHABLE, default_config
+from subtrack.model import MODE_DIRECT, MODE_REACHABLE, OUTLIER, Tracklet, default_config
 from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import (
     MERGE_DIRECT,
@@ -151,15 +151,15 @@ def test_train_iteration_matches_per_sample_oracle():
     rng = np.random.default_rng(cfg.rng_seed)
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, rng)
     state, subtracklets, features, raw_units, _ = cluster_epoch(enc, tracklets, cfg, 1)
-    labeled = state.labeled_items()
-    feat_map = dict(zip(subtracklets, features))
-    banks = init_memory(np.asarray([feat_map[st] for st, _ in labeled]),
-                        np.asarray([y for _, y in labeled]), cfg.temperature, cfg.momentum)
+    labels = [state.assignment[st] for st in subtracklets]
+    labeled = [i for i, y in enumerate(labels) if y != OUTLIER]
+    banks = init_memory(features[labeled], np.asarray([labels[i] for i in labeled]),
+                        cfg.temperature, cfg.momentum)
     grad_w = np.zeros_like(enc.weights)
     values = []
     for i in rng.integers(0, len(labeled), size=cfg.batch_size):
-        st, y = labeled[i]
-        raw = raw_units[st]
+        y = labels[labeled[i]]
+        raw = raw_units[labeled[i]]
         sample = nftp.sample_frames(raw.shape[0], cfg.frames_per_sample, cfg.sample_stride, rng)
         v, cache = embed_with_cache(enc.weights, raw[sample])
         value, grad_v = combined_loss_per_sample(v, y, state.positive_sets[y], banks, cfg)
@@ -229,6 +229,39 @@ def test_cluster_epoch_is_pure_given_frozen_weights():
     assert s1.positive_sets == s2.positive_sets
     assert st1 == st2 and n1 == n2
     assert np.array_equal(f1, f2)
+
+
+@pytest.mark.parametrize("filter_frames", [True, False])
+@pytest.mark.parametrize("do_partition", [True, False])
+def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition):
+    tracklets = _small_dataset()
+    cfg = _small_cfg()
+    enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
+    toggles = PipelineToggles("t", filter_frames=filter_frames, do_partition=do_partition,
+                              merge=MERGE_NONE)
+    _, subtracklets, features, raw_units, filtered = cluster_epoch(enc, tracklets, cfg, 1, toggles)
+    assert (filtered > 0) == filter_frames
+    by_id = {t.id: t for t in tracklets}
+    encoded = {t.id: encode_frames(enc, t.frames) for t in tracklets}
+    parts = nftp.nftp_all(list(encoded.items()), cfg, filter_frames=filter_frames,
+                          do_partition=do_partition)
+    surviving = {t.id: ft.surviving_indices for t, (ft, _) in zip(tracklets, parts)}
+    assert subtracklets == [st for _, sts in parts for st in sts]
+    assert len(raw_units) == features.shape[0] == len(subtracklets)
+    for st, feature, raw in zip(subtracklets, features, raw_units):
+        a, b = st.frame_range
+        frames = surviving[st.parent_id][a : b + 1]
+        assert np.array_equal(raw, by_id[st.parent_id].frames[frames])
+        mean = encoded[st.parent_id][frames].mean(axis=0)
+        assert np.array_equal(feature, mean / np.linalg.norm(mean))
+
+
+def test_duplicate_tracklet_ids_are_rejected():
+    rng = np.random.default_rng(4)
+    for lengths in ((80, 40), (40, 80)):
+        tracklets = [Tracklet("x", rng.normal(size=(n, 16))) for n in lengths]
+        with pytest.raises(ValueError, match="tracklet ids must be unique"):
+            train(tracklets, _small_cfg())
 
 
 def test_cluster_epoch_progressive_mode_switch():
