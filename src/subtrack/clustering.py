@@ -21,11 +21,31 @@ def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
     norms = np.linalg.norm(features, axis=1)
     if features.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-4:
         raise ValueError("cosine_distance_matrix expects L2-normalized rows")
-    d = 1.0 - features @ features.T
-    d = (d + d.T) / 2.0
+    d = features @ features.T
+    # in place, bit-identical to (d + d.T) / 2: addition commutes, halving is exact
+    np.subtract(1.0, d, out=d)
+    d += d.T
+    d *= 0.5
     np.fill_diagonal(d, 0.0)
     np.clip(d, 0.0, 2.0, out=d)
     return DistanceMatrix(d)
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest columns, self first, as a stable ascending sort orders them.
+
+    ``dist`` must have a zero diagonal; it is set to -1 for the ranking and
+    restored. Only the entries up to each row's k-th smallest value are
+    sorted, by (distance, column), so ties come out as the stable sort's.
+    """
+    n = dist.shape[0]
+    np.fill_diagonal(dist, -1.0)
+    kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
+    rows, cols = np.nonzero(dist <= kth)
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    np.fill_diagonal(dist, 0.0)
+    starts = np.searchsorted(rows, np.arange(n))  # nonzero lists the rows in order
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def _reciprocal(initial_rank: np.ndarray, k: int):
@@ -35,31 +55,11 @@ def _reciprocal(initial_rank: np.ndarray, k: int):
     return forward, (initial_rank[forward, : k + 1] == rows).any(axis=2)
 
 
-def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatrix:
-    """Jaccard distance over expanded k-reciprocal neighbor weight vectors.
-
-    Reciprocal neighbor sets are expanded with half-k1 reciprocal neighbors of
-    their members when the overlap reaches 2/3, weighted by a Gaussian of the
-    cosine distance, then smoothed by averaging over each sample's k2 nearest
-    weight vectors. With fewer than k1 + 1 samples the metric degenerates and
-    the plain cosine matrix is returned with a flag.
-    """
-    if not k1 > k2 >= 1:
-        raise ValueError("need k1 > k2 >= 1")
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    cos = cosine_distance_matrix(features)
-    if n <= k1:
-        return DistanceMatrix(cos.values, degenerate_fallback=True)
-    dist = cos.values
-    # rank self strictly first even under exact-duplicate ties
-    ranking_dist = dist.copy()
-    np.fill_diagonal(ranking_dist, -1.0)
-    initial_rank = np.argsort(ranking_dist, axis=1, kind="stable")
-
-    half = int(np.around(k1 / 2))
+def _expansion(initial_rank: np.ndarray, k1: int) -> np.ndarray:
+    """The (n, n) mask of each row's k1-reciprocal set, expanded by its members' half-sets."""
+    n = initial_rank.shape[0]
     near, near_ok = _reciprocal(initial_rank, k1)
-    halves, halves_ok = _reciprocal(initial_rank, half)
+    halves, halves_ok = _reciprocal(initial_rank, int(np.around(k1 / 2)))
     member = np.zeros((n, n), dtype=bool)
     member[np.nonzero(near_ok)[0], near[near_ok]] = True
     # each candidate's half-set, and how much of it lies in the row's k1 set
@@ -69,22 +69,49 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
     # accepted half-sets join the k1 set, so member becomes each row's expansion
     take = accept[:, :, None] & cand_ok
     member[np.nonzero(take)[0], cand[take]] = True
+    return member
+
+
+def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatrix:
+    """Jaccard distance over expanded k-reciprocal neighbor weight vectors.
+
+    Units are ranked by cosine distance, self first and ties by index, but
+    only each row's k1 + 1 nearest are found: a partition picks the
+    (k1 + 1)-th value and only the entries up to it are sorted. Reciprocal
+    neighbor sets are expanded with half-k1 reciprocal neighbors of their
+    members when the overlap reaches 2/3, weighted by a Gaussian of the
+    cosine distance, then smoothed by averaging over each sample's k2 nearest
+    weight vectors. The cosine matrix and the membership mask are released
+    before the Jaccard kernel, which then holds the smoothed weights and its
+    output. With fewer than k1 + 1 samples the metric degenerates and the
+    plain cosine matrix is returned with a flag.
+    """
+    if not k1 > k2 >= 1:
+        raise ValueError("need k1 > k2 >= 1")
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    dist = cosine_distance_matrix(features).values
+    if n <= k1:
+        return DistanceMatrix(dist, degenerate_fallback=True)
+    initial_rank = _nearest(dist, k1 + 1)
+    member = _expansion(initial_rank, k1)
 
     W = np.zeros((n, n))
     for i in range(n):
         expansion = np.flatnonzero(member[i])
         weights = np.exp(-dist[i, expansion])
         W[i, expansion] = weights / weights.sum()
+    del dist, member
 
     if k2 > 1:
         # running sum over the k2 nearest rows: the same additions as a mean over axis 1
         smooth = W[initial_rank[:, 0]]
         for col in initial_rank[:, 1:k2].T:
             smooth += W[col]
-        W = smooth / k2
+        W = smooth  # drops the unsmoothed rows
+        W /= k2
 
-    jac = kernels.jaccard_from_weights(W)
-    jac = (jac + jac.T) / 2.0
+    jac = kernels.jaccard_from_weights(W)  # exactly symmetric already
     np.fill_diagonal(jac, 0.0)
     np.clip(jac, 0.0, 1.0, out=jac)
     return DistanceMatrix(jac)

@@ -2,8 +2,10 @@
 
 Both run in plain numpy on a single core. The Jaccard kernel treats its
 weight rows as sparse: it visits each column's nonzero rows (an inverted
-index), so its work is the sum over columns of nnz^2, and its memory is the
-n x n output plus one n x n scratch array at a time.
+index), so its work is the sum over columns of nnz^2. Besides the caller's
+weights, it holds two n x n float arrays at a time: the output and, first,
+a column-major copy of the weights, then the sum(max) matrix, plus an n x n
+boolean mask at the end. DBSCAN holds the n x n boolean adjacency.
 """
 
 from __future__ import annotations
@@ -21,18 +23,22 @@ def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
     sum(min) is accumulated column by column over each column's nonzero rows,
     at a cost of the sum over columns of nnz^2; the buffer then becomes
     distances in place through sum(max) = sum(W[i]) + sum(W[j]) - sum(min).
-    Two all-zero rows are at distance 0.
+    Two all-zero rows are at distance 0. The output is exactly symmetric:
+    (i, j) and (j, i) add the same minima in the same column order.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
     n = W.shape[0]
     out = np.zeros((n, n))
     flat = out.reshape(-1)  # a view; pair (a, b) sits at a * n + b
-    for col in np.ascontiguousarray(W.T):
-        idx = np.flatnonzero(col)
-        v = col[idx]
+    columns = np.ascontiguousarray(W.T)
+    for j in range(columns.shape[0]):
+        idx = np.flatnonzero(columns[j])
+        v = columns[j, idx]
         flat[(idx[:, None] * n + idx).ravel()] += np.minimum.outer(v, v).ravel()
+    del columns
     rowsum = W.sum(axis=1)
-    maxsum = np.add.outer(rowsum, rowsum) - out
+    maxsum = np.add.outer(rowsum, rowsum)
+    maxsum -= out
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(out, maxsum, out=out)
     np.subtract(1.0, out, out=out)

@@ -155,6 +155,19 @@ def _positive_state(
     raise ValueError(f"unknown merge mode {merge!r}")
 
 
+def _embed_units(tracklets, encoded, parts):
+    """Each unit's normalized mean encoding, and its (tracklet frames, frame indices) pair."""
+    features, unit_frames = [], []
+    for t, e, (ft, sts) in zip(tracklets, encoded, parts):
+        for st in sts:
+            a, b = st.frame_range
+            idx = ft.surviving_indices[a : b + 1]
+            mean = e[idx].mean(axis=0)
+            features.append(mean / np.linalg.norm(mean))
+            unit_frames.append((t.frames, idx))
+    return np.asarray(features), unit_frames
+
+
 def cluster_epoch(
     enc: Encoder,
     tracklets: Sequence[Tracklet],
@@ -164,9 +177,12 @@ def cluster_epoch(
 ):
     """The frozen-encoder phase of one epoch: NFTP, embed, cluster, merge.
 
-    Returns (state, subtracklets, features, raw_units, filtered-frame count):
-    unit i is ``subtracklets[i]``, ``features[i]`` its normalized mean
-    encoding and ``raw_units[i]`` its (len, raw_dim) raw surviving frames.
+    Returns (state, subtracklets, features, unit_frames, filtered-frame count):
+    unit i is ``subtracklets[i]`` and ``features[i]`` its normalized mean
+    encoding. ``unit_frames[i]`` is a (frames, indices) pair: its tracklet's
+    own read-only (L, raw_dim) frames, not a copy, and the indices of the
+    unit's surviving frames in them, a view into the noise filter's output.
+    The frame encodings are released before clustering.
     """
     if len({t.id for t in tracklets}) != len(tracklets):
         raise ValueError("tracklet ids must be unique")
@@ -175,22 +191,13 @@ def cluster_epoch(
                           filter_frames=toggles.filter_frames, do_partition=toggles.do_partition)
     filtered_frames = sum(len(ft.filtered_indices) for ft, _ in parts)
 
-    subtracklets: list[SubTracklet] = []
-    features, raw_units = [], []
-    for t, encoded_frames, (ft, sts) in zip(tracklets, encoded, parts):
-        enc_frames = encoded_frames[ft.surviving_indices]
-        raw_frames = t.frames[ft.surviving_indices]
-        for st in sts:
-            a, b = st.frame_range
-            mean = enc_frames[a : b + 1].mean(axis=0)
-            features.append(mean / np.linalg.norm(mean))
-            raw_units.append(raw_frames[a : b + 1])
-        subtracklets += sts
-    features = np.asarray(features)
+    subtracklets = [st for _, sts in parts for st in sts]
+    features, unit_frames = _embed_units(tracklets, encoded, parts)
+    del encoded
     state = sub_cluster_generate(features, cfg, keys=subtracklets)
     if toggles.merge != MERGE_NONE:
         state = _positive_state(dict(state.assignment), toggles.merge, epoch, cfg)
-    return state, subtracklets, features, raw_units, filtered_frames
+    return state, subtracklets, features, unit_frames, filtered_frames
 
 
 def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> LabelState:
@@ -227,7 +234,7 @@ def train_with_toggles(
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        state, subtracklets, features, raw_units, filtered = cluster_epoch(
+        state, subtracklets, features, unit_frames, filtered = cluster_epoch(
             enc, tracklets, cfg, epoch, toggles
         )
         labels = np.fromiter((state.assignment[st] for st in subtracklets), dtype=np.int64,
@@ -255,9 +262,9 @@ def train_with_toggles(
         for _ in range(iters):
             units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
             for b, i in enumerate(units):
-                raw = raw_units[i]
-                X[b] = raw[nftp.sample_frames(raw.shape[0], cfg.frames_per_sample,
-                                              cfg.sample_stride, rng)]
+                frames, idx = unit_frames[i]
+                X[b] = frames[idx[nftp.sample_frames(idx.size, cfg.frames_per_sample,
+                                                     cfg.sample_stride, rng)]]
             y = labels[units]
             V, cache = _embed_batch(enc, X)
             out = combined_loss(V, y, table, banks, cfg)

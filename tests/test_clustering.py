@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import dbscan_closure, jaccard_pairwise, k_reciprocal_weights, partition_of
 from subtrack import kernels
 from subtrack.clustering import (
+    _nearest,
     cosine_distance_matrix,
     dbscan,
     k_reciprocal_jaccard,
@@ -64,9 +67,52 @@ def test_jaccard_matrix_properties():
     rng = np.random.default_rng(8)
     feats = _unit_rows(rng, 40, 6)
     d = k_reciprocal_jaccard(feats, k1=10, k2=4).values
-    assert np.allclose(np.diag(d), 0.0)
-    assert np.abs(d - d.T).max() < 1e-9
+    # exact: the metric relies on the kernel's output being symmetric bit for bit
+    assert np.all(np.diag(d) == 0.0)
+    assert np.array_equal(d, d.T)
     assert d.min() >= 0.0 and d.max() <= 1.0
+
+
+def _stable_prefix(d, k):
+    ranking = d.copy()
+    np.fill_diagonal(ranking, -1.0)
+    return np.argsort(ranking, axis=1, kind="stable")[:, :k]
+
+
+def test_nearest_matches_stable_argsort_prefix_under_ties():
+    rng = np.random.default_rng(6)
+    cases = []
+    for n, k in ((40, 31), (31, 31), (12, 5), (9, 9)):  # n == k is n == k1 + 1
+        d = rng.integers(0, 4, size=(n, n)).astype(np.float64)  # integer values: many ties
+        cases += [d, (d + d.T) / 2.0]
+        dup = _unit_rows(rng, n, 3)
+        dup[rng.integers(0, n, n // 2)] = dup[rng.integers(0, n, n // 2)]  # exact duplicate rows
+        cases.append(cosine_distance_matrix(dup).values)
+    cases.append(np.zeros((8, 8)))  # every entry ties with self
+    for d in cases:
+        np.fill_diagonal(d, 0.0)
+        before = d.copy()
+        for k in {1, 2, d.shape[0] // 2, d.shape[0]}:
+            got = _nearest(d, k)
+            assert np.array_equal(got, _stable_prefix(d, k))
+            assert np.array_equal(got[:, 0], np.arange(d.shape[0]))  # self first
+            assert np.array_equal(d, before)  # the diagonal is restored
+
+
+def test_k_reciprocal_jaccard_holds_few_square_arrays():
+    # at 500 units the pass's own allocations peak below five n x n float arrays
+    n = 500
+    rng = np.random.default_rng(5)
+    centers = rng.normal(size=(n // 8, 32))
+    f = centers[rng.integers(0, n // 8, n)] + 0.35 * rng.normal(size=(n, 32))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        k_reciprocal_jaccard(f, k1=30, k2=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n * n
 
 
 def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):

@@ -29,6 +29,8 @@ def test_jaccard_matches_pairwise_oracle():
         got = kernels.jaccard_from_weights(W)
         # only summation order differs from the per-pair enumeration
         assert np.abs(got - jaccard_pairwise(W)).max() <= 8 * np.finfo(np.float64).eps
+        # (i, j) and (j, i) add the same minima in the same order
+        assert np.array_equal(got, got.T)
 
 
 def test_jaccard_numpy_zero_rows():

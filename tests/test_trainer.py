@@ -150,7 +150,7 @@ def test_train_iteration_matches_per_sample_oracle():
 
     rng = np.random.default_rng(cfg.rng_seed)
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, rng)
-    state, subtracklets, features, raw_units, _ = cluster_epoch(enc, tracklets, cfg, 1)
+    state, subtracklets, features, unit_frames, _ = cluster_epoch(enc, tracklets, cfg, 1)
     labels = [state.assignment[st] for st in subtracklets]
     labeled = [i for i, y in enumerate(labels) if y != OUTLIER]
     banks = init_memory(features[labeled], np.asarray([labels[i] for i in labeled]),
@@ -159,9 +159,9 @@ def test_train_iteration_matches_per_sample_oracle():
     values = []
     for i in rng.integers(0, len(labeled), size=cfg.batch_size):
         y = labels[labeled[i]]
-        raw = raw_units[labeled[i]]
-        sample = nftp.sample_frames(raw.shape[0], cfg.frames_per_sample, cfg.sample_stride, rng)
-        v, cache = embed_with_cache(enc.weights, raw[sample])
+        frames, idx = unit_frames[labeled[i]]
+        sample = nftp.sample_frames(idx.size, cfg.frames_per_sample, cfg.sample_stride, rng)
+        v, cache = embed_with_cache(enc.weights, frames[idx[sample]])
         value, grad_v = combined_loss_per_sample(v, y, state.positive_sets[y], banks, cfg)
         grad_w += backprop_to_weights(grad_v, cache) / cfg.batch_size
         values.append(value)
@@ -239,7 +239,8 @@ def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
     toggles = PipelineToggles("t", filter_frames=filter_frames, do_partition=do_partition,
                               merge=MERGE_NONE)
-    _, subtracklets, features, raw_units, filtered = cluster_epoch(enc, tracklets, cfg, 1, toggles)
+    _, subtracklets, features, unit_frames, filtered = cluster_epoch(enc, tracklets, cfg, 1,
+                                                                     toggles)
     assert (filtered > 0) == filter_frames
     by_id = {t.id: t for t in tracklets}
     encoded = {t.id: encode_frames(enc, t.frames) for t in tracklets}
@@ -247,11 +248,14 @@ def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition
                           do_partition=do_partition)
     surviving = {t.id: ft.surviving_indices for t, (ft, _) in zip(tracklets, parts)}
     assert subtracklets == [st for _, sts in parts for st in sts]
-    assert len(raw_units) == features.shape[0] == len(subtracklets)
-    for st, feature, raw in zip(subtracklets, features, raw_units):
+    assert len(unit_frames) == features.shape[0] == len(subtracklets)
+    for st, feature, (raw, idx) in zip(subtracklets, features, unit_frames):
+        # no frame copy: the tracklet's own array and an index array into it
+        assert raw is by_id[st.parent_id].frames
+        assert idx.dtype.kind == "i" and idx.ndim == 1
         a, b = st.frame_range
         frames = surviving[st.parent_id][a : b + 1]
-        assert np.array_equal(raw, by_id[st.parent_id].frames[frames])
+        assert np.array_equal(raw[idx], by_id[st.parent_id].frames[frames])
         mean = encoded[st.parent_id][frames].mean(axis=0)
         assert np.array_equal(feature, mean / np.linalg.norm(mean))
 
