@@ -35,17 +35,24 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest columns, self first, as a stable ascending sort orders them.
 
     ``dist`` must have a zero diagonal; it is set to -1 for the ranking and
-    restored. Only the entries up to each row's k-th smallest value are
-    sorted, by (distance, column), so ties come out as the stable sort's.
+    restored. Each row keeps its entries below its k-th smallest value plus
+    the first ties at that value by column, exactly k, and these are sorted
+    by (distance, column), as the stable sort orders them. Ties never add
+    entries, so the sort holds n * k of them.
     """
     n = dist.shape[0]
     np.fill_diagonal(dist, -1.0)
     kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
-    rows, cols = np.nonzero(dist <= kth)
+    keep = dist <= kth
+    extra = keep.sum(axis=1) - k
+    for i in np.flatnonzero(extra):  # ties at the k-th value: keep the first by column
+        tied = np.flatnonzero(dist[i] == kth[i, 0])
+        keep[i, tied[-extra[i] :]] = False
+    rows, cols = np.nonzero(keep)
+    del keep
     order = np.lexsort((cols, dist[rows, cols], rows))
     np.fill_diagonal(dist, 0.0)
-    starts = np.searchsorted(rows, np.arange(n))  # nonzero lists the rows in order
-    return cols[order][starts[:, None] + np.arange(k)]
+    return cols[order].reshape(n, k)
 
 
 def _reciprocal(initial_rank: np.ndarray, k: int):

@@ -155,19 +155,6 @@ def _positive_state(
     raise ValueError(f"unknown merge mode {merge!r}")
 
 
-def _embed_units(tracklets, encoded, parts):
-    """Each unit's normalized mean encoding, and its (tracklet frames, frame indices) pair."""
-    features, unit_frames = [], []
-    for t, e, (ft, sts) in zip(tracklets, encoded, parts):
-        for st in sts:
-            a, b = st.frame_range
-            idx = ft.surviving_indices[a : b + 1]
-            mean = e[idx].mean(axis=0)
-            features.append(mean / np.linalg.norm(mean))
-            unit_frames.append((t.frames, idx))
-    return np.asarray(features), unit_frames
-
-
 def cluster_epoch(
     enc: Encoder,
     tracklets: Sequence[Tracklet],
@@ -191,8 +178,17 @@ def cluster_epoch(
                           filter_frames=toggles.filter_frames, do_partition=toggles.do_partition)
     filtered_frames = sum(len(ft.filtered_indices) for ft, _ in parts)
 
-    subtracklets = [st for _, sts in parts for st in sts]
-    features, unit_frames = _embed_units(tracklets, encoded, parts)
+    subtracklets: list[SubTracklet] = []
+    features, unit_frames = [], []
+    for t, encoded_frames, (ft, sts) in zip(tracklets, encoded, parts):
+        for st in sts:
+            a, b = st.frame_range
+            idx = ft.surviving_indices[a : b + 1]
+            mean = encoded_frames[idx].mean(axis=0)
+            features.append(mean / np.linalg.norm(mean))
+            unit_frames.append((t.frames, idx))
+        subtracklets += sts
+    features = np.asarray(features)
     del encoded
     state = sub_cluster_generate(features, cfg, keys=subtracklets)
     if toggles.merge != MERGE_NONE:

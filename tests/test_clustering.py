@@ -99,6 +99,21 @@ def test_nearest_matches_stable_argsort_prefix_under_ties():
             assert np.array_equal(d, before)  # the diagonal is restored
 
 
+def test_nearest_memory_is_bounded_under_ties():
+    # all n entries of every row tie: the ranking still keeps only k per row,
+    # so it peaks at the partition's n x n copy plus a boolean mask
+    n = 500
+    d = np.zeros((n, n))
+    tracemalloc.start()
+    try:
+        got = _nearest(d, 31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _stable_prefix(d, 31))
+    assert peak <= 1.5 * 8 * n * n
+
+
 def test_k_reciprocal_jaccard_holds_few_square_arrays():
     # at 500 units the pass's own allocations peak below five n x n float arrays
     n = 500

@@ -1,10 +1,10 @@
 """The clustering stage at fixed sizes: seconds, peak RSS and a label hash.
 
-    python3 tools/cluster_sizes.py [--src SRC] [--sizes 600,1000,2000,5000] [--seed 0]
+    python3 tools/cluster_sizes.py [--src SRC]
 
-Each size runs in its own fresh process with one BLAS/OpenMP thread. The
-process draws seeded synthetic unit features (32 dims, about eight units per
-identity), then times ``k_reciprocal_jaccard`` (k1=30, k2=6) plus ``dbscan``
+Each size (600, 1000, 2000 and 5000 units) runs in its own fresh process
+with one BLAS/OpenMP thread. The process draws seeded synthetic unit
+features (32 dims, about eight units per identity), then times ``k_reciprocal_jaccard`` (k1=30, k2=6) plus ``dbscan``
 with the default eps and min_samples, and prints one line: the unit count,
 the seconds, the process's peak RSS in MB, the cluster count and the sha256
 of the labels. ``--src`` names the ``src`` directory to import ``subtrack``
@@ -26,24 +26,25 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DIM, K1, K2 = 32, 30, 6
+SIZES, SEED = (600, 1000, 2000, 5000), 0
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def features(n: int, seed: int) -> np.ndarray:
+def features(n: int) -> np.ndarray:
     """Seeded unit-norm features, about eight units around each identity's center."""
-    rng = np.random.default_rng([seed, n])
+    rng = np.random.default_rng([SEED, n])
     centers = rng.normal(size=(max(1, n // 8), DIM))
     f = centers[rng.integers(0, centers.shape[0], n)] + 0.35 * rng.normal(size=(n, DIM))
     return f / np.linalg.norm(f, axis=1, keepdims=True)
 
 
-def one_size(n: int, seed: int) -> dict:
+def one_size(n: int) -> dict:
     """Run in a fresh process: the clustering stage on n units."""
     from subtrack.clustering import dbscan, k_reciprocal_jaccard
     from subtrack.model import default_config
 
     cfg = default_config()
-    f = features(n, seed)
+    f = features(n)
     t0 = time.perf_counter()
     labels = dbscan(k_reciprocal_jaccard(f, K1, K2), cfg.eps, cfg.min_samples)
     seconds = time.perf_counter() - t0
@@ -60,20 +61,17 @@ def one_size(n: int, seed: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory that holds subtrack/")
-    ap.add_argument("--sizes", default="600,1000,2000,5000")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)  # child mode: one size
     args = ap.parse_args()
     if args.one is not None:
         sys.path.insert(0, args.src)
-        print(json.dumps(one_size(args.one, args.seed)))
+        print(json.dumps(one_size(args.one)))
         return
     env = {**os.environ, **SINGLE_THREAD}
-    print(f"src: {Path(args.src).resolve()}  seed: {args.seed}  k1={K1} k2={K2} dim={DIM}")
-    for n in (int(s) for s in args.sizes.split(",")):
+    print(f"src: {Path(args.src).resolve()}  seed: {SEED}  k1={K1} k2={K2} dim={DIM}")
+    for n in SIZES:
         out = subprocess.run(
-            [sys.executable, __file__, "--one", str(n), "--seed", str(args.seed),
-             "--src", args.src],
+            [sys.executable, __file__, "--one", str(n), "--src", args.src],
             env=env, check=True, capture_output=True, text=True,
         ).stdout
         row = json.loads(out.splitlines()[-1])
