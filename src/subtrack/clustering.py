@@ -22,10 +22,12 @@ def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
     if features.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-4:
         raise ValueError("cosine_distance_matrix expects L2-normalized rows")
     d = features @ features.T
-    # in place, bit-identical to (d + d.T) / 2: addition commutes, halving is exact
     np.subtract(1.0, d, out=d)
-    d += d.T
-    d *= 0.5
+    # (d + d.T) / 2 in place a row block at a time, with no transposed copy:
+    # addition commutes and halving is exact, so both triangles get one value
+    for rows in kernels.row_blocks(len(d)):
+        upper = (d[rows, rows.start :] + d[rows.start :, rows].T) * 0.5
+        d[rows, rows.start :], d[rows.start :, rows] = upper, upper.T
     np.fill_diagonal(d, 0.0)
     np.clip(d, 0.0, 2.0, out=d)
     return DistanceMatrix(d)
@@ -38,44 +40,52 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     restored. Each row keeps its entries below its k-th smallest value plus
     the first ties at that value by column, exactly k, and these are sorted
     by (distance, column), as the stable sort orders them. Ties never add
-    entries, so the sort holds n * k of them.
+    entries, so the sort holds k per row; rows are ranked a block at a time.
     """
-    n = dist.shape[0]
+    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
     np.fill_diagonal(dist, -1.0)
-    kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
-    keep = dist <= kth
-    extra = keep.sum(axis=1) - k
-    for i in np.flatnonzero(extra):  # ties at the k-th value: keep the first by column
-        tied = np.flatnonzero(dist[i] == kth[i, 0])
-        keep[i, tied[-extra[i] :]] = False
-    rows, cols = np.nonzero(keep)
-    del keep
-    order = np.lexsort((cols, dist[rows, cols], rows))
+    for rows in kernels.row_blocks(dist.shape[0]):
+        block = dist[rows]
+        kth = np.partition(block, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
+        keep = block <= kth
+        extra = keep.sum(axis=1) - k
+        for i in np.flatnonzero(extra):  # ties at the k-th value: keep the first by column
+            tied = np.flatnonzero(block[i] == kth[i, 0])
+            keep[i, tied[-extra[i] :]] = False
+        r, c = np.divmod(np.flatnonzero(keep), len(dist))
+        nearest[rows] = c[np.lexsort((c, block[r, c], r))].reshape(-1, k)
     np.fill_diagonal(dist, 0.0)
-    return cols[order].reshape(n, k)
+    return nearest
 
 
-def _reciprocal(initial_rank: np.ndarray, k: int):
-    """Every row's k + 1 forward neighbors, and which of them rank the row within their k + 1."""
-    forward = initial_rank[:, : k + 1]
-    rows = np.arange(initial_rank.shape[0])[:, None, None]
-    return forward, (initial_rank[forward, : k + 1] == rows).any(axis=2)
+def _reciprocal(initial_rank: np.ndarray, k: int, rows: slice):
+    """The rows' k + 1 forward neighbors, and which of them rank the row within their k + 1."""
+    forward = initial_rank[rows, : k + 1]
+    own = np.arange(initial_rank.shape[0])[rows, None, None]
+    return forward, (initial_rank[forward, : k + 1] == own).any(axis=2)
 
 
 def _expansion(initial_rank: np.ndarray, k1: int) -> np.ndarray:
-    """The (n, n) mask of each row's k1-reciprocal set, expanded by its members' half-sets."""
-    n = initial_rank.shape[0]
-    near, near_ok = _reciprocal(initial_rank, k1)
-    halves, halves_ok = _reciprocal(initial_rank, int(np.around(k1 / 2)))
+    """The (n, n) mask of each row's k1-reciprocal set, expanded by its members' half-sets.
+
+    Rows are expanded a block at a time, so the n * k1^2 index gathers are one block's.
+    """
+    n, half = initial_rank.shape[0], int(np.around(k1 / 2))
+    blocks = kernels.row_blocks(n)
+    halves = initial_rank[:, : half + 1]
+    halves_ok = np.concatenate([_reciprocal(initial_rank, half, rows)[1] for rows in blocks])
     member = np.zeros((n, n), dtype=bool)
-    member[np.nonzero(near_ok)[0], near[near_ok]] = True
-    # each candidate's half-set, and how much of it lies in the row's k1 set
-    cand, cand_ok = halves[near], halves_ok[near]
-    overlap = (member[np.arange(n)[:, None, None], cand] & cand_ok).sum(axis=2)
-    accept = near_ok & (overlap >= (2.0 / 3.0) * cand_ok.sum(axis=2))
-    # accepted half-sets join the k1 set, so member becomes each row's expansion
-    take = accept[:, :, None] & cand_ok
-    member[np.nonzero(take)[0], cand[take]] = True
+    for rows in blocks:
+        near, near_ok = _reciprocal(initial_rank, k1, rows)
+        block = member[rows]  # a view
+        block[np.nonzero(near_ok)[0], near[near_ok]] = True
+        # each candidate's half-set, and how much of it lies in the row's k1 set
+        cand, cand_ok = halves[near], halves_ok[near]
+        overlap = (block[np.arange(len(near))[:, None, None], cand] & cand_ok).sum(axis=2)
+        accept = near_ok & (overlap >= (2.0 / 3.0) * cand_ok.sum(axis=2))
+        # accepted half-sets join the k1 set, so member becomes each row's expansion
+        take = accept[:, :, None] & cand_ok
+        block[np.nonzero(take)[0], cand[take]] = True
     return member
 
 
@@ -88,10 +98,11 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
     neighbor sets are expanded with half-k1 reciprocal neighbors of their
     members when the overlap reaches 2/3, weighted by a Gaussian of the
     cosine distance, then smoothed by averaging over each sample's k2 nearest
-    weight vectors. The cosine matrix and the membership mask are released
-    before the Jaccard kernel, which then holds the smoothed weights and its
-    output. With fewer than k1 + 1 samples the metric degenerates and the
-    plain cosine matrix is returned with a flag.
+    weight vectors. Every n x n step runs a row block at a time, so at most
+    two n x n float arrays live at once: the cosine matrix and W, W and its
+    smoothed copy, then W and the kernel's output. With fewer than k1 + 1
+    samples the metric degenerates and the plain cosine matrix is returned
+    with a flag.
     """
     if not k1 > k2 >= 1:
         raise ValueError("need k1 > k2 >= 1")
@@ -111,10 +122,12 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
     del dist, member
 
     if k2 > 1:
-        # running sum over the k2 nearest rows: the same additions as a mean over axis 1
-        smooth = W[initial_rank[:, 0]]
-        for col in initial_rank[:, 1:k2].T:
-            smooth += W[col]
+        # a running sum over the k2 nearest rows, by row block: a mean's additions
+        smooth = np.empty_like(W)
+        for rows in kernels.row_blocks(n):
+            block = np.take(W, initial_rank[rows, 0], axis=0, out=smooth[rows])
+            for col in initial_rank[rows, 1:k2].T:
+                block += W[col]
         W = smooth  # drops the unsmoothed rows
         W /= k2
 

@@ -1,11 +1,11 @@
 """Hot numeric kernels: pairwise Jaccard distance and density clustering.
 
 Both run in plain numpy on a single core. The Jaccard kernel treats its
-weight rows as sparse: it visits each column's nonzero rows (an inverted
-index), so its work is the sum over columns of nnz^2. Besides the caller's
-weights, it holds two n x n float arrays at a time: the output and, first,
-a column-major copy of the weights, then the sum(max) matrix, plus an n x n
-boolean mask at the end. DBSCAN holds the n x n boolean adjacency.
+weight rows as sparse: it visits each column's nonzero rows, listed for a
+block of columns at a time, so its work is the sum over columns of nnz^2.
+Besides the caller's weights it holds one n x n float array, its output,
+plus a block's nonzeros or ``BLOCK_ROWS`` rows. DBSCAN holds the n x n
+boolean eps-mask only to list the eps-neighbour pairs, and works on those.
 """
 
 from __future__ import annotations
@@ -15,67 +15,73 @@ import numpy as np
 # perfbench/worker.py records this on its env line; there is no jitted path.
 USE_NUMBA = False
 
+# Rows per block of the n x n passes here and in ``clustering``.
+BLOCK_ROWS = 64
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of ``BLOCK_ROWS`` rows (or columns) that cover range(n)."""
+    return [slice(i, i + BLOCK_ROWS) for i in range(0, n, BLOCK_ROWS)]
+
 
 def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
     """Pairwise Jaccard distance between nonnegative neighbor-weight rows.
 
     The distance between i and j is 1 - sum(min(W[i], W[j])) / sum(max(W[i], W[j])).
-    sum(min) is accumulated column by column over each column's nonzero rows,
-    at a cost of the sum over columns of nnz^2; the buffer then becomes
-    distances in place through sum(max) = sum(W[i]) + sum(W[j]) - sum(min).
-    Two all-zero rows are at distance 0. The output is exactly symmetric:
-    (i, j) and (j, i) add the same minima in the same column order.
+    sum(min) is accumulated column by column over each column's nonzero rows
+    in ascending order, at a cost of the sum over columns of nnz^2; the buffer
+    then becomes distances in place, a row block at a time, through sum(max) =
+    sum(W[i]) + sum(W[j]) - sum(min). Two all-zero rows are at distance 0. The
+    output is exactly symmetric: (i, j) and (j, i) add the same minima in order.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
     n = W.shape[0]
     out = np.zeros((n, n))
     flat = out.reshape(-1)  # a view; pair (a, b) sits at a * n + b
-    columns = np.ascontiguousarray(W.T)
-    for j in range(columns.shape[0]):
-        idx = np.flatnonzero(columns[j])
-        v = columns[j, idx]
-        flat[(idx[:, None] * n + idx).ravel()] += np.minimum.outer(v, v).ravel()
-    del columns
+    for span in row_blocks(W.shape[1]):  # W's nonzeros for a block of columns at a time
+        cols, rows = np.divmod(np.flatnonzero(W[:, span].T != 0), n)  # by column, then row
+        vals = W[rows, cols + span.start]
+        bounds = np.searchsorted(cols, np.arange(BLOCK_ROWS + 1))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            idx, v = rows[a:b], vals[a:b]
+            flat[(idx[:, None] * n + idx).ravel()] += np.minimum.outer(v, v).ravel()
     rowsum = W.sum(axis=1)
-    maxsum = np.add.outer(rowsum, rowsum)
-    maxsum -= out
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(out, maxsum, out=out)
-    np.subtract(1.0, out, out=out)
-    out[maxsum <= 0.0] = 0.0
+    for rows in row_blocks(n):
+        block = out[rows]
+        maxsum = np.add.outer(rowsum[rows], rowsum)
+        maxsum -= block
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(block, maxsum, out=block)
+        np.subtract(1.0, block, out=block)
+        block[maxsum <= 0.0] = 0.0
     return out
 
 
 def dbscan_labels(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
-    """Density clustering on a precomputed distance matrix.
+    """Density clustering on a precomputed symmetric distance matrix.
 
     Core points have >= min_samples neighbors within eps (self included).
     Clusters are connected components of core points under eps-reachability,
     labeled 1.. in order of their first core index; non-core points join the
-    lowest-index core point within eps; everything else stays 0.
+    lowest-index core point within eps; everything else stays 0. Components
+    come from min-label propagation over the eps-neighbour pairs.
     """
     dist = np.ascontiguousarray(dist, dtype=np.float64)
     n = dist.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    adj = dist <= float(eps)
-    core = adj.sum(axis=1) >= int(min_samples)
-    labels = np.zeros(n, dtype=np.int64)
-    next_label = 0
-    for i in range(n):
-        if not core[i] or labels[i] != 0:
-            continue
-        next_label += 1
-        frontier = [i]
-        labels[i] = next_label
-        while frontier:
-            p = frontier.pop()
-            reach = np.flatnonzero(adj[p] & core & (labels == 0))
-            labels[reach] = next_label
-            frontier.extend(reach.tolist())
-    border = np.flatnonzero(~core & (labels == 0))
-    for i in border:
-        claimers = np.flatnonzero(adj[i] & core)
-        if claimers.size:
-            labels[i] = labels[claimers[0]]
+    src, dst = np.divmod(np.flatnonzero(dist <= float(eps)), n)  # by row, then by column
+    core = np.bincount(src, minlength=n) >= int(min_samples)
+    link = core[src] & core[dst]
+    a, b = src[link], dst[link]
+    root = np.arange(n)
+    while True:  # hook each core point below its linked roots, then jump pointers
+        low = root.copy()
+        np.minimum.at(low, a, root[b])
+        if np.array_equal(low := low[low], root):
+            break
+        root = low
+    heads = core & (root == np.arange(n))  # each component's first core index
+    labels = np.where(core, np.cumsum(heads)[root], 0)
+    claim = ~core[src] & core[dst]
+    border, first = np.unique(src[claim], return_index=True)  # first: lowest core column
+    labels[border] = labels[dst[claim][first]]
     return labels

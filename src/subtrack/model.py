@@ -24,12 +24,16 @@ class Tracklet:
     """
 
     id: str
-    frames: np.ndarray  # (L, dim), L >= 1, temporal order
+    frames: np.ndarray  # (L, dim), L >= 1, temporal order; float32 as read, else float64
     identity: Optional[int] = None
     camera: Optional[int] = None
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        # float32 frames (as storage reads them) stay float32: every consumer
+        # widens them to float64, exactly, before any arithmetic
+        frames = np.asarray(self.frames)
+        if frames.dtype != np.float32:
+            frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"tracklet {self.id!r}: frames must be a non-empty (L, dim) array")
         if not np.all(np.isfinite(frames)):

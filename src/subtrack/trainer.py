@@ -169,27 +169,26 @@ def cluster_epoch(
     encoding. ``unit_frames[i]`` is a (frames, indices) pair: its tracklet's
     own read-only (L, raw_dim) frames, not a copy, and the indices of the
     unit's surviving frames in them, a view into the noise filter's output.
-    The frame encodings are released before clustering.
+    Tracklets are encoded, filtered, partitioned and averaged one at a time,
+    so only one tracklet's frame encodings exist at once.
     """
     if len({t.id for t in tracklets}) != len(tracklets):
         raise ValueError("tracklet ids must be unique")
-    encoded = [encode_frames(enc, t.frames) for t in tracklets]
-    parts = nftp.nftp_all([(t.id, e) for t, e in zip(tracklets, encoded)], cfg,
-                          filter_frames=toggles.filter_frames, do_partition=toggles.do_partition)
-    filtered_frames = sum(len(ft.filtered_indices) for ft, _ in parts)
-
     subtracklets: list[SubTracklet] = []
-    features, unit_frames = [], []
-    for t, encoded_frames, (ft, sts) in zip(tracklets, encoded, parts):
+    features, unit_frames, filtered_frames = [], [], 0
+    for t in tracklets:
+        encoded = encode_frames(enc, t.frames)
+        [(ft, sts)] = nftp.nftp_all([(t.id, encoded)], cfg, filter_frames=toggles.filter_frames,
+                                    do_partition=toggles.do_partition)
+        filtered_frames += len(ft.filtered_indices)
         for st in sts:
             a, b = st.frame_range
             idx = ft.surviving_indices[a : b + 1]
-            mean = encoded_frames[idx].mean(axis=0)
+            mean = encoded[idx].mean(axis=0)
             features.append(mean / np.linalg.norm(mean))
             unit_frames.append((t.frames, idx))
         subtracklets += sts
     features = np.asarray(features)
-    del encoded
     state = sub_cluster_generate(features, cfg, keys=subtracklets)
     if toggles.merge != MERGE_NONE:
         state = _positive_state(dict(state.assignment), toggles.merge, epoch, cfg)

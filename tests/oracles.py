@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately avoid sharing code paths with the package: reachability
-closures use boolean matrix powers, AP and Jaccard distances are computed by
-direct enumeration, gradients come from central finite differences, and the
+closures use boolean matrix powers, DBSCAN labels come from a row-scanning
+frontier search, AP and Jaccard distances are computed by direct
+enumeration, gradients come from central finite differences, and the
 training step's loss, embedding and bank updates run one sample at a time.
 """
 
@@ -47,6 +48,32 @@ def dbscan_closure(dist, eps, min_samples):
                 break
     outliers = frozenset(np.flatnonzero(assigned < 0))
     return frozenset(frozenset(c) for c in clusters), outliers
+
+
+def dbscan_row_scan(dist, eps, min_samples):
+    """Density clustering labels by a frontier search that scans a dense row per core point.
+
+    Clusters are numbered 1.. in order of their first core index, and a
+    non-core point joins its lowest-index core neighbour, so the labels
+    themselves (not only the partition) are the reference.
+    """
+    adj = np.asarray(dist) <= eps
+    core = adj.sum(axis=1) >= min_samples
+    labels = np.zeros(adj.shape[0], dtype=np.int64)
+    for i in np.flatnonzero(core):
+        if labels[i]:
+            continue
+        labels[i] = labels.max() + 1
+        frontier = [i]
+        while frontier:
+            reach = np.flatnonzero(adj[frontier.pop()] & core & (labels == 0))
+            labels[reach] = labels[i]
+            frontier.extend(reach.tolist())
+    for i in np.flatnonzero(~core):
+        claimers = np.flatnonzero(adj[i] & core)
+        if claimers.size:
+            labels[i] = labels[claimers[0]]
+    return labels
 
 
 def jaccard_pairwise(W):

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dbscan_closure, jaccard_pairwise, k_reciprocal_weights, partition_of
+from oracles import (
+    dbscan_closure,
+    dbscan_row_scan,
+    jaccard_pairwise,
+    k_reciprocal_weights,
+    partition_of,
+)
 from subtrack import kernels
 from subtrack.clustering import (
     _nearest,
@@ -115,7 +121,8 @@ def test_nearest_memory_is_bounded_under_ties():
 
 
 def test_k_reciprocal_jaccard_holds_few_square_arrays():
-    # at 500 units the pass's own allocations peak below five n x n float arrays
+    # at 500 units the pass's own allocations peak below 3.25 n x n float arrays:
+    # every n x n step runs in row blocks, so two float arrays live at once
     n = 500
     rng = np.random.default_rng(5)
     centers = rng.normal(size=(n // 8, 32))
@@ -127,7 +134,7 @@ def test_k_reciprocal_jaccard_holds_few_square_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * n * n
+    assert peak <= 3.25 * 8 * n * n
 
 
 def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):
@@ -210,6 +217,8 @@ def test_dbscan_matches_closure_oracle():
         got = partition_of(labels)
         expected = dbscan_closure(d, eps, min_samples)
         assert got == expected
+        # the numbering and the border claims too
+        assert np.array_equal(labels, dbscan_row_scan(d, eps, min_samples))
 
 
 def test_dbscan_labels_contiguous_and_ordered():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from oracles import jaccard_pairwise
@@ -40,6 +42,23 @@ def test_jaccard_numpy_zero_rows():
     assert out[0, 0] == 0.0      # identical rows
     assert out[1, 2] == 0.0      # both-empty rows count as distance 0
     assert out[0, 1] == 1.0      # disjoint supports
+
+
+def test_jaccard_holds_its_output_and_the_nonzeros():
+    # a W about 2% dense, as at 5000 units: besides the caller's W the kernel
+    # holds its n x n output, the nonzeros and one row block (1.2 n x n float
+    # arrays); a transposed copy of W or an n x n sum(max) array adds a whole one
+    n = 1000
+    rng = np.random.default_rng(3)
+    W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.02)
+    tracemalloc.start()
+    try:
+        out = kernels.jaccard_from_weights(W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, out.T)
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_dispatch_empty_input():

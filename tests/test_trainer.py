@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from oracles import (
 from subtrack import nftp
 from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
 from subtrack.model import MODE_DIRECT, MODE_REACHABLE, OUTLIER, Tracklet, default_config
+from subtrack.storage import read_dataset, write_dataset
 from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import (
     MERGE_DIRECT,
@@ -258,6 +261,50 @@ def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition
         assert np.array_equal(raw[idx], by_id[st.parent_id].frames[frames])
         mean = encoded[st.parent_id][frames].mean(axis=0)
         assert np.array_equal(feature, mean / np.linalg.norm(mean))
+
+
+def _report_rows(result):
+    return [(r.epoch, r.num_clusters, r.num_outliers, r.mode, repr(r.mean_loss), r.filtered_frames)
+            for r in result.reports]
+
+
+def test_float32_frames_as_read_give_the_outputs_of_float64_frames(tmp_path):
+    # storage reads float32 frames and Tracklet keeps them; every consumer
+    # widens them to float64 exactly, so nothing computed may change
+    write_dataset(_small_dataset(seed=5), tmp_path)
+    as_read, _ = read_dataset(tmp_path)
+    widened = [Tracklet(t.id, t.frames.astype(np.float64), t.identity, t.camera) for t in as_read]
+    assert {t.frames.dtype for t in as_read} == {np.dtype(np.float32)}
+    assert {t.frames.dtype for t in widened} == {np.dtype(np.float64)}
+    cfg = _small_cfg()
+    enc = init_encoder(16, cfg.dim, np.random.default_rng(0))
+    a, b = (cluster_epoch(enc, ts, cfg, epoch=1) for ts in (as_read, widened))
+    assert a[0].assignment == b[0].assignment and a[0].positive_sets == b[0].positive_sets
+    assert a[1] == b[1] and a[4] == b[4]
+    assert np.array_equal(a[2], b[2])
+    ra, rb = train(as_read, cfg), train(widened, cfg)
+    assert np.array_equal(ra.encoder.weights, rb.encoder.weights)
+    assert np.array_equal(ra.features, rb.features)
+    assert ra.labels.assignment == rb.labels.assignment
+    assert ra.labels.positive_sets == rb.labels.positive_sets
+    assert _report_rows(ra) == _report_rows(rb) and len(ra.reports) == 2
+
+
+def test_cluster_epoch_holds_one_tracklets_encodings_at_a_time():
+    # 40 long tracklets: all their frame encodings take 20 MB, one tracklet's 0.5 MB
+    rng = np.random.default_rng(2)
+    tracklets = [Tracklet(f"t{i}", rng.normal(size=(1024, 16)).astype(np.float32))
+                 for i in range(40)]
+    cfg = _small_cfg(dim=64, k1=20, k2=6, partition_stride=256)
+    enc = init_encoder(16, cfg.dim, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        features = cluster_epoch(enc, tracklets, cfg, epoch=1)[2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert features.shape[0] > cfg.k1
+    assert peak < 0.5 * 40 * 1024 * cfg.dim * 8
 
 
 def test_duplicate_tracklet_ids_are_rejected():
