@@ -63,6 +63,13 @@ def _read_dataset(path):
         raise CliError(str(exc))
 
 
+def _read_encoder(path, tracklets) -> Encoder:
+    weights = storage.read_weights(path)
+    if tracklets and len(weights) != tracklets[0].frames.shape[1]:
+        raise CliError(f"weights have {len(weights)} rows, not the dataset's d_raw")
+    return Encoder(weights)
+
+
 def _labels_payload(state: LabelState, subtracklets) -> dict:
     items = []
     for st in sorted(subtracklets):
@@ -131,7 +138,7 @@ def cmd_train(args) -> None:
 def cmd_cluster(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     cfg = _load_config(args.config)
-    enc = Encoder(storage.read_weights(args.weights))
+    enc = _read_encoder(args.weights, tracklets)
     state, subtracklets, _, _, _ = cluster_epoch(enc, tracklets, cfg, epoch=cfg.epochs or 1)
     storage.dump_json(_labels_payload(state, subtracklets), Path(args.out))
 
@@ -153,7 +160,7 @@ def cmd_eval(args) -> None:
     query, gallery = sides
     if any(t.identity is None or t.camera is None for t in query + gallery):
         raise CliError("evaluation needs identity and camera labels in the manifest")
-    enc = Encoder(storage.read_weights(args.weights))
+    enc = _read_encoder(args.weights, tracklets)
     q = inference_features(enc, query)
     g = inference_features(enc, gallery)
     res = map_cmc(

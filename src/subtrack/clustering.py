@@ -17,17 +17,12 @@ class DistanceMatrix:
 
 
 def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
-    features = np.asarray(features, dtype=np.float64)
+    features = np.ascontiguousarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
     if features.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-4:
         raise ValueError("cosine_distance_matrix expects L2-normalized rows")
-    d = features @ features.T
+    d = features @ features.T  # C-ordered, so numpy takes syrk: exactly symmetric
     np.subtract(1.0, d, out=d)
-    # (d + d.T) / 2 in place a row block at a time, with no transposed copy:
-    # addition commutes and halving is exact, so both triangles get one value
-    for rows in kernels.row_blocks(len(d)):
-        upper = (d[rows, rows.start :] + d[rows.start :, rows].T) * 0.5
-        d[rows, rows.start :], d[rows.start :, rows] = upper, upper.T
     np.fill_diagonal(d, 0.0)
     np.clip(d, 0.0, 2.0, out=d)
     return DistanceMatrix(d)

@@ -5,7 +5,8 @@ weight rows as sparse: it visits each column's nonzero rows, listed for a
 block of columns at a time, so its work is the sum over columns of nnz^2.
 Besides the caller's weights it holds one n x n float array, its output,
 plus a block's nonzeros or ``BLOCK_ROWS`` rows. DBSCAN holds the n x n
-boolean eps-mask only to list the eps-neighbour pairs, and works on those.
+boolean eps-mask only to list the eps-neighbour pairs, and works on those;
+it shares ``components``, the one connected-components routine, with merging.
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
     return out
 
 
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's smallest connected index, by min-label propagation and pointer
+    jumping over the edges a[i] -> b[i], which must be listed in both directions."""
+    root = np.arange(n)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, a, root[b])
+        if np.array_equal(low := low[low], root):
+            return root
+        root = low
+
+
 def dbscan_labels(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Density clustering on a precomputed symmetric distance matrix.
 
@@ -64,21 +77,14 @@ def dbscan_labels(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     Clusters are connected components of core points under eps-reachability,
     labeled 1.. in order of their first core index; non-core points join the
     lowest-index core point within eps; everything else stays 0. Components
-    come from min-label propagation over the eps-neighbour pairs.
+    come from ``components`` over the core-core eps-neighbour pairs.
     """
     dist = np.ascontiguousarray(dist, dtype=np.float64)
     n = dist.shape[0]
     src, dst = np.divmod(np.flatnonzero(dist <= float(eps)), n)  # by row, then by column
     core = np.bincount(src, minlength=n) >= int(min_samples)
     link = core[src] & core[dst]
-    a, b = src[link], dst[link]
-    root = np.arange(n)
-    while True:  # hook each core point below its linked roots, then jump pointers
-        low = root.copy()
-        np.minimum.at(low, a, root[b])
-        if np.array_equal(low := low[low], root):
-            break
-        root = low
+    root = components(n, src[link], dst[link])
     heads = core & (root == np.arange(n))  # each component's first core index
     labels = np.where(core, np.cumsum(heads)[root], 0)
     claim = ~core[src] & core[dst]

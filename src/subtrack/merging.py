@@ -9,8 +9,12 @@ connected components become the refined labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
+from . import kernels
 from .model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -28,27 +32,8 @@ class ReachabilityGraph:
     witness: Mapping[tuple[int, int], frozenset[str]]
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        px, py = self.find(x), self.find(y)
-        if px != py:
-            self.parent[max(px, py)] = min(px, py)
-
-
 def build_graph(assignment: Mapping[SubTracklet, int]) -> ReachabilityGraph:
     """One clique of edges per tracklet whose sub-tracklets span several labels."""
-    nodes = {y for y in assignment.values() if y != OUTLIER}
     per_tracklet: dict[str, set[int]] = {}
     for st, y in assignment.items():
         if y == OUTLIER:
@@ -56,12 +41,10 @@ def build_graph(assignment: Mapping[SubTracklet, int]) -> ReachabilityGraph:
         per_tracklet.setdefault(st.parent_id, set()).add(y)
     witness: dict[tuple[int, int], set[str]] = {}
     for tid, labels in per_tracklet.items():
-        ordered = sorted(labels)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                witness.setdefault((a, b), set()).add(tid)
+        for edge in combinations(sorted(labels), 2):
+            witness.setdefault(edge, set()).add(tid)
     return ReachabilityGraph(
-        nodes=frozenset(nodes),
+        nodes=frozenset().union(*per_tracklet.values()),
         edges=frozenset(witness),
         witness={e: frozenset(w) for e, w in witness.items()},
     )
@@ -82,20 +65,19 @@ def reachable_positive_sets(
     """Connected components: P(c) is c's component, the refined label its id.
 
     Component ids are 1-based, ordered by each component's smallest member.
+    Nodes are numbered by rank, so ``kernels.components`` gives each the
+    rank of its component's smallest member.
     """
-    uf = UnionFind(g.nodes)
-    for a, b in g.edges:
-        uf.union(a, b)
-    components: dict[int, set[int]] = {}
-    for c in g.nodes:
-        components.setdefault(uf.find(c), set()).add(c)
-    refined: dict[int, int] = {}
-    psets: dict[int, frozenset[int]] = {}
-    for comp_id, root in enumerate(sorted(components), start=1):
-        members = frozenset(components[root])
-        for c in members:
-            refined[c] = comp_id
-            psets[c] = members
+    nodes = np.array(sorted(g.nodes), dtype=np.int64)
+    a, b = np.searchsorted(nodes, np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)).T
+    root = kernels.components(len(nodes), np.concatenate([a, b]), np.concatenate([b, a]))
+    ids = np.cumsum(root == np.arange(len(nodes)))[root].tolist()
+    refined = dict(zip(nodes.tolist(), ids))
+    members: dict[int, set[int]] = {}
+    for c, comp_id in refined.items():
+        members.setdefault(comp_id, set()).add(c)
+    frozen = {comp_id: frozenset(m) for comp_id, m in members.items()}
+    psets = {c: frozen[comp_id] for c, comp_id in refined.items()}
     return psets, refined
 
 
@@ -107,18 +89,10 @@ def merged_state(
     """Label state for one mode: DIRECT positives are one-hop neighborhoods;
     REACHABLE positives are connected components, whose ids become refined labels."""
     if mode == MODE_DIRECT:
-        return LabelState(
-            assignment=dict(assignment),
-            positive_sets=direct_positive_sets(g),
-            mode=MODE_DIRECT,
-        )
-    psets, refined = reachable_positive_sets(g)
-    return LabelState(
-        assignment=dict(assignment),
-        positive_sets=psets,
-        mode=MODE_REACHABLE,
-        refined=refined,
-    )
+        psets, refined = direct_positive_sets(g), None
+    else:
+        psets, refined = reachable_positive_sets(g)
+    return LabelState(assignment=dict(assignment), positive_sets=psets, mode=mode, refined=refined)
 
 
 def progressive_positive_sets(

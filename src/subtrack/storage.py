@@ -173,4 +173,9 @@ def write_weights(weights: np.ndarray, path) -> None:
 
 
 def read_weights(path) -> np.ndarray:
-    return np.load(path, allow_pickle=False)
+    weights = np.load(path, allow_pickle=False)
+    if not isinstance(weights, np.ndarray) or weights.ndim != 2 or weights.dtype.kind != "f":
+        raise StorageError(f"{path}: weights must be a 2-D float array in .npy format")
+    if not np.isfinite(weights).all():
+        raise StorageError(f"{path}: weights have NaN or infinite entries")
+    return weights

@@ -19,7 +19,7 @@ import numpy as np
 from . import nftp
 from .clustering import sub_cluster_generate
 from .memory import MemoryBanks, combined_loss, init_memory, positive_table, update_banks
-from .merging import build_graph, merged_state, progressive_positive_sets
+from .merging import ReachabilityGraph, build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -34,6 +34,8 @@ MERGE_NONE = "none"
 MERGE_DIRECT = "direct"
 MERGE_REACHABLE = "reachable"
 MERGE_PROGRESSIVE = "progressive"
+# the label-state mode of each fixed merge; progressive switches between them
+MERGE_MODES = {MERGE_DIRECT: MODE_DIRECT, MERGE_REACHABLE: MODE_REACHABLE}
 
 
 @dataclass
@@ -139,22 +141,6 @@ class PipelineToggles:
 BASELINE = PipelineToggles("baseline", filter_frames=False, do_partition=False, merge=MERGE_NONE)
 
 
-def _positive_state(
-    assignment: dict[SubTracklet, int],
-    merge: str,
-    epoch: int,
-    cfg: TrainConfig,
-) -> LabelState:
-    g = build_graph(assignment)
-    if merge == MERGE_PROGRESSIVE:
-        return progressive_positive_sets(assignment, g, epoch, cfg)
-    if merge == MERGE_DIRECT:
-        return merged_state(assignment, g, MODE_DIRECT)
-    if merge == MERGE_REACHABLE:
-        return merged_state(assignment, g, MODE_REACHABLE)
-    raise ValueError(f"unknown merge mode {merge!r}")
-
-
 def cluster_epoch(
     enc: Encoder,
     tracklets: Sequence[Tracklet],
@@ -191,26 +177,23 @@ def cluster_epoch(
     features = np.asarray(features)
     state = sub_cluster_generate(features, cfg, keys=subtracklets)
     if toggles.merge != MERGE_NONE:
-        state = _positive_state(dict(state.assignment), toggles.merge, epoch, cfg)
+        g = build_graph(state.assignment)
+        if toggles.merge == MERGE_PROGRESSIVE:
+            state = progressive_positive_sets(state.assignment, g, epoch, cfg)
+        else:
+            state = merged_state(state.assignment, g, MERGE_MODES[toggles.merge])
     return state, subtracklets, features, unit_frames, filtered_frames
 
 
 def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> LabelState:
-    """Replace positives with each class's k nearest bank centroids (self included)."""
+    """Replace positives with one-hop neighbourhoods of the graph that links each
+    class to its k nearest bank centroids (self included, ties by index)."""
     n = banks.num_classes
-    k = min(k, n)
-    sims = banks.centroid @ banks.centroid.T
-    psets = {y: {y} for y in range(1, n + 1)}
-    for y in range(1, n + 1):
-        order = np.argsort(-sims[y - 1], kind="stable")
-        for j in order[:k]:
-            psets[y].add(int(j) + 1)
-            psets[int(j) + 1].add(y)  # keep the DIRECT-mode symmetry invariant
-    return LabelState(
-        assignment=state.assignment,
-        positive_sets={y: frozenset(s) for y, s in psets.items()},
-        mode=MODE_DIRECT,
-    )
+    nearest = np.argsort(-(banks.centroid @ banks.centroid.T), axis=1, kind="stable")[:, :k] + 1
+    edges = {(min(y, j), max(y, j)) for y, row in enumerate(nearest.tolist(), start=1)
+             for j in row if j != y}
+    g = ReachabilityGraph(frozenset(range(1, n + 1)), frozenset(edges), {})
+    return merged_state(state.assignment, g, MODE_DIRECT)
 
 
 def train_with_toggles(

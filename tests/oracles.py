@@ -170,6 +170,23 @@ def bfs_components(nodes, edges):
     return frozenset(components)
 
 
+def fixed_k_positive_sets(centroid, k):
+    """Each class's k nearest centroids (self included), one stable sort per class.
+
+    Every pick is added in both directions, so the sets stay symmetric.
+    """
+    n = centroid.shape[0]
+    k = min(k, n)
+    sims = centroid @ centroid.T
+    psets = {y: {y} for y in range(1, n + 1)}
+    for y in range(1, n + 1):
+        order = np.argsort(-sims[y - 1], kind="stable")
+        for j in order[:k]:
+            psets[y].add(int(j) + 1)
+            psets[int(j) + 1].add(y)
+    return {y: frozenset(s) for y, s in psets.items()}
+
+
 def average_precision_enum(query_id, order_ids):
     """Textbook AP: enumerate ranks, average precision at each relevant hit."""
     hits = 0

@@ -357,6 +357,41 @@ def test_malformed_split_and_labels_error_as_json(tmp_path, capsys, argv, file, 
     assert key in err["message"]
 
 
+def _cluster_argv(root):
+    return ["cluster", "--data", str(root / "data"), "--weights", str(root / "weights.npy"),
+            "--out", str(root / "cluster.json")]
+
+
+def _save_npz(path, weights):
+    with open(path, "wb") as fh:
+        np.savez(fh, weights=weights)
+
+
+@pytest.mark.parametrize("argv", [_cluster_argv, _eval_argv], ids=["cluster", "eval"])
+@pytest.mark.parametrize("weights,save,key", [
+    pytest.param(np.full((4, 4), np.nan), np.save, "NaN", id="nan"),
+    pytest.param(np.tile([np.inf, 1.0], (4, 2)), np.save, "infinite", id="inf"),
+    pytest.param(np.ones((3, 4)), np.save, "d_raw", id="row-count"),
+    pytest.param(np.ones(4), np.save, "2-D", id="one-dimensional"),
+    pytest.param(np.ones((4, 4), dtype=np.int64), np.save, "float", id="int-dtype"),
+    pytest.param(np.ones((4, 4)), _save_npz, ".npy", id="npz"),
+])
+def test_malformed_weights_error_as_json(tmp_path, capsys, argv, weights, save, key):
+    _valid_run_inputs(tmp_path)
+    out = Path(argv(tmp_path)[-1])
+    assert main(argv(tmp_path)) == 0
+    out.unlink()
+    capsys.readouterr()
+    save(tmp_path / "weights.npy", weights)
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    assert key in err["message"]
+    assert not out.exists()
+
+
 KEEP, DROP, SET = "keep", "drop", "set"
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4),

@@ -39,6 +39,24 @@ def test_cosine_distance_hand_value():
     assert d[0, 1] == pytest.approx(1 - np.sqrt(2) / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, kernels.BLOCK_ROWS - 1, kernels.BLOCK_ROWS + 1, 500])
+@pytest.mark.parametrize("layout", ["C", "F", "column-strided", "reversed-rows"])
+def test_cosine_distance_exactly_symmetric(n, layout):
+    rng = np.random.default_rng(n)
+    for d in (8, 33, 64):
+        f = _unit_rows(rng, n, d)
+        if layout == "F":
+            f = np.asfortranarray(f)
+        elif layout == "column-strided":
+            wide = np.zeros((n, 2 * d))
+            wide[:, ::2] = f
+            f = wide[:, ::2]
+        elif layout == "reversed-rows":
+            f = f[::-1]
+        values = cosine_distance_matrix(f).values
+        assert np.array_equal(values, values.T)
+
+
 def test_cosine_distance_rejects_unnormalized():
     with pytest.raises(ValueError):
         cosine_distance_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))

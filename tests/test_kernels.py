@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 
-from oracles import jaccard_pairwise
+from oracles import bfs_components, jaccard_pairwise
 from subtrack import kernels
 
 
@@ -65,3 +65,14 @@ def test_dispatch_empty_input():
     out = kernels.dbscan_labels(np.zeros((0, 0)), 0.3, 2)
     assert out.shape == (0,)
     assert out.dtype == np.int64
+
+
+def test_components_gives_each_node_its_smallest_connected_index():
+    rng = np.random.default_rng(17)
+    assert kernels.components(0, np.zeros(0, int), np.zeros(0, int)).shape == (0,)
+    for _ in range(40):
+        n = int(rng.integers(1, 200))
+        a, b = rng.integers(0, n, size=(2, int(rng.integers(0, n))))
+        root = kernels.components(n, np.concatenate([a, b]), np.concatenate([b, a]))
+        for comp in bfs_components(range(n), zip(a.tolist(), b.tolist())):
+            assert set(root[sorted(comp)].tolist()) == {min(comp)}

@@ -100,15 +100,18 @@ def test_reachable_positive_sets_no_edges_singletons():
     assert sorted(refined.values()) == [1, 2, 3]
 
 
-def _random_graph(rng, max_nodes=500):
+def _random_graph(rng, max_nodes=500, sparse=False):
+    """Nodes 1..n, or with ``sparse`` n scattered ids whose last quarter has no edges."""
     n = int(rng.integers(1, max_nodes + 1))
-    nodes = frozenset(range(1, n + 1))
+    ids = np.sort(rng.choice(10 * n, size=n, replace=False)) + 1 if sparse else np.arange(1, n + 1)
+    nodes = frozenset(ids.tolist())
+    linked = ids[: max(1, n - n // 4)] if sparse else ids
     m = int(rng.integers(0, max(1, 2 * n)))
     edges = set()
     for _ in range(m):
-        a, b = rng.integers(1, n + 1, size=2)
+        a, b = rng.choice(linked, size=2).tolist()
         if a != b:
-            edges.add((min(int(a), int(b)), max(int(a), int(b))))
+            edges.add((min(a, b), max(a, b)))
     return ReachabilityGraph(
         nodes=nodes,
         edges=frozenset(edges),
@@ -118,15 +121,15 @@ def _random_graph(rng, max_nodes=500):
 
 def test_reachable_matches_bfs_oracle_random_graphs():
     rng = np.random.default_rng(7)
-    for _ in range(60):
-        g = _random_graph(rng)
+    for sparse in [False] * 60 + [True] * 60:
+        g = _random_graph(rng, sparse=sparse)
         psets, refined = reachable_positive_sets(g)
         expected = bfs_components(g.nodes, g.edges)
         assert frozenset(frozenset(p) for p in psets.values()) == expected
-        # refined labels agree with the component structure
-        for a, pos in psets.items():
-            for b in pos:
-                assert refined[a] == refined[b]
+        assert all(c in psets[c] for c in g.nodes)
+        # refined ids are exactly 1.. in order of each component's smallest member
+        by_smallest = sorted(expected, key=min)
+        assert refined == {c: i for i, comp in enumerate(by_smallest, start=1) for c in comp}
 
 
 def test_direct_subset_of_reachable_random_graphs():

@@ -8,11 +8,19 @@ from oracles import (
     central_difference_grad,
     combined_loss_per_sample,
     embed_with_cache,
+    fixed_k_positive_sets,
     relative_error,
 )
 from subtrack import nftp
 from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
-from subtrack.model import MODE_DIRECT, MODE_REACHABLE, OUTLIER, Tracklet, default_config
+from subtrack.model import (
+    MODE_DIRECT,
+    MODE_REACHABLE,
+    OUTLIER,
+    LabelState,
+    Tracklet,
+    default_config,
+)
 from subtrack.storage import read_dataset, write_dataset
 from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import (
@@ -25,6 +33,7 @@ from subtrack.trainer import (
     PipelineToggles,
     _backprop_batch,
     _embed_batch,
+    _fixed_k_positive_sets,
     ablation_matrix,
     cluster_epoch,
     encode_frames,
@@ -373,6 +382,21 @@ def test_training_without_merging_runs_with_and_without_fixed_k():
     result = train_with_toggles(tracklets, cfg, toggles, fixed_k=2)
     assert result.labels.check() == []
     assert result.labels.mode == MODE_DIRECT
+
+
+def test_fixed_k_positive_sets_match_per_class_oracle():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        rows = rng.normal(size=(n, 4))
+        rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n, size=n // 2)]  # duplicates
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        banks = MemoryBanks(rows, rows.copy(), 0.05, 0.1)
+        state = LabelState({}, {y: frozenset([y]) for y in range(1, n + 1)})
+        for k in (1, 2, n, n + 3):
+            got = _fixed_k_positive_sets(state, banks, k)
+            assert got.positive_sets == fixed_k_positive_sets(rows, k)
+            assert got.mode == MODE_DIRECT and got.check() == []
 
 
 def test_train_rejects_empty_dataset():
