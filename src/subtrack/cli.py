@@ -65,21 +65,21 @@ def _read_dataset(path):
 
 def _read_encoder(path, tracklets) -> Encoder:
     weights = storage.read_weights(path)
-    if tracklets and len(weights) != tracklets[0].frames.shape[1]:
+    if len(weights) != tracklets[0].frames.shape[1]:
         raise CliError(f"weights have {len(weights)} rows, not the dataset's d_raw")
     return Encoder(weights)
 
 
-def _labels_payload(state: LabelState, subtracklets) -> dict:
+def _labels_payload(state: LabelState) -> dict:
     items = []
-    for st in sorted(subtracklets):
+    for st, y in sorted(zip(state.units, state.labels.tolist())):
         items.append(
             {
                 "tracklet": st.parent_id,
                 "segment": st.segment_index,
                 "start": st.frame_range[0],
                 "end": st.frame_range[1],
-                "label": int(state.assignment[st]),
+                "label": y,
             }
         )
     refined = state.refined
@@ -131,16 +131,15 @@ def cmd_train(args) -> None:
     storage.write_weights(result.encoder.weights, out / "weights.npy")
     _write_reports(result, out / "reports.jsonl")
     if result.labels is not None:
-        storage.dump_json(_labels_payload(result.labels, result.subtracklets),
-                          out / "labels.json")
+        storage.dump_json(_labels_payload(result.labels), out / "labels.json")
 
 
 def cmd_cluster(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     cfg = _load_config(args.config)
     enc = _read_encoder(args.weights, tracklets)
-    state, subtracklets, _, _, _ = cluster_epoch(enc, tracklets, cfg, epoch=cfg.epochs or 1)
-    storage.dump_json(_labels_payload(state, subtracklets), Path(args.out))
+    state = cluster_epoch(enc, tracklets, cfg, epoch=cfg.epochs or 1)[0]
+    storage.dump_json(_labels_payload(state), Path(args.out))
 
 
 def cmd_eval(args) -> None:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .model import OUTLIER, LabelState, SubTracklet, TrainConfig
+from .model import TrainConfig
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -144,23 +143,13 @@ def dbscan(dist, eps: float, min_samples: int) -> np.ndarray:
     return kernels.dbscan_labels(values, eps, min_samples)
 
 
-def sub_cluster_generate(
-    features: np.ndarray,
-    cfg: TrainConfig,
-    keys: Optional[Sequence[SubTracklet]] = None,
-) -> LabelState:
+def sub_cluster_generate(features: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Cluster sub-tracklet features into reliable sub-clusters.
 
-    Outliers keep the OUTLIER label and drop out of the epoch's training set;
-    the positive sets are singletons until the merging stage widens them.
+    Returns each row's label, aligned with ``features``: 1..n, or OUTLIER for
+    a row that drops out of the epoch's training set.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] == 0:
-        return LabelState(assignment={}, positive_sets={})
-    dist = k_reciprocal_jaccard(features, cfg.k1, cfg.k2)
-    labels = dbscan(dist, cfg.eps, cfg.min_samples)
-    if keys is None:
-        keys = [SubTracklet(str(i), 1, (0, 0)) for i in range(features.shape[0])]
-    assignment = {key: int(y) for key, y in zip(keys, labels)}
-    positive_sets = {int(y): frozenset([int(y)]) for y in np.unique(labels) if y != OUTLIER}
-    return LabelState(assignment=assignment, positive_sets=positive_sets)
+        return np.zeros(0, dtype=np.int64)
+    return dbscan(k_reciprocal_jaccard(features, cfg.k1, cfg.k2), cfg.eps, cfg.min_samples)

@@ -14,13 +14,9 @@ from .trainer import TrainResult, inference_features
 def result_label_arrays(tracklets: Sequence[Tracklet], result: TrainResult):
     """Per-unit (pseudo label, gt identity, camera) from a run's final state."""
     by_id = {t.id: t for t in tracklets}
-    pseudo, gt, cams = [], [], []
-    for st in result.subtracklets:
-        parent = by_id[st.parent_id]
-        pseudo.append(result.labels.assignment[st])
-        gt.append(parent.identity)
-        cams.append(parent.camera)
-    return np.asarray(pseudo), np.asarray(gt), np.asarray(cams)
+    parents = [by_id[st.parent_id] for st in result.labels.units]
+    return (result.labels.labels, np.asarray([t.identity for t in parents]),
+            np.asarray([t.camera for t in parents]))
 
 
 def final_metrics(tracklets: Sequence[Tracklet], result: TrainResult, k_max: int = 10) -> dict:

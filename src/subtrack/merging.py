@@ -9,8 +9,8 @@ connected components become the refined labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping
+from itertools import combinations, groupby
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,22 +29,23 @@ from .model import (
 class ReachabilityGraph:
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]  # (a, b) with a < b
-    witness: Mapping[tuple[int, int], frozenset[str]]
+    witness: Mapping[tuple[int, int], frozenset[int]]  # each edge's tracklet indices
 
 
-def build_graph(assignment: Mapping[SubTracklet, int]) -> ReachabilityGraph:
-    """One clique of edges per tracklet whose sub-tracklets span several labels."""
-    per_tracklet: dict[str, set[int]] = {}
-    for st, y in assignment.items():
-        if y == OUTLIER:
-            continue
-        per_tracklet.setdefault(st.parent_id, set()).add(y)
-    witness: dict[tuple[int, int], set[str]] = {}
-    for tid, labels in per_tracklet.items():
-        for edge in combinations(sorted(labels), 2):
-            witness.setdefault(edge, set()).add(tid)
+def build_graph(labels: np.ndarray, parent: np.ndarray) -> ReachabilityGraph:
+    """One clique of edges per tracklet whose units span several labels.
+
+    Unit i has label ``labels[i]`` and tracklet index ``parent[i]``; OUTLIER
+    units are left out, and ``witness`` names tracklets by that index.
+    """
+    keep = labels != OUTLIER
+    pairs = np.unique(np.stack([parent[keep], labels[keep]], axis=1), axis=0).tolist()
+    witness: dict[tuple[int, int], set[int]] = {}
+    for tracklet, rows in groupby(pairs, key=lambda row: row[0]):
+        for edge in combinations([y for _, y in rows], 2):  # labels ascend: a < b
+            witness.setdefault(edge, set()).add(tracklet)
     return ReachabilityGraph(
-        nodes=frozenset().union(*per_tracklet.values()),
+        nodes=frozenset(y for _, y in pairs),
         edges=frozenset(witness),
         witness={e: frozenset(w) for e, w in witness.items()},
     )
@@ -82,7 +83,8 @@ def reachable_positive_sets(
 
 
 def merged_state(
-    assignment: Mapping[SubTracklet, int],
+    units: Sequence[SubTracklet],
+    labels: np.ndarray,
     g: ReachabilityGraph,
     mode: str,
 ) -> LabelState:
@@ -92,11 +94,12 @@ def merged_state(
         psets, refined = direct_positive_sets(g), None
     else:
         psets, refined = reachable_positive_sets(g)
-    return LabelState(assignment=dict(assignment), positive_sets=psets, mode=mode, refined=refined)
+    return LabelState(units, labels, psets, mode=mode, refined=refined)
 
 
 def progressive_positive_sets(
-    assignment: Mapping[SubTracklet, int],
+    units: Sequence[SubTracklet],
+    labels: np.ndarray,
     g: ReachabilityGraph,
     epoch: int,
     cfg: TrainConfig,
@@ -105,4 +108,4 @@ def progressive_positive_sets(
     if epoch < 1:
         raise ValueError("epoch must be >= 1")
     mode = MODE_DIRECT if epoch < cfg.merge_switch_epoch else MODE_REACHABLE
-    return merged_state(assignment, g, mode)
+    return merged_state(units, labels, g, mode)

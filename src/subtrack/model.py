@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -68,18 +68,19 @@ class SubTracklet:
         return self.frame_range[1] - self.frame_range[0] + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelState:
-    """Per-sub-tracklet pseudo labels plus per-label positive sets.
+    """An epoch's pseudo labels, aligned with its units, plus per-label positive sets.
 
-    ``assignment`` maps each sub-tracklet to a label in 1..n or OUTLIER.
+    ``labels[i]`` is the label of unit ``units[i]``: 1..n or OUTLIER.
     ``positive_sets`` maps each label to the set of labels treated as
     positives for anchors of that label. In REACHABLE mode ``refined`` maps
     each label to its merged-component label and ``positive_sets`` partitions
     the label set; in DIRECT mode ``positive_sets`` is symmetric instead.
     """
 
-    assignment: Mapping[SubTracklet, int]
+    units: Sequence[SubTracklet]
+    labels: np.ndarray  # int64, aligned with units
     positive_sets: Mapping[int, frozenset[int]]
     mode: str = MODE_DIRECT
     refined: Optional[Mapping[int, int]] = None
@@ -94,7 +95,12 @@ class LabelState:
 
     @property
     def num_outliers(self) -> int:
-        return sum(1 for v in self.assignment.values() if v == OUTLIER)
+        return int(np.count_nonzero(self.labels == OUTLIER))
+
+    @property
+    def assignment(self) -> dict[SubTracklet, int]:
+        """Each unit's label keyed by the unit; only the benchmark in ``perfbench`` reads it."""
+        return dict(zip(self.units, self.labels.tolist()))
 
     def check(self) -> list[str]:
         """Return all violated LabelState invariants (empty when consistent)."""

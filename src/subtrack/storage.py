@@ -116,9 +116,12 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
     except json.JSONDecodeError as exc:
         raise StorageError(f"malformed manifest.json: {exc}")
     d_raw = _count(manifest, "d_raw", "manifest.json")
+    entries = _field(manifest, "tracklets", "manifest.json", list)
+    if not entries:
+        raise StorageError("manifest.json: 'tracklets' is empty")
     seen = set()
     tracklets = []
-    for pos, entry in enumerate(_field(manifest, "tracklets", "manifest.json", list)):
+    for pos, entry in enumerate(entries):
         tid = _field(entry, "tracklet_id", f"manifest entry {pos}", str)
         if tid in seen:
             raise StorageError(f"duplicate tracklet id {tid!r}")

@@ -35,7 +35,7 @@ MERGE_DIRECT = "direct"
 MERGE_REACHABLE = "reachable"
 MERGE_PROGRESSIVE = "progressive"
 # the label-state mode of each fixed merge; progressive switches between them
-MERGE_MODES = {MERGE_DIRECT: MODE_DIRECT, MERGE_REACHABLE: MODE_REACHABLE}
+MERGE_MODES = {MERGE_NONE: MODE_DIRECT, MERGE_DIRECT: MODE_DIRECT, MERGE_REACHABLE: MODE_REACHABLE}
 
 
 @dataclass
@@ -151,18 +151,19 @@ def cluster_epoch(
     """The frozen-encoder phase of one epoch: NFTP, embed, cluster, merge.
 
     Returns (state, subtracklets, features, unit_frames, filtered-frame count):
-    unit i is ``subtracklets[i]`` and ``features[i]`` its normalized mean
-    encoding. ``unit_frames[i]`` is a (frames, indices) pair: its tracklet's
-    own read-only (L, raw_dim) frames, not a copy, and the indices of the
-    unit's surviving frames in them, a view into the noise filter's output.
+    unit i is ``subtracklets[i]``, which is ``state.units[i]``, its label is
+    ``state.labels[i]`` and ``features[i]`` its normalized mean encoding.
+    ``unit_frames[i]`` is a (frames, indices) pair: its tracklet's own
+    read-only (L, raw_dim) frames, not a copy, and the indices of the unit's
+    surviving frames in them, a view into the noise filter's output.
     Tracklets are encoded, filtered, partitioned and averaged one at a time,
     so only one tracklet's frame encodings exist at once.
     """
     if len({t.id for t in tracklets}) != len(tracklets):
         raise ValueError("tracklet ids must be unique")
     subtracklets: list[SubTracklet] = []
-    features, unit_frames, filtered_frames = [], [], 0
-    for t in tracklets:
+    features, unit_frames, parent, filtered_frames = [], [], [], 0
+    for ti, t in enumerate(tracklets):
         encoded = encode_frames(enc, t.frames)
         [(ft, sts)] = nftp.nftp_all([(t.id, encoded)], cfg, filter_frames=toggles.filter_frames,
                                     do_partition=toggles.do_partition)
@@ -174,14 +175,16 @@ def cluster_epoch(
             features.append(mean / np.linalg.norm(mean))
             unit_frames.append((t.frames, idx))
         subtracklets += sts
+        parent += [ti] * len(sts)
     features = np.asarray(features)
-    state = sub_cluster_generate(features, cfg, keys=subtracklets)
-    if toggles.merge != MERGE_NONE:
-        g = build_graph(state.assignment)
-        if toggles.merge == MERGE_PROGRESSIVE:
-            state = progressive_positive_sets(state.assignment, g, epoch, cfg)
-        else:
-            state = merged_state(state.assignment, g, MERGE_MODES[toggles.merge])
+    labels = sub_cluster_generate(features, cfg)
+    if toggles.merge == MERGE_NONE:  # each unit its own tracklet: a graph with no edges
+        parent = range(labels.size)
+    g = build_graph(labels, np.asarray(parent))
+    if toggles.merge == MERGE_PROGRESSIVE:
+        state = progressive_positive_sets(subtracklets, labels, g, epoch, cfg)
+    else:
+        state = merged_state(subtracklets, labels, g, MERGE_MODES[toggles.merge])
     return state, subtracklets, features, unit_frames, filtered_frames
 
 
@@ -193,7 +196,7 @@ def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> Lab
     edges = {(min(y, j), max(y, j)) for y, row in enumerate(nearest.tolist(), start=1)
              for j in row if j != y}
     g = ReachabilityGraph(frozenset(range(1, n + 1)), frozenset(edges), {})
-    return merged_state(state.assignment, g, MODE_DIRECT)
+    return merged_state(state.units, state.labels, g, MODE_DIRECT)
 
 
 def train_with_toggles(
@@ -215,9 +218,7 @@ def train_with_toggles(
         state, subtracklets, features, unit_frames, filtered = cluster_epoch(
             enc, tracklets, cfg, epoch, toggles
         )
-        labels = np.fromiter((state.assignment[st] for st in subtracklets), dtype=np.int64,
-                             count=len(subtracklets))
-        labeled = np.flatnonzero(labels != OUTLIER)
+        labeled = np.flatnonzero(state.labels != OUTLIER)
         result.labels, result.subtracklets, result.features = state, subtracklets, features
 
         if not labeled.size:
@@ -227,7 +228,7 @@ def train_with_toggles(
             )
             continue
 
-        banks = init_memory(features, labels, cfg.temperature, cfg.momentum)  # skips OUTLIER rows
+        banks = init_memory(features, state.labels, cfg.temperature, cfg.momentum)  # skips outliers
         if fixed_k is not None:
             state = _fixed_k_positive_sets(state, banks, fixed_k)
             result.labels = state
@@ -243,7 +244,7 @@ def train_with_toggles(
                 frames, idx = unit_frames[i]
                 X[b] = frames[idx[nftp.sample_frames(idx.size, cfg.frames_per_sample,
                                                      cfg.sample_stride, rng)]]
-            y = labels[units]
+            y = state.labels[units]
             V, cache = _embed_batch(enc, X)
             out = combined_loss(V, y, table, banks, cfg)
             grad_w = _backprop_batch(out.grad / cfg.batch_size, cache)

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately avoid sharing code paths with the package: reachability
-closures use boolean matrix powers, DBSCAN labels come from a row-scanning
-frontier search, AP and Jaccard distances are computed by direct
-enumeration, gradients come from central finite differences, and the
-training step's loss, embedding and bank updates run one sample at a time.
+closures use boolean matrix powers, the merge graph groups labels per
+tracklet in dicts, DBSCAN labels come from a row-scanning frontier search,
+AP and Jaccard distances are computed by direct enumeration, gradients come
+from central finite differences, and the training step's loss, embedding
+and bank updates run one sample at a time.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -168,6 +171,25 @@ def bfs_components(nodes, edges):
                     queue.append(w)
         components.append(frozenset(comp))
     return frozenset(components)
+
+
+def reachability_graph_by_tracklet(pairs, outlier=0):
+    """(nodes, edges, witness) of the reachability graph, by grouping labels per tracklet.
+
+    ``pairs`` lists each unit's (tracklet id, label). Every tracklet whose
+    non-outlier labels span several values links each pair of them, and the
+    witness of an edge is the set of tracklet ids that link it.
+    """
+    per_tracklet = {}
+    for tid, y in pairs:
+        if y != outlier:
+            per_tracklet.setdefault(tid, set()).add(y)
+    witness = {}
+    for tid, labels in per_tracklet.items():
+        for edge in combinations(sorted(labels), 2):
+            witness.setdefault(edge, set()).add(tid)
+    nodes = frozenset().union(*per_tracklet.values())
+    return nodes, frozenset(witness), {e: frozenset(w) for e, w in witness.items()}
 
 
 def fixed_k_positive_sets(centroid, k):

@@ -262,6 +262,7 @@ def _zero_frame(manifest, key):
 @pytest.mark.parametrize("edit,key,splices", [
     pytest.param(_drop_top, "d_raw", None, id="no-d_raw"),
     pytest.param(_drop_top, "tracklets", None, id="no-tracklets"),
+    pytest.param(_retype([]), "tracklets", None, id="empty-tracklets"),
     pytest.param(_drop_entry, "tracklet_id", None, id="no-tracklet_id"),
     pytest.param(_drop_entry, "frame_count", None, id="no-frame_count"),
     pytest.param(_drop_entry, "feature_file", None, id="no-feature_file"),
@@ -360,6 +361,18 @@ def test_malformed_split_and_labels_error_as_json(tmp_path, capsys, argv, file, 
 def _cluster_argv(root):
     return ["cluster", "--data", str(root / "data"), "--weights", str(root / "weights.npy"),
             "--out", str(root / "cluster.json")]
+
+
+def test_cluster_on_empty_manifest_errors_as_json(tmp_path, capsys):
+    _valid_run_inputs(tmp_path)
+    manifest = {"format_version": 1, "d_raw": 4, "tracklets": []}
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(_cluster_argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CliError" and "tracklets" in err["message"]
+    assert not (tmp_path / "cluster.json").exists()
 
 
 def _save_npz(path, weights):

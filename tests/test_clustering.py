@@ -285,24 +285,23 @@ def test_sub_cluster_generate_clean_data_matches_groups():
     centers = _unit_rows(rng, 4, 8)
     feats = np.repeat(centers, 10, axis=0)
     cfg = default_config(k1=12, k2=3)
-    state = sub_cluster_generate(feats, cfg)
-    assert state.num_outliers == 0
-    assert state.num_clusters == 4
-    groups, _ = partition_of([state.assignment[k] for k in state.assignment.keys()])
-    assert len(groups) == 4
+    labels = sub_cluster_generate(feats, cfg)
+    assert labels.shape == (40,)
+    groups, outliers = partition_of(labels)
+    assert outliers == frozenset()
+    assert groups == frozenset(frozenset(range(10 * g, 10 * g + 10)) for g in range(4))
 
 
 def test_sub_cluster_generate_empty():
-    state = sub_cluster_generate(np.zeros((0, 4)), default_config())
-    assert state.assignment == {}
-    assert state.positive_sets == {}
+    labels = sub_cluster_generate(np.zeros((0, 4)), default_config())
+    assert labels.shape == (0,)
 
 
 def test_sub_cluster_generate_contiguous_labels():
     rng = np.random.default_rng(2)
     feats = _two_groups(rng, size=12)
     cfg = default_config(k1=8, k2=3)
-    state = sub_cluster_generate(feats, cfg)
-    labels = sorted({y for y in state.assignment.values() if y != OUTLIER})
-    assert labels == list(range(1, len(labels) + 1))
-    assert set(state.positive_sets) == set(labels)
+    labels = sub_cluster_generate(feats, cfg)
+    assert labels.shape == (len(feats),)
+    clusters = sorted(set(labels.tolist()) - {OUTLIER})
+    assert clusters == list(range(1, len(clusters) + 1))

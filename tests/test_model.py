@@ -77,19 +77,19 @@ def test_subtracklet_invariants():
         SubTracklet("a", 1, (5, 2))
 
 
-def _st(i):
-    return SubTracklet("t", i, (0, 0))
+def _units(n):
+    return [SubTracklet("t", i, (0, 0)) for i in range(1, n + 1)]
 
 
 def test_label_state_check_direct_symmetry():
     good = LabelState(
-        assignment={_st(1): 1, _st(2): 2},
+        _units(2), np.array([1, 2]),
         positive_sets={1: frozenset({1, 2}), 2: frozenset({1, 2})},
         mode=MODE_DIRECT,
     )
     assert good.check() == []
     bad = LabelState(
-        assignment={_st(1): 1, _st(2): 2},
+        _units(2), np.array([1, 2]),
         positive_sets={1: frozenset({1, 2}), 2: frozenset({2})},
         mode=MODE_DIRECT,
     )
@@ -98,7 +98,7 @@ def test_label_state_check_direct_symmetry():
 
 def test_label_state_check_reachable_partition():
     good = LabelState(
-        assignment={_st(1): 1, _st(2): 2, _st(3): 3},
+        _units(3), np.array([1, 2, 3]),
         positive_sets={
             1: frozenset({1, 2}),
             2: frozenset({1, 2}),
@@ -109,7 +109,7 @@ def test_label_state_check_reachable_partition():
     )
     assert good.check() == []
     bad = LabelState(
-        assignment={_st(1): 1, _st(2): 2},
+        _units(2), np.array([1, 2]),
         positive_sets={1: frozenset({1, 2}), 2: frozenset({1, 2})},
         mode=MODE_REACHABLE,
         refined={1: 1, 2: 2},
@@ -119,7 +119,7 @@ def test_label_state_check_reachable_partition():
 
 def test_label_state_self_membership_flagged():
     state = LabelState(
-        assignment={_st(1): 1},
+        _units(1), np.array([1]),
         positive_sets={1: frozenset({2}), 2: frozenset({2})},
         mode=MODE_DIRECT,
     )
@@ -128,8 +128,9 @@ def test_label_state_self_membership_flagged():
 
 def test_outlier_counting():
     state = LabelState(
-        assignment={_st(1): 1, _st(2): OUTLIER, _st(3): 1},
+        _units(3), np.array([1, OUTLIER, 1]),
         positive_sets={1: frozenset({1})},
     )
     assert state.num_outliers == 1
     assert state.num_clusters == 1
+

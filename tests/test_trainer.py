@@ -163,7 +163,7 @@ def test_train_iteration_matches_per_sample_oracle():
     rng = np.random.default_rng(cfg.rng_seed)
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, rng)
     state, subtracklets, features, unit_frames, _ = cluster_epoch(enc, tracklets, cfg, 1)
-    labels = [state.assignment[st] for st in subtracklets]
+    labels = state.labels.tolist()
     labeled = [i for i, y in enumerate(labels) if y != OUTLIER]
     banks = init_memory(features[labeled], np.asarray([labels[i] for i in labeled]),
                         cfg.temperature, cfg.momentum)
@@ -237,10 +237,29 @@ def test_cluster_epoch_is_pure_given_frozen_weights():
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
     s1, st1, f1, _, n1 = cluster_epoch(enc, tracklets, cfg, epoch=1)
     s2, st2, f2, _, n2 = cluster_epoch(enc, tracklets, cfg, epoch=1)
-    assert s1.assignment == s2.assignment
+    assert s1.units == s2.units and np.array_equal(s1.labels, s2.labels)
     assert s1.positive_sets == s2.positive_sets
     assert st1 == st2 and n1 == n2
     assert np.array_equal(f1, f2)
+
+
+@pytest.mark.parametrize("merge",
+                         [MERGE_NONE, MERGE_DIRECT, MERGE_REACHABLE, MERGE_PROGRESSIVE])
+def test_cluster_epoch_state_is_aligned_with_its_units(merge):
+    tracklets = _small_dataset()
+    cfg = _small_cfg()
+    enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
+    state, subtracklets, _, _, _ = cluster_epoch(enc, tracklets, cfg, 1,
+                                                 PipelineToggles(merge=merge))
+    assert state.units == subtracklets
+    assert state.labels.dtype == np.int64 and state.labels.shape == (len(subtracklets),)
+    # the unit-keyed view the benchmark checks covers exactly the units, with their labels
+    assert state.assignment == dict(zip(subtracklets, state.labels.tolist()))
+    assert all(type(y) is int for y in state.assignment.values())
+    assert state.check() == []
+    if merge == MERGE_NONE:
+        assert state.positive_sets == {y: {y} for y in set(state.labels.tolist()) - {OUTLIER}}
+        assert state.mode == MODE_DIRECT and state.refined is None
 
 
 @pytest.mark.parametrize("filter_frames", [True, False])
@@ -288,13 +307,13 @@ def test_float32_frames_as_read_give_the_outputs_of_float64_frames(tmp_path):
     cfg = _small_cfg()
     enc = init_encoder(16, cfg.dim, np.random.default_rng(0))
     a, b = (cluster_epoch(enc, ts, cfg, epoch=1) for ts in (as_read, widened))
-    assert a[0].assignment == b[0].assignment and a[0].positive_sets == b[0].positive_sets
+    assert np.array_equal(a[0].labels, b[0].labels) and a[0].positive_sets == b[0].positive_sets
     assert a[1] == b[1] and a[4] == b[4]
     assert np.array_equal(a[2], b[2])
     ra, rb = train(as_read, cfg), train(widened, cfg)
     assert np.array_equal(ra.encoder.weights, rb.encoder.weights)
     assert np.array_equal(ra.features, rb.features)
-    assert ra.labels.assignment == rb.labels.assignment
+    assert np.array_equal(ra.labels.labels, rb.labels.labels)
     assert ra.labels.positive_sets == rb.labels.positive_sets
     assert _report_rows(ra) == _report_rows(rb) and len(ra.reports) == 2
 
@@ -392,7 +411,8 @@ def test_fixed_k_positive_sets_match_per_class_oracle():
         rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n, size=n // 2)]  # duplicates
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         banks = MemoryBanks(rows, rows.copy(), 0.05, 0.1)
-        state = LabelState({}, {y: frozenset([y]) for y in range(1, n + 1)})
+        state = LabelState([], np.zeros(0, dtype=np.int64),
+                           {y: frozenset([y]) for y in range(1, n + 1)})
         for k in (1, 2, n, n + 3):
             got = _fixed_k_positive_sets(state, banks, k)
             assert got.positive_sets == fixed_k_positive_sets(rows, k)

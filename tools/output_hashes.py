@@ -8,9 +8,10 @@ k1 6, k2 2, partition stride 16 and 4 epochs with the merge switch at
 epoch 3, so the reachability graph has 2-4 edges in every epoch, its
 largest component joins 3 sub-clusters, and both merge modes run. In one
 process with one BLAS/OpenMP thread the command runs ``generate``,
-``train``, ``cluster`` (with the trained weights), ``eval`` (every
-tracklet as query and gallery), ``stats`` (on the trained labels),
-``ablate``, and ``sweep`` over ``K`` and ``lambda``, then prints one line
+``train``, ``cluster`` twice with the trained weights (at epoch 4, past the
+switch, for REACHABLE labels, and with ``epochs`` 2 for DIRECT labels),
+``eval`` (every tracklet as query and gallery), ``stats`` (on the trained
+labels), ``ablate``, and ``sweep`` over ``K`` and ``lambda``, then prints one line
 per artifact: its sha256 and its name. The generated dataset is one
 artifact, hashed over its files' names and bytes. ``--src`` names the
 ``src`` directory to import ``subtrack`` from (default: this tree's);
@@ -34,6 +35,7 @@ SPEC = {
 }
 CONFIG = {"dim": 8, "k1": 6, "k2": 2, "partition_stride": 16, "epochs": 4,
           "merge_switch_epoch": 3}
+DIRECT_CONFIG = {**CONFIG, "epochs": 2}  # `cluster` runs at epoch `epochs`: before the switch
 SWEEPS = {"K": "1,2,4", "lambda": "0.2,0.8"}
 
 
@@ -48,12 +50,15 @@ def run(work: Path) -> list[tuple[str, list[Path]]]:
     data, run_dir = work / "data", work / "run"
     (work / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
     (work / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    (work / "direct.json").write_text(json.dumps(DIRECT_CONFIG), encoding="utf-8")
     cli("generate", "--spec", work / "spec.json", "--out", data)
     ids = [e["tracklet_id"] for e in json.loads((data / "manifest.json").read_text())["tracklets"]]
     (work / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
     config, weights = ("--config", work / "config.json"), run_dir / "weights.npy"
     cli("train", "--data", data, *config, "--out", run_dir)
     cli("cluster", "--data", data, "--weights", weights, *config, "--out", work / "cluster.json")
+    cli("cluster", "--data", data, "--weights", weights, "--config", work / "direct.json",
+        "--out", work / "cluster_direct.json")
     cli("eval", "--data", data, "--weights", weights, "--split", work / "split.json",
         "--out", work / "eval.json")
     cli("stats", "--labels", run_dir / "labels.json", "--data", data, "--out", work / "stats.json")
@@ -64,7 +69,7 @@ def run(work: Path) -> list[tuple[str, list[Path]]]:
     artifacts = [("generate: data/", sorted(data.iterdir()))]
     artifacts += [(f"train: {name}", [run_dir / name])
                   for name in ("weights.npy", "reports.jsonl", "labels.json")]
-    names = ["cluster.json", "eval.json", "stats.json", "ablate.csv",
+    names = ["cluster.json", "cluster_direct.json", "eval.json", "stats.json", "ablate.csv",
              *(f"sweep_{param}.csv" for param in SWEEPS)]
     return artifacts + [(f"{name.split('.')[0]}: {name}", [work / name]) for name in names]
 
