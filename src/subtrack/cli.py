@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -15,7 +14,7 @@ import numpy as np
 from . import storage, synth
 from .experiment import final_metrics
 from .evaluation import cluster_stats, map_cmc
-from .model import LabelState, TrainConfig, default_config, validate_config
+from .model import LabelState, TrainConfig, validate_config
 from .trainer import (
     Encoder,
     PipelineToggles,
@@ -42,11 +41,7 @@ class CliError(Exception):
 
 def _load_config(path) -> TrainConfig:
     overrides = storage.load_json(path) if path else {}
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise CliError(f"unknown config fields: {sorted(unknown)}")
-    return _checked(default_config(**overrides))
+    return _checked(storage.dataclass_from_json(TrainConfig, overrides, "config file"))
 
 
 def _checked(cfg: TrainConfig) -> TrainConfig:
@@ -82,14 +77,14 @@ def _labels_payload(state: LabelState) -> dict:
                 "label": y,
             }
         )
-    refined = state.refined
+    refined = None if state.refined is None else state.refined.tolist()
     return {
         "format_version": storage.FORMAT_VERSION,
         "mode": state.mode,
         "num_clusters": state.num_clusters,
         "assignment": items,
         "positive_sets": {str(y): sorted(p) for y, p in sorted(state.positive_sets.items())},
-        "refined": {str(y): r for y, r in sorted(refined.items())} if refined else None,
+        "refined": {str(y): r for y, r in enumerate(refined, start=1)} if refined else None,
     }
 
 
@@ -118,8 +113,8 @@ def _run_metrics_row(tracklets, result: TrainResult) -> dict:
 
 
 def cmd_generate(args) -> None:
-    spec = storage.synthetic_spec_from_dict(storage.load_json(args.spec))
-    ds = synth.generate(spec)
+    spec = storage.load_json(args.spec)
+    ds = synth.generate(storage.dataclass_from_json(synth.SyntheticSpec, spec, "spec file"))
     storage.write_synthetic(ds, args.out)
 
 

@@ -9,7 +9,6 @@ cosine logits stay on a fixed scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -75,21 +74,15 @@ class PositiveTable:
     mask: np.ndarray     # (n, n) bool
 
 
-def positive_table(positive_sets: Mapping[int, Iterable[int]], n: int,
-                   smoothing: float) -> PositiveTable:
-    """Check every class's positive set and tabulate its weights."""
-    weights = np.zeros((n, n))
-    mask = np.zeros((n, n), dtype=bool)
-    for y in range(1, n + 1):
-        pos = sorted(set(int(p) for p in positive_sets.get(y, ())))
-        if y not in pos:
-            raise ValueError("anchor label must belong to its positive set")
-        if not all(1 <= p <= n for p in pos):
-            raise ValueError("positive set outside 1..n")
-        mask[y - 1, np.asarray(pos) - 1] = True
-        weights[y - 1, mask[y - 1]] = smoothing / len(pos)
-        weights[y - 1, y - 1] = 1.0 - smoothing + smoothing / len(pos)
-    return PositiveTable(weights, mask)
+def positive_table(positives: np.ndarray, smoothing: float) -> PositiveTable:
+    """Check that every class is its own positive and tabulate the weights of the
+    (n, n) positive mask, where row y - 1 marks class y's positives."""
+    if not positives.diagonal().all():
+        raise ValueError("anchor label must belong to its positive set")
+    share = smoothing / positives.sum(axis=1)  # smoothing / K for each class
+    weights = np.where(positives, share[:, None], 0.0)
+    np.fill_diagonal(weights, 1.0 - smoothing + share)
+    return PositiveTable(weights, positives)
 
 
 def csc_loss(V: np.ndarray, labels: np.ndarray, table: PositiveTable, rows: np.ndarray,

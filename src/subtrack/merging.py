@@ -39,47 +39,17 @@ def build_graph(labels: np.ndarray, parent: np.ndarray) -> ReachabilityGraph:
     units are left out, and ``witness`` names tracklets by that index.
     """
     keep = labels != OUTLIER
-    pairs = np.unique(np.stack([parent[keep], labels[keep]], axis=1), axis=0).tolist()
+    span = int(labels.max(initial=0)) + 1  # one key per (tracklet, label) pair
+    tracklets, ys = np.divmod(np.unique(parent[keep] * span + labels[keep]), span)
     witness: dict[tuple[int, int], set[int]] = {}
-    for tracklet, rows in groupby(pairs, key=lambda row: row[0]):
+    for tracklet, rows in groupby(zip(tracklets.tolist(), ys.tolist()), key=lambda row: row[0]):
         for edge in combinations([y for _, y in rows], 2):  # labels ascend: a < b
             witness.setdefault(edge, set()).add(tracklet)
     return ReachabilityGraph(
-        nodes=frozenset(y for _, y in pairs),
+        nodes=frozenset(ys.tolist()),
         edges=frozenset(witness),
         witness={e: frozenset(w) for e, w in witness.items()},
     )
-
-
-def direct_positive_sets(g: ReachabilityGraph) -> dict[int, frozenset[int]]:
-    """P(c) = {c} plus one-hop neighbors; no transitive chaining."""
-    psets = {c: {c} for c in g.nodes}
-    for a, b in g.edges:
-        psets[a].add(b)
-        psets[b].add(a)
-    return {c: frozenset(s) for c, s in psets.items()}
-
-
-def reachable_positive_sets(
-    g: ReachabilityGraph,
-) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
-    """Connected components: P(c) is c's component, the refined label its id.
-
-    Component ids are 1-based, ordered by each component's smallest member.
-    Nodes are numbered by rank, so ``kernels.components`` gives each the
-    rank of its component's smallest member.
-    """
-    nodes = np.array(sorted(g.nodes), dtype=np.int64)
-    a, b = np.searchsorted(nodes, np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)).T
-    root = kernels.components(len(nodes), np.concatenate([a, b]), np.concatenate([b, a]))
-    ids = np.cumsum(root == np.arange(len(nodes)))[root].tolist()
-    refined = dict(zip(nodes.tolist(), ids))
-    members: dict[int, set[int]] = {}
-    for c, comp_id in refined.items():
-        members.setdefault(comp_id, set()).add(c)
-    frozen = {comp_id: frozenset(m) for comp_id, m in members.items()}
-    psets = {c: frozen[comp_id] for c, comp_id in refined.items()}
-    return psets, refined
 
 
 def merged_state(
@@ -88,13 +58,21 @@ def merged_state(
     g: ReachabilityGraph,
     mode: str,
 ) -> LabelState:
-    """Label state for one mode: DIRECT positives are one-hop neighborhoods;
-    REACHABLE positives are connected components, whose ids become refined labels."""
+    """Label state for one mode over labels 1..n, every one of which ``labels`` holds.
+
+    DIRECT positives are each label plus its one-hop neighbors, with no
+    transitive chaining; REACHABLE positives are connected components, whose
+    1-based ids, in order of each one's smallest label, become the refined labels.
+    """
+    n = int(labels.max(initial=0))
+    a, b = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T - 1
     if mode == MODE_DIRECT:
-        psets, refined = direct_positive_sets(g), None
-    else:
-        psets, refined = reachable_positive_sets(g)
-    return LabelState(units, labels, psets, mode=mode, refined=refined)
+        positives = np.eye(n, dtype=bool)
+        positives[a, b] = positives[b, a] = True
+        return LabelState(units, labels, positives, mode=mode)
+    root = kernels.components(n, np.concatenate([a, b]), np.concatenate([b, a]))
+    refined = np.cumsum(root == np.arange(n))[root]  # root: the component's smallest label
+    return LabelState(units, labels, refined[:, None] == refined, mode=mode, refined=refined)
 
 
 def progressive_positive_sets(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -70,20 +72,20 @@ class SubTracklet:
 
 @dataclass(frozen=True, eq=False)
 class LabelState:
-    """An epoch's pseudo labels, aligned with its units, plus per-label positive sets.
+    """An epoch's pseudo labels, aligned with its units, plus each label's positives.
 
     ``labels[i]`` is the label of unit ``units[i]``: 1..n or OUTLIER.
-    ``positive_sets`` maps each label to the set of labels treated as
-    positives for anchors of that label. In REACHABLE mode ``refined`` maps
-    each label to its merged-component label and ``positive_sets`` partitions
-    the label set; in DIRECT mode ``positive_sets`` is symmetric instead.
+    ``positives`` is an (n, n) bool array whose row y - 1 marks the labels
+    treated as positives for anchors of label y. In REACHABLE mode
+    ``refined[y - 1]`` is label y's merged-component label and the positives
+    never cross a component; in DIRECT mode the positives are symmetric instead.
     """
 
     units: Sequence[SubTracklet]
     labels: np.ndarray  # int64, aligned with units
-    positive_sets: Mapping[int, frozenset[int]]
+    positives: np.ndarray  # (n, n) bool
     mode: str = MODE_DIRECT
-    refined: Optional[Mapping[int, int]] = None
+    refined: Optional[np.ndarray] = None  # (n,) int64
 
     def __post_init__(self):
         if self.mode not in (MODE_DIRECT, MODE_REACHABLE):
@@ -91,7 +93,7 @@ class LabelState:
 
     @property
     def num_clusters(self) -> int:
-        return len(self.positive_sets)
+        return len(self.positives)
 
     @property
     def num_outliers(self) -> int:
@@ -102,33 +104,28 @@ class LabelState:
         """Each unit's label keyed by the unit; only the benchmark in ``perfbench`` reads it."""
         return dict(zip(self.units, self.labels.tolist()))
 
+    @cached_property
+    def positive_sets(self) -> Mapping[int, frozenset[int]]:
+        """A read-only view of ``positives``: each label's positive labels as a set."""
+        return MappingProxyType({y: frozenset((np.flatnonzero(row) + 1).tolist())
+                                 for y, row in enumerate(self.positives, start=1)})
+
     def check(self) -> list[str]:
         """Return all violated LabelState invariants (empty when consistent)."""
-        problems = []
-        labels = set(self.positive_sets)
-        for y, pos in self.positive_sets.items():
-            if y not in pos:
-                problems.append(f"label {y} missing from its own positive set")
-            if not pos <= labels:
-                problems.append(f"positive set of {y} references unknown labels")
+        positives, n = self.positives, self.num_clusters
+        problems = [f"label {y} missing from its own positive set"
+                    for y in (np.flatnonzero(~positives.diagonal()) + 1).tolist()]
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() <= n:
+            problems.append(f"labels outside 0..{n}")
         if self.mode == MODE_DIRECT:
-            for y, pos in self.positive_sets.items():
-                for other in pos:
-                    if y not in self.positive_sets.get(other, frozenset()):
-                        problems.append(f"asymmetric positives: {other} in P({y}) but not conversely")
+            problems += [f"asymmetric positives: {other} in P({y}) but not conversely"
+                         for y, other in (np.argwhere(positives & ~positives.T) + 1).tolist()]
+        elif self.refined is None:
+            problems.append("REACHABLE mode requires refined labels")
         else:
-            if self.refined is None:
-                problems.append("REACHABLE mode requires refined labels")
-            else:
-                for y, pos in self.positive_sets.items():
-                    for other in pos:
-                        if self.refined.get(other) != self.refined.get(y):
-                            problems.append(f"P({y}) crosses refined-label boundary at {other}")
-                covered = set()
-                for pos in self.positive_sets.values():
-                    covered |= pos
-                if covered != labels:
-                    problems.append("positive sets do not cover the label set")
+            crossing = positives & (self.refined[:, None] != self.refined)
+            problems += [f"P({y}) crosses refined-label boundary at {other}"
+                         for y, other in (np.argwhere(crossing) + 1).tolist()]
         return problems
 
 

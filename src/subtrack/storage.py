@@ -6,6 +6,7 @@ repr); bulk features are raw little-endian float32 files, one per tracklet.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .model import Tracklet
-from .synth import SpliceRecord, SyntheticDataset, SyntheticSpec
+from .synth import SpliceRecord, SyntheticDataset
 
 FORMAT_VERSION = 1
 
@@ -161,12 +162,30 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
     return tracklets, splice_log
 
 
-def synthetic_spec_from_dict(d: dict) -> SyntheticSpec:
-    d = dict(d)
-    for key in ("tracklet_length_range", "splice_len_range"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return SyntheticSpec(**d)
+def dataclass_from_json(cls, obj, where: str):
+    """Dataclass ``cls`` with the fields that JSON object ``obj`` sets, each of its default's type.
+
+    int fields take int but not bool, float fields int or float, tuple fields a list
+    of two ints, and a field whose default is None (``iters_per_epoch``) int or null.
+    """
+    if type(obj) is not dict:
+        raise StorageError(f"{where} must be a JSON object, not {json.dumps(obj)[:40]}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise StorageError(f"{where}: unknown fields {unknown}")
+    values = {}
+    for key, value in obj.items():
+        default = defaults[key]
+        kind = int if default is None else type(default)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if kind is tuple and type(value) is list and [type(v) for v in value] == [int, int]:
+            value = tuple(value)
+        if type(value) is not kind and not (default is None and value is None):
+            raise StorageError(f"{where}: {key!r} must be of type {kind.__name__}, not {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 def write_weights(weights: np.ndarray, path) -> None:

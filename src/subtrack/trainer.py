@@ -19,7 +19,7 @@ import numpy as np
 from . import nftp
 from .clustering import sub_cluster_generate
 from .memory import MemoryBanks, combined_loss, init_memory, positive_table, update_banks
-from .merging import ReachabilityGraph, build_graph, merged_state, progressive_positive_sets
+from .merging import build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -189,14 +189,13 @@ def cluster_epoch(
 
 
 def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> LabelState:
-    """Replace positives with one-hop neighbourhoods of the graph that links each
-    class to its k nearest bank centroids (self included, ties by index)."""
+    """Replace positives with each class's k nearest bank centroids (self included,
+    ties by index), every pick added in both directions."""
     n = banks.num_classes
-    nearest = np.argsort(-(banks.centroid @ banks.centroid.T), axis=1, kind="stable")[:, :k] + 1
-    edges = {(min(y, j), max(y, j)) for y, row in enumerate(nearest.tolist(), start=1)
-             for j in row if j != y}
-    g = ReachabilityGraph(frozenset(range(1, n + 1)), frozenset(edges), {})
-    return merged_state(state.units, state.labels, g, MODE_DIRECT)
+    nearest = np.argsort(-(banks.centroid @ banks.centroid.T), axis=1, kind="stable")[:, :k]
+    positives = np.eye(n, dtype=bool)
+    positives[np.arange(n)[:, None], nearest] = True
+    return LabelState(state.units, state.labels, positives | positives.T, mode=MODE_DIRECT)
 
 
 def train_with_toggles(
@@ -235,7 +234,7 @@ def train_with_toggles(
 
         iters = cfg.iters_per_epoch or -(-labeled.size // cfg.batch_size)
         lr = cfg.lr_at(epoch)
-        table = positive_table(state.positive_sets, banks.num_classes, cfg.smoothing)
+        table = positive_table(state.positives, cfg.smoothing)
         X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
         losses = []
         for _ in range(iters):

@@ -2,10 +2,11 @@
 
 These deliberately avoid sharing code paths with the package: reachability
 closures use boolean matrix powers, the merge graph groups labels per
-tracklet in dicts, DBSCAN labels come from a row-scanning frontier search,
-AP and Jaccard distances are computed by direct enumeration, gradients come
-from central finite differences, and the training step's loss, embedding
-and bank updates run one sample at a time.
+tracklet in dicts, positive sets are dicts of sets and their loss weights
+are filled in one class at a time, DBSCAN labels come from a row-scanning
+frontier search, AP and Jaccard distances are computed by direct
+enumeration, gradients come from central finite differences, and the
+training step's loss, embedding and bank updates run one sample at a time.
 """
 
 from itertools import combinations
@@ -190,6 +191,64 @@ def reachability_graph_by_tracklet(pairs, outlier=0):
             witness.setdefault(edge, set()).add(tid)
     nodes = frozenset().union(*per_tracklet.values())
     return nodes, frozenset(witness), {e: frozenset(w) for e, w in witness.items()}
+
+
+def positive_mask(positive_sets, n):
+    """The (n, n) bool mask of a {label: positive labels} dict: row y - 1 marks P(y)."""
+    mask = np.zeros((n, n), dtype=bool)
+    for y, pos in positive_sets.items():
+        mask[y - 1, [p - 1 for p in pos]] = True
+    return mask
+
+
+def component_mask(components, n):
+    """The (n, n) bool mask that marks every pair of labels 1..n in one component."""
+    mask = np.zeros((n, n), dtype=bool)
+    for comp in components:
+        idx = np.array(sorted(comp)) - 1
+        mask[np.ix_(idx, idx)] = True
+    return mask
+
+
+def direct_positive_sets(nodes, edges):
+    """P(c) = {c} plus c's one-hop neighbors, one dict entry per node."""
+    psets = {c: {c} for c in nodes}
+    for a, b in edges:
+        psets[a].add(b)
+        psets[b].add(a)
+    return {c: frozenset(s) for c, s in psets.items()}
+
+
+def reachable_positive_sets(nodes, edges):
+    """(P, refined): P(c) is c's BFS component, refined[c] the component's id.
+
+    Component ids count from 1 in order of each component's smallest member.
+    """
+    psets, refined = {}, {}
+    for comp_id, comp in enumerate(sorted(bfs_components(nodes, edges), key=min), start=1):
+        for c in comp:
+            psets[c], refined[c] = comp, comp_id
+    return psets, refined
+
+
+def positive_table_per_class(positive_sets, n, smoothing):
+    """(weights, mask) of each class's positive set, filled in one class at a time.
+
+    The anchor weighs 1 - smoothing + smoothing/K, each other positive
+    smoothing/K and each negative 0; a class outside its own set is an error.
+    """
+    weights = np.zeros((n, n))
+    mask = np.zeros((n, n), dtype=bool)
+    for y in range(1, n + 1):
+        pos = sorted(set(int(p) for p in positive_sets.get(y, ())))
+        if y not in pos:
+            raise ValueError("anchor label must belong to its positive set")
+        if not all(1 <= p <= n for p in pos):
+            raise ValueError("positive set outside 1..n")
+        mask[y - 1, np.asarray(pos) - 1] = True
+        weights[y - 1, mask[y - 1]] = smoothing / len(pos)
+        weights[y - 1, y - 1] = 1.0 - smoothing + smoothing / len(pos)
+    return weights, mask
 
 
 def fixed_k_positive_sets(centroid, k):

@@ -15,8 +15,10 @@ from oracles import (
     average_precision_enum,
     bfs_components,
     central_difference_grad,
+    component_mask,
     dbscan_closure,
     partition_of,
+    positive_mask,
     relative_error,
     softmax_cross_entropy,
 )
@@ -31,8 +33,8 @@ from subtrack.memory import (
     positive_table,
     update_banks,
 )
-from subtrack.merging import ReachabilityGraph, direct_positive_sets, reachable_positive_sets
-from subtrack.model import default_config
+from subtrack.merging import ReachabilityGraph, merged_state
+from subtrack.model import MODE_DIRECT, MODE_REACHABLE, default_config
 from subtrack.nftp import noise_filter, partition
 from subtrack.storage import load_json
 from subtrack.trainer import Encoder, _backprop_batch, _embed_batch
@@ -79,12 +81,13 @@ def test_criterion_02_connectivity_oracle(capsys):
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
         g = ReachabilityGraph(nodes, frozenset(edges), {e: frozenset({"w"}) for e in edges})
-        psets, _ = reachable_positive_sets(g)
-        if frozenset(frozenset(p) for p in psets.values()) != bfs_components(nodes, edges):
+        labels = np.arange(1, n + 1)  # one unit per label
+        reach = merged_state([], labels, g, MODE_REACHABLE).positives
+        if not np.array_equal(reach, component_mask(bfs_components(nodes, edges), n)):
             ok = False
             break
-        direct = direct_positive_sets(g)
-        if not all(direct[c] <= psets[c] for c in nodes):
+        direct = merged_state([], labels, g, MODE_DIRECT).positives
+        if not np.all(direct <= reach):
             ok = False
             break
     _verdict(capsys, 2,
@@ -99,6 +102,10 @@ def _unit_rows(rng, n, dim):
 
 def _multi_label_sets(rng, n):
     return {y: {y, int(rng.integers(1, n + 1))} for y in range(1, n + 1)}
+
+
+def _table(psets, n, smoothing):
+    return positive_table(positive_mask(psets, n), smoothing)
 
 
 def test_criterion_03_gradient_suite(capsys):
@@ -116,9 +123,9 @@ def test_criterion_03_gradient_suite(capsys):
         banks = MemoryBanks(rows, np.flipud(rows).copy(), float(rng.uniform(0.05, 0.5)), 0.1)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
-        single = positive_table({y: {y} for y in range(1, n + 1)}, n, cfg.smoothing)
-        multi = positive_table(_multi_label_sets(rng, n), n, cfg.smoothing)
-        smoothed = positive_table(_multi_label_sets(rng, n), n, 0.1)
+        single = _table({y: {y} for y in range(1, n + 1)}, n, cfg.smoothing)
+        multi = _table(_multi_label_sets(rng, n), n, cfg.smoothing)
+        smoothed = _table(_multi_label_sets(rng, n), n, 0.1)
         for out, fn in (
             (combined_loss(V, labels, single, banks, cfg),
              lambda x: combined_loss(x, labels, single, banks, cfg).value.sum()),
@@ -140,7 +147,7 @@ def test_criterion_03_gradient_suite(capsys):
         rows = _unit_rows(rng, n, dim)
         banks = MemoryBanks(rows, np.flipud(rows).copy(), 0.2, 0.1)
         labels = rng.integers(1, n + 1, size=X.shape[0])
-        table = positive_table(_multi_label_sets(rng, n), n, cfg.smoothing)
+        table = _table(_multi_label_sets(rng, n), n, cfg.smoothing)
         weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
 
         def loss_of(w):
@@ -171,7 +178,7 @@ def test_criterion_04_csc_reduction(capsys):
         V = rng.normal(size=(4, dim))
         labels = rng.integers(1, n + 1, size=4)
         smoothing = float(rng.uniform(0.0, 0.5))
-        table = positive_table({y: {y} for y in range(1, n + 1)}, n, smoothing)
+        table = _table({y: {y} for y in range(1, n + 1)}, n, smoothing)
         out = csc_loss(V, labels, table, rows, temperature)
         for b in range(4):
             value, grad = softmax_cross_entropy(V[b], labels[b], rows, temperature)

@@ -375,6 +375,48 @@ def test_cluster_on_empty_manifest_errors_as_json(tmp_path, capsys):
     assert not (tmp_path / "cluster.json").exists()
 
 
+def _generate_argv(root):
+    return ["generate", "--spec", str(root / "file.json"), "--out", str(root / "gen")]
+
+
+def _cluster_config_argv(root):
+    return _cluster_argv(root)[:-2] + ["--config", str(root / "file.json"), "--out",
+                                       str(root / "gen")]
+
+
+@pytest.mark.parametrize("argv,payload,key", [
+    pytest.param(_cluster_config_argv, [], "JSON object", id="config-list"),
+    pytest.param(_cluster_config_argv, None, "JSON object", id="config-null"),
+    pytest.param(_cluster_config_argv, {"dim": "64"}, "dim", id="config-str-int"),
+    pytest.param(_cluster_config_argv, {"epochs": 2.5}, "epochs", id="config-float-epochs"),
+    pytest.param(_cluster_config_argv, {"batch_size": 2.0}, "batch_size", id="config-float-batch"),
+    pytest.param(_cluster_config_argv, {"rng_seed": 1.5}, "rng_seed", id="config-float-seed"),
+    pytest.param(_cluster_config_argv, {"k1": 30.5}, "k1", id="config-float-k1"),
+    pytest.param(_cluster_config_argv, {"dim": True}, "dim", id="config-bool-int"),
+    pytest.param(_cluster_config_argv, {"eps": True}, "eps", id="config-bool-float"),
+    pytest.param(_cluster_config_argv, {"iters_per_epoch": 2.0}, "iters_per_epoch",
+                 id="config-float-iters"),
+    pytest.param(_generate_argv, {"bogus": 1}, "bogus", id="spec-unknown-field"),
+    pytest.param(_generate_argv, {"num_identities": "4"}, "num_identities", id="spec-str-int"),
+    pytest.param(_generate_argv, {"tracklet_length_range": 5}, "tracklet_length_range",
+                 id="spec-int-range"),
+    pytest.param(_generate_argv, {"splice_len_range": [8, 12, 16]}, "splice_len_range",
+                 id="spec-long-range"),
+    pytest.param(_generate_argv, {"splice_len_range": [8.0, 12]}, "splice_len_range",
+                 id="spec-float-range"),
+    pytest.param(_generate_argv, [], "JSON object", id="spec-list"),
+])
+def test_malformed_config_and_spec_files_error_as_json(tmp_path, capsys, argv, payload, key):
+    _valid_run_inputs(tmp_path)
+    (tmp_path / "file.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"} and key in err["message"]
+    assert not (tmp_path / "gen").exists()
+
+
 def _save_npz(path, weights):
     with open(path, "wb") as fh:
         np.savez(fh, weights=weights)

@@ -4,6 +4,8 @@ import pytest
 from oracles import (
     central_difference_grad,
     csc_loss_per_sample,
+    positive_mask,
+    positive_table_per_class,
     relative_error,
     softmax_cross_entropy,
     update_hard_memory_per_sample,
@@ -35,7 +37,11 @@ def _table(n, smoothing, **sets):
     """Positive table with {y} for every class except the ones given as c<y>=set."""
     psets = {y: {y} for y in range(1, n + 1)}
     psets.update({int(k[1:]): v for k, v in sets.items()})
-    return positive_table(psets, n, smoothing)
+    return _positive_table(psets, n, smoothing)
+
+
+def _positive_table(psets, n, smoothing):
+    return positive_table(positive_mask(psets, n), smoothing)
 
 
 def _one(fn, v, label, table, *args):
@@ -82,8 +88,6 @@ def test_infonce_rejects_bad_label():
     for label in (0, 5):
         with pytest.raises(ValueError):
             _one(combined_loss, v, label, table, banks, cfg)
-    with pytest.raises(ValueError):
-        _table(4, cfg.smoothing, c4={4, 5})
 
 
 def _checkable(grad):
@@ -111,7 +115,7 @@ def test_csc_gradient_matches_finite_differences():
         n = int(rng.integers(2, 10))
         dim = int(rng.integers(2, 8))
         banks = _random_banks(rng, n, dim, temperature=float(rng.uniform(0.05, 0.5)))
-        table = positive_table(_random_psets(rng, n, n), n, 0.1)
+        table = _positive_table(_random_psets(rng, n, n), n, 0.1)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
         out = csc_loss(V, labels, table, banks.centroid, banks.temperature)
@@ -133,7 +137,7 @@ def test_combined_gradient_matches_finite_differences():
         dim = int(rng.integers(2, 6))
         banks = _random_banks(rng, n, dim)
         # max_k 1 is the plain contrastive (InfoNCE) case
-        table = positive_table(_random_psets(rng, n, int(rng.integers(1, 3))), n, cfg.smoothing)
+        table = _positive_table(_random_psets(rng, n, int(rng.integers(1, 3))), n, cfg.smoothing)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
         out = combined_loss(V, labels, table, banks, cfg)
@@ -228,7 +232,7 @@ def test_csc_weights_sum_to_one():
     # every class's row of the table carries weight 1 in total
     for smoothing in (0.0, 0.1, 1.0):
         psets = _random_psets(rng, 9, 5)
-        t = positive_table(psets, 9, smoothing)
+        t = _positive_table(psets, 9, smoothing)
         assert np.allclose(t.weights.sum(axis=1), 1.0, atol=1e-15)
         assert all(set(np.flatnonzero(t.mask[y - 1]) + 1) == psets[y] for y in psets)
 
@@ -237,7 +241,20 @@ def test_csc_rejects_label_outside_positive_set():
     with pytest.raises(ValueError, match="anchor"):
         _table(4, 0.1, c1={2, 3})
     with pytest.raises(ValueError, match="anchor"):
-        positive_table({1: {1}, 2: {2}}, 3, 0.1)  # class 3 has no positive set
+        _positive_table({1: {1}, 2: {2}}, 3, 0.1)  # class 3 has no positive set
+
+
+def test_positive_table_matches_per_class_oracle():
+    # n = 0, all-singleton sets and smoothing 0 and 1 all occur
+    rng = np.random.default_rng(18)
+    for trial in range(200):
+        n = 0 if trial == 0 else int(rng.integers(1, 30))
+        psets = _random_psets(rng, n, 1 if trial % 4 == 1 else int(rng.integers(1, n + 2)))
+        for smoothing in (0.0, 0.1, 1.0, float(rng.uniform(0.0, 1.0))):
+            weights, mask = positive_table_per_class(psets, n, smoothing)
+            table = _positive_table(psets, n, smoothing)
+            assert table.mask.shape == table.weights.shape == (n, n)
+            assert np.array_equal(table.mask, mask) and np.array_equal(table.weights, weights)
 
 
 def test_combined_loss_linearity_in_weights():
@@ -277,7 +294,7 @@ def test_batched_csc_matches_per_sample_oracle():
         labels[0] = full
         V = rng.normal(size=(batch_size, dim))
         for smoothing in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
-            out = csc_loss(V, labels, positive_table(psets, n, smoothing), banks.hard,
+            out = csc_loss(V, labels, _positive_table(psets, n, smoothing), banks.hard,
                            banks.temperature)
             assert out.value.shape == (batch_size,) and out.grad.shape == (batch_size, dim)
             assert out.value[0] == 0.0 and not out.grad[0].any()

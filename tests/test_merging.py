@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import bfs_components, reachability_graph_by_tracklet
+from oracles import (
+    bfs_components,
+    component_mask,
+    direct_positive_sets,
+    positive_mask,
+    reachability_graph_by_tracklet,
+    reachable_positive_sets,
+)
 from subtrack.merging import (
     ReachabilityGraph,
     build_graph,
-    direct_positive_sets,
+    merged_state,
     progressive_positive_sets,
-    reachable_positive_sets,
 )
 from subtrack.model import (
     MODE_DIRECT,
@@ -36,6 +42,18 @@ def _units(spread):
 
 def _graph(spread):
     return build_graph(*_assignment(spread))
+
+
+def _merged(spread, mode):
+    """The label state of one merge mode on a spread whose labels are 1..n."""
+    labels, parent = _assignment(spread)
+    return merged_state(_units(spread), labels, build_graph(labels, parent), mode)
+
+
+def _states(g):
+    """DIRECT and REACHABLE states of a graph on nodes 1..n, one unit per label."""
+    labels = np.arange(1, len(g.nodes) + 1)
+    return merged_state([], labels, g, MODE_DIRECT), merged_state([], labels, g, MODE_REACHABLE)
 
 
 def test_build_graph_chain_not_transitive():
@@ -88,49 +106,47 @@ def test_build_graph_matches_per_tracklet_oracle_random_units():
 
 
 def test_direct_positive_sets_chain():
-    g = _graph({"A": [1, 2], "B": [2, 3]})
-    psets = direct_positive_sets(g)
+    psets = _merged({"A": [1, 2], "B": [2, 3]}, MODE_DIRECT).positive_sets
     assert psets[1] == frozenset({1, 2})
     assert psets[2] == frozenset({1, 2, 3})
     assert psets[3] == frozenset({2, 3})
 
 
 def test_direct_positive_sets_isolated_and_symmetric():
-    g = _graph({"A": [1], "B": [2, 3]})
-    psets = direct_positive_sets(g)
+    state = _merged({"A": [1], "B": [2, 3]}, MODE_DIRECT)
+    psets = state.positive_sets
     assert psets[1] == frozenset({1})
     for a, pos in psets.items():
         for b in pos:
             assert a in psets[b]
+    assert np.array_equal(state.positives, state.positives.T)
 
 
 def test_reachable_positive_sets_chain_single_component():
-    g = _graph({"A": [1, 2], "B": [2, 3]})
-    psets, refined = reachable_positive_sets(g)
+    state = _merged({"A": [1, 2], "B": [2, 3]}, MODE_REACHABLE)
+    psets, refined = state.positive_sets, state.refined
     assert psets[1] == psets[2] == psets[3] == frozenset({1, 2, 3})
-    assert refined[1] == refined[2] == refined[3] == 1
+    assert refined[0] == refined[1] == refined[2] == 1
 
 
 def test_reachable_positive_sets_disjoint_edges():
-    g = _graph({"A": [1, 2], "B": [3, 4]})
-    psets, refined = reachable_positive_sets(g)
+    state = _merged({"A": [1, 2], "B": [3, 4]}, MODE_REACHABLE)
+    psets = state.positive_sets
     assert psets[1] == frozenset({1, 2})
     assert psets[3] == frozenset({3, 4})
-    assert refined == {1: 1, 2: 1, 3: 2, 4: 2}
+    assert state.refined.dtype == np.int64 and state.refined.tolist() == [1, 1, 2, 2]
 
 
 def test_reachable_positive_sets_no_edges_singletons():
-    g = _graph({"A": [1], "B": [2], "C": [3]})
-    psets, refined = reachable_positive_sets(g)
-    assert all(psets[c] == frozenset({c}) for c in (1, 2, 3))
-    assert sorted(refined.values()) == [1, 2, 3]
+    state = _merged({"A": [1], "B": [2], "C": [3]}, MODE_REACHABLE)
+    assert all(state.positive_sets[c] == frozenset({c}) for c in (1, 2, 3))
+    assert sorted(state.refined.tolist()) == [1, 2, 3]
 
 
 def _random_graph(rng, max_nodes=500, sparse=False):
-    """Nodes 1..n, or with ``sparse`` n scattered ids whose last quarter has no edges."""
+    """Nodes 1..n; with ``sparse`` the last quarter of them has no edges."""
     n = int(rng.integers(1, max_nodes + 1))
-    ids = np.sort(rng.choice(10 * n, size=n, replace=False)) + 1 if sparse else np.arange(1, n + 1)
-    nodes = frozenset(ids.tolist())
+    ids = np.arange(1, n + 1)
     linked = ids[: max(1, n - n // 4)] if sparse else ids
     m = int(rng.integers(0, max(1, 2 * n)))
     edges = set()
@@ -139,7 +155,7 @@ def _random_graph(rng, max_nodes=500, sparse=False):
         if a != b:
             edges.add((min(a, b), max(a, b)))
     return ReachabilityGraph(
-        nodes=nodes,
+        nodes=frozenset(ids.tolist()),
         edges=frozenset(edges),
         witness={e: frozenset({"w"}) for e in edges},
     )
@@ -149,23 +165,46 @@ def test_reachable_matches_bfs_oracle_random_graphs():
     rng = np.random.default_rng(7)
     for sparse in [False] * 60 + [True] * 60:
         g = _random_graph(rng, sparse=sparse)
-        psets, refined = reachable_positive_sets(g)
+        _, state = _states(g)
         expected = bfs_components(g.nodes, g.edges)
-        assert frozenset(frozenset(p) for p in psets.values()) == expected
-        assert all(c in psets[c] for c in g.nodes)
+        assert np.array_equal(state.positives, component_mask(expected, len(g.nodes)))
+        refined = state.refined.tolist()
         # refined ids are exactly 1.. in order of each component's smallest member
         by_smallest = sorted(expected, key=min)
-        assert refined == {c: i for i, comp in enumerate(by_smallest, start=1) for c in comp}
+        assert dict(enumerate(refined, start=1)) == {
+            c: i for i, comp in enumerate(by_smallest, start=1) for c in comp}
 
 
 def test_direct_subset_of_reachable_random_graphs():
     rng = np.random.default_rng(13)
     for _ in range(60):
         g = _random_graph(rng, max_nodes=120)
-        direct = direct_positive_sets(g)
-        reach, _ = reachable_positive_sets(g)
-        for c in g.nodes:
-            assert direct[c] <= reach[c]
+        direct, reach = _states(g)
+        assert np.all(direct.positives <= reach.positives)
+
+
+def test_merged_state_matches_dict_oracles_random_graphs():
+    # n = 0, graphs without edges and labels outside every edge all occur
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n = 0 if trial == 0 else int(rng.integers(1, 40))
+        linked = rng.permutation(n)[: int(rng.integers(0, n + 1))] + 1  # the rest stay isolated
+        m = 0 if trial % 4 == 1 or linked.size < 2 else int(rng.integers(1, 2 * n + 1))
+        edges = frozenset(tuple(sorted(rng.choice(linked, size=2, replace=False).tolist()))
+                          for _ in range(m))
+        nodes = frozenset(range(1, n + 1))
+        # every label 1..n holds some units, and OUTLIER units are mixed in
+        labels = rng.permutation(np.repeat(np.arange(n + 1), rng.integers(1, 4, size=n + 1)))
+        g = ReachabilityGraph(nodes, edges, {})
+        direct = merged_state([], labels, g, MODE_DIRECT)
+        reach = merged_state([], labels, g, MODE_REACHABLE)
+        direct_sets = direct_positive_sets(nodes, edges)
+        reach_sets, refined = reachable_positive_sets(nodes, edges)
+        assert np.array_equal(direct.positives, positive_mask(direct_sets, n))
+        assert np.array_equal(reach.positives, positive_mask(reach_sets, n))
+        assert np.array_equal(reach.refined, np.array([refined[y] for y in range(1, n + 1)],
+                                                      dtype=np.int64))
+        assert direct.refined is None and direct.check() == [] and reach.check() == []
 
 
 def test_progressive_switch():

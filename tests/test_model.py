@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import positive_mask
 from subtrack.model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -81,16 +82,20 @@ def _units(n):
     return [SubTracklet("t", i, (0, 0)) for i in range(1, n + 1)]
 
 
+def _mask(psets):
+    return positive_mask(psets, len(psets))
+
+
 def test_label_state_check_direct_symmetry():
     good = LabelState(
         _units(2), np.array([1, 2]),
-        positive_sets={1: frozenset({1, 2}), 2: frozenset({1, 2})},
+        positives=_mask({1: frozenset({1, 2}), 2: frozenset({1, 2})}),
         mode=MODE_DIRECT,
     )
     assert good.check() == []
     bad = LabelState(
         _units(2), np.array([1, 2]),
-        positive_sets={1: frozenset({1, 2}), 2: frozenset({2})},
+        positives=_mask({1: frozenset({1, 2}), 2: frozenset({2})}),
         mode=MODE_DIRECT,
     )
     assert any("asymmetric" in p for p in bad.check())
@@ -99,20 +104,20 @@ def test_label_state_check_direct_symmetry():
 def test_label_state_check_reachable_partition():
     good = LabelState(
         _units(3), np.array([1, 2, 3]),
-        positive_sets={
+        positives=_mask({
             1: frozenset({1, 2}),
             2: frozenset({1, 2}),
             3: frozenset({3}),
-        },
+        }),
         mode=MODE_REACHABLE,
-        refined={1: 1, 2: 1, 3: 2},
+        refined=np.array([1, 1, 2]),
     )
     assert good.check() == []
     bad = LabelState(
         _units(2), np.array([1, 2]),
-        positive_sets={1: frozenset({1, 2}), 2: frozenset({1, 2})},
+        positives=_mask({1: frozenset({1, 2}), 2: frozenset({1, 2})}),
         mode=MODE_REACHABLE,
-        refined={1: 1, 2: 2},
+        refined=np.array([1, 2]),
     )
     assert bad.check() != []
 
@@ -120,17 +125,33 @@ def test_label_state_check_reachable_partition():
 def test_label_state_self_membership_flagged():
     state = LabelState(
         _units(1), np.array([1]),
-        positive_sets={1: frozenset({2}), 2: frozenset({2})},
+        positives=_mask({1: frozenset({2}), 2: frozenset({2})}),
         mode=MODE_DIRECT,
     )
     assert any("own positive set" in p for p in state.check())
 
 
+def test_label_state_labels_outside_the_mask_flagged():
+    for labels in ([1, 3], [-1, 1]):
+        state = LabelState(_units(2), np.array(labels), positives=np.eye(2, dtype=bool))
+        assert state.check() == ["labels outside 0..2"]
+    missing = LabelState(_units(1), np.array([1]), np.eye(1, dtype=bool), mode=MODE_REACHABLE)
+    assert missing.check() == ["REACHABLE mode requires refined labels"]
+
+
+def test_positive_sets_is_a_read_only_view_of_the_mask():
+    state = LabelState(_units(3), np.array([1, 2, 3]),
+                       positives=_mask({1: {1, 3}, 2: {2}, 3: {1, 3}}))
+    assert state.positive_sets == {1: {1, 3}, 2: {2}, 3: {1, 3}}
+    assert all(type(y) is int for pos in state.positive_sets.values() for y in pos)
+    with pytest.raises(TypeError):
+        state.positive_sets[4] = frozenset({4})
+
+
 def test_outlier_counting():
     state = LabelState(
         _units(3), np.array([1, OUTLIER, 1]),
-        positive_sets={1: frozenset({1})},
+        positives=_mask({1: frozenset({1})}),
     )
     assert state.num_outliers == 1
     assert state.num_clusters == 1
-

@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from subtrack.model import Tracklet
+from subtrack.model import Tracklet, TrainConfig
 from subtrack.storage import (
     StorageError,
+    dataclass_from_json,
     dump_json,
     load_json,
     read_dataset,
     read_weights,
-    synthetic_spec_from_dict,
     write_dataset,
     write_synthetic,
     write_weights,
@@ -151,12 +151,18 @@ def test_manifest_shape(tmp_path):
     assert entry["identity"] == 7 and entry["camera"] == 1
 
 
-def test_synthetic_spec_from_dict_tuples():
-    spec = synthetic_spec_from_dict(
-        {"num_identities": 3, "tracklet_length_range": [10, 20], "splice_len_range": [2, 4]}
+def test_dataclass_from_json_takes_each_default_type():
+    spec = dataclass_from_json(
+        SyntheticSpec,
+        {"num_identities": 3, "tracklet_length_range": [10, 20], "splice_len_range": [2, 4]},
+        "spec file",
     )
     assert spec.tracklet_length_range == (10, 20)
     assert spec.splice_len_range == (2, 4)
+    cfg = dataclass_from_json(TrainConfig, {"eps": 1, "iters_per_epoch": None}, "config file")
+    assert cfg.eps == 1.0 and type(cfg.eps) is float and cfg.iters_per_epoch is None
+    cfg = dataclass_from_json(TrainConfig, {"iters_per_epoch": 3}, "config file")
+    assert cfg.iters_per_epoch == 3
 
 
 def test_weights_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from oracles import (
     combined_loss_per_sample,
     embed_with_cache,
     fixed_k_positive_sets,
+    positive_mask,
     relative_error,
 )
 from subtrack import nftp
@@ -122,7 +123,7 @@ def test_end_to_end_gradient_matches_finite_differences():
         weights, X, labels, psets, banks = _random_step(
             rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6)),
             int(rng.integers(2, 5)), int(rng.integers(1, 6)))
-        table = positive_table(psets, banks.num_classes, cfg.smoothing)
+        table = positive_table(positive_mask(psets, banks.num_classes), cfg.smoothing)
 
         def loss_of(w):
             V, _ = _embed_batch(Encoder(w), X)
@@ -144,7 +145,8 @@ def test_batched_gradient_is_mean_of_per_sample_oracle():
     for _ in range(50):
         weights, X, labels, psets, banks = _random_step(rng, 16, 8, 7, 32, 4)
         V, cache = _embed_batch(Encoder(weights), X)
-        out = combined_loss(V, labels, positive_table(psets, 7, cfg.smoothing), banks, cfg)
+        table = positive_table(positive_mask(psets, 7), cfg.smoothing)
+        out = combined_loss(V, labels, table, banks, cfg)
         grad_w = _backprop_batch(out.grad / len(labels), cache)
         expected = np.zeros_like(weights)
         for b, y in enumerate(labels):
@@ -411,8 +413,7 @@ def test_fixed_k_positive_sets_match_per_class_oracle():
         rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n, size=n // 2)]  # duplicates
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         banks = MemoryBanks(rows, rows.copy(), 0.05, 0.1)
-        state = LabelState([], np.zeros(0, dtype=np.int64),
-                           {y: frozenset([y]) for y in range(1, n + 1)})
+        state = LabelState([], np.zeros(0, dtype=np.int64), np.eye(n, dtype=bool))
         for k in (1, 2, n, n + 3):
             got = _fixed_k_positive_sets(state, banks, k)
             assert got.positive_sets == fixed_k_positive_sets(rows, k)
