@@ -18,7 +18,6 @@ from .model import LabelState, TrainConfig, validate_config
 from .trainer import (
     Encoder,
     PipelineToggles,
-    ablation_matrix,
     cluster_epoch,
     inference_features,
     standard_ablation_rows,
@@ -102,14 +101,6 @@ def _write_reports(result: TrainResult, path) -> None:
         }
         lines.append(json.dumps(payload))
     storage._atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _run_metrics_row(tracklets, result: TrainResult) -> dict:
-    metrics = final_metrics(tracklets, result)
-    metrics["filtered_frames_per_epoch"] = ";".join(
-        str(r.filtered_frames) for r in result.reports
-    )
-    return metrics
 
 
 def cmd_generate(args) -> None:
@@ -216,11 +207,9 @@ def cmd_ablate(args) -> None:
     cfg = _load_config(args.config)
     header = ["name", "filter", "partition", "merge", "loss",
               "map", "rank1", "pairwise_f1", "incorrect_clusters"]
-    toggle_rows = standard_ablation_rows()
-    results = ablation_matrix(tracklets, cfg, toggle_rows)
     rows = []
-    for toggles in toggle_rows:
-        m = final_metrics(tracklets, results[toggles.name])
+    for toggles in standard_ablation_rows():
+        m = final_metrics(tracklets, train_with_toggles(tracklets, cfg, toggles))
         rows.append([
             toggles.name, int(toggles.filter_frames), int(toggles.do_partition),
             toggles.merge, toggles.loss,
@@ -250,11 +239,12 @@ def cmd_sweep(args) -> None:
     rows = []
     for raw_value, run_cfg, k in runs:
         result = train_with_toggles(tracklets, run_cfg, PipelineToggles(), fixed_k=k)
-        m = _run_metrics_row(tracklets, result)
+        m = final_metrics(tracklets, result)
         rows.append([
             args.param, raw_value,
             format(m["map"], ".17g"), format(m["rank1"], ".17g"),
-            format(m["pairwise_f1"], ".17g"), m["filtered_frames_per_epoch"],
+            format(m["pairwise_f1"], ".17g"),
+            ";".join(str(r.filtered_frames) for r in result.reports),
         ])
     _write_csv(args.out, header, rows)
 
@@ -316,8 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CliError, ValueError, FileNotFoundError, json.JSONDecodeError,
-            storage.StorageError) as exc:
+    except (CliError, ValueError, OSError, storage.StorageError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0

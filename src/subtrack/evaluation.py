@@ -73,6 +73,15 @@ def map_cmc(
     return RetrievalResult(float(np.mean(aps)), cmc_hits / n_valid, skipped)
 
 
+def _contingency(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Count of each (row value, column value) pair, both axes in ascending value order."""
+    row_values, r = np.unique(rows, return_inverse=True)
+    col_values, c = np.unique(cols, return_inverse=True)
+    table = np.zeros((row_values.size, col_values.size), dtype=np.int64)
+    np.add.at(table, (r, c), 1)
+    return table
+
+
 def pairwise_prf(
     pseudo_labels: Sequence[int],
     gt_identities: Sequence[int],
@@ -91,10 +100,7 @@ def pairwise_prf(
     def pair_count(counts: np.ndarray) -> float:
         return float((counts * (counts - 1) // 2).sum())
 
-    _, p_inv = np.unique(pseudo, return_inverse=True)
-    _, g_inv = np.unique(gt, return_inverse=True)
-    contingency = np.zeros((p_inv.max() + 1, g_inv.max() + 1), dtype=np.int64)
-    np.add.at(contingency, (p_inv, g_inv), 1)
+    contingency = _contingency(pseudo, gt)
     tp = pair_count(contingency)
     pred_pairs = pair_count(contingency.sum(axis=1))
     gt_pairs = pair_count(contingency.sum(axis=0))
@@ -114,13 +120,8 @@ def cluster_stats(
     cams = np.asarray(cameras)
     keep = pseudo != OUTLIER
     pseudo, gt, cams = pseudo[keep], gt[keep], cams[keep]
-    correct = cross = incorrect = 0
-    for y in np.unique(pseudo):
-        members = pseudo == y
-        if np.unique(gt[members]).size == 1:
-            correct += 1
-            if np.unique(cams[members]).size >= 2:
-                cross += 1
-        else:
-            incorrect += 1
-    return ClusterStats(correct, cross, incorrect, int(np.unique(np.asarray(gt_identities)).size))
+    # one entry per label: correct with one identity, cross-camera if also two or more cameras
+    correct = np.count_nonzero(_contingency(pseudo, gt), axis=1) == 1
+    cross = correct & (np.count_nonzero(_contingency(pseudo, cams), axis=1) >= 2)
+    return ClusterStats(int(correct.sum()), int(cross.sum()), int((~correct).sum()),
+                        int(np.unique(np.asarray(gt_identities)).size))

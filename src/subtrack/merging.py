@@ -69,10 +69,10 @@ def merged_state(
     if mode == MODE_DIRECT:
         positives = np.eye(n, dtype=bool)
         positives[a, b] = positives[b, a] = True
-        return LabelState(units, labels, positives, mode=mode)
+        return LabelState(units, labels, positives)
     root = kernels.components(n, np.concatenate([a, b]), np.concatenate([b, a]))
     refined = np.cumsum(root == np.arange(n))[root]  # root: the component's smallest label
-    return LabelState(units, labels, refined[:, None] == refined, mode=mode, refined=refined)
+    return LabelState(units, labels, refined[:, None] == refined, refined)
 
 
 def progressive_positive_sets(

@@ -84,12 +84,12 @@ class LabelState:
     units: Sequence[SubTracklet]
     labels: np.ndarray  # int64, aligned with units
     positives: np.ndarray  # (n, n) bool
-    mode: str = MODE_DIRECT
     refined: Optional[np.ndarray] = None  # (n,) int64
 
-    def __post_init__(self):
-        if self.mode not in (MODE_DIRECT, MODE_REACHABLE):
-            raise ValueError(f"unknown mode {self.mode!r}")
+    @property
+    def mode(self) -> str:
+        """REACHABLE exactly when the state carries refined labels, else DIRECT."""
+        return MODE_DIRECT if self.refined is None else MODE_REACHABLE
 
     @property
     def num_clusters(self) -> int:
@@ -113,15 +113,17 @@ class LabelState:
     def check(self) -> list[str]:
         """Return all violated LabelState invariants (empty when consistent)."""
         positives, n = self.positives, self.num_clusters
+        if positives.dtype != bool or positives.shape != (n, n):
+            return [f"positives must be an (n, n) bool array, not {positives.dtype} {positives.shape}"]
+        if self.refined is not None and self.refined.shape != (n,):
+            return [f"refined must have shape ({n},), not {self.refined.shape}"]
         problems = [f"label {y} missing from its own positive set"
                     for y in (np.flatnonzero(~positives.diagonal()) + 1).tolist()]
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() <= n:
             problems.append(f"labels outside 0..{n}")
-        if self.mode == MODE_DIRECT:
+        if self.refined is None:
             problems += [f"asymmetric positives: {other} in P({y}) but not conversely"
                          for y, other in (np.argwhere(positives & ~positives.T) + 1).tolist()]
-        elif self.refined is None:
-            problems.append("REACHABLE mode requires refined labels")
         else:
             crossing = positives & (self.refined[:, None] != self.refined)
             problems += [f"P({y}) crosses refined-label boundary at {other}"

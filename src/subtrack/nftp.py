@@ -121,7 +121,7 @@ def nftp_all(
     filter_frames: bool = True,
     do_partition: bool = True,
 ) -> list[tuple[FilteredTracklet, list[SubTracklet]]]:
-    """Filter and partition every tracklet once (one call per epoch).
+    """Filter and partition each given tracklet once; ``cluster_epoch`` passes one at a time.
 
     Without partitioning each tracklet is one unit spanning all its surviving frames.
     """

@@ -49,14 +49,18 @@ def init_encoder(raw_dim: int, dim: int, rng: np.random.Generator) -> Encoder:
     return Encoder(rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim))
 
 
-def encode_frames(enc: Encoder, raw_frames: np.ndarray) -> np.ndarray:
-    """Per-frame linear map followed by L2 normalization."""
-    raw_frames = np.asarray(raw_frames, dtype=np.float64)
-    u = raw_frames @ enc.weights
+def _encode(enc: Encoder, frames: np.ndarray):
+    """Normalized per-frame encodings of (..., raw_dim) frames, and their norms before it."""
+    u = np.asarray(frames, dtype=np.float64) @ enc.weights
     norms = np.linalg.norm(u, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("zero vector after the linear map")
-    return u / norms
+    return u / norms, norms
+
+
+def encode_frames(enc: Encoder, raw_frames: np.ndarray) -> np.ndarray:
+    """Per-frame linear map followed by L2 normalization."""
+    return _encode(enc, raw_frames)[0]
 
 
 def _embed_batch(enc: Encoder, X: np.ndarray):
@@ -64,11 +68,7 @@ def _embed_batch(enc: Encoder, X: np.ndarray):
 
     Returns the (B, dim) embeddings and what the backward pass needs.
     """
-    U = X @ enc.weights
-    u_norms = np.linalg.norm(U, axis=2, keepdims=True)
-    if np.any(u_norms == 0.0):
-        raise ValueError("zero vector after the linear map")
-    G = U / u_norms
+    G, u_norms = _encode(enc, X)
     mean = G.mean(axis=1)
     m_norm = np.linalg.norm(mean, axis=1, keepdims=True)
     V = mean / m_norm
@@ -195,7 +195,7 @@ def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> Lab
     nearest = np.argsort(-(banks.centroid @ banks.centroid.T), axis=1, kind="stable")[:, :k]
     positives = np.eye(n, dtype=bool)
     positives[np.arange(n)[:, None], nearest] = True
-    return LabelState(state.units, state.labels, positives | positives.T, mode=MODE_DIRECT)
+    return LabelState(state.units, state.labels, positives | positives.T)
 
 
 def train_with_toggles(
@@ -261,20 +261,6 @@ def train_with_toggles(
 def train(tracklets: Sequence[Tracklet], cfg: TrainConfig) -> TrainResult:
     """Full pipeline: noise filter, partition, progressive merging, CSC loss."""
     return train_with_toggles(tracklets, cfg, PipelineToggles())
-
-
-def train_baseline(tracklets: Sequence[Tracklet], cfg: TrainConfig) -> TrainResult:
-    """Whole-tracklet units, no filtering or merging, plain contrastive loss."""
-    return train_with_toggles(tracklets, cfg, BASELINE)
-
-
-def ablation_matrix(
-    tracklets: Sequence[Tracklet],
-    cfg: TrainConfig,
-    toggle_rows: Sequence[PipelineToggles],
-) -> dict[str, TrainResult]:
-    """Run every toggle row with the shared seed from cfg."""
-    return {row.name: train_with_toggles(tracklets, cfg, row) for row in toggle_rows}
 
 
 def standard_ablation_rows() -> list[PipelineToggles]:

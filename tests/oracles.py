@@ -3,10 +3,11 @@
 These deliberately avoid sharing code paths with the package: reachability
 closures use boolean matrix powers, the merge graph groups labels per
 tracklet in dicts, positive sets are dicts of sets and their loss weights
-are filled in one class at a time, DBSCAN labels come from a row-scanning
-frontier search, AP and Jaccard distances are computed by direct
-enumeration, gradients come from central finite differences, and the
-training step's loss, embedding and bank updates run one sample at a time.
+are filled in one class at a time, cluster statistics are counted one label
+at a time, DBSCAN labels come from a row-scanning frontier search, AP and
+Jaccard distances are computed by direct enumeration, gradients come from
+central finite differences, and the training step's loss, embedding and
+bank updates run one sample at a time.
 """
 
 from itertools import combinations
@@ -279,6 +280,24 @@ def average_precision_enum(query_id, order_ids):
     if not precisions:
         return None
     return sum(precisions) / len(precisions)
+
+
+def cluster_stats_per_label(pseudo, gt, cams, outlier=0):
+    """(correct, cross_camera, incorrect, total_identities), one label at a time.
+
+    A label is correct when its members share one identity, and cross-camera
+    when it is correct and its members span two or more cameras.
+    """
+    pseudo, gt, cams = np.asarray(pseudo), np.asarray(gt), np.asarray(cams)
+    correct = cross = incorrect = 0
+    for y in set(pseudo.tolist()) - {outlier}:
+        members = pseudo == y
+        if len(set(gt[members].tolist())) == 1:
+            correct += 1
+            cross += len(set(cams[members].tolist())) >= 2
+        else:
+            incorrect += 1
+    return correct, cross, incorrect, len(set(gt.tolist()))
 
 
 def softmax_cross_entropy(v, label, rows, temperature):

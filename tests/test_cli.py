@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -98,6 +101,16 @@ def test_train_rerun_byte_identical_reports(tmp_path, dataset_dir, config_file):
     a = (outs[0] / "reports.jsonl").read_bytes()
     b = (outs[1] / "reports.jsonl").read_bytes()
     assert a == b
+
+
+def test_every_cli_artifact_identical_across_processes():
+    # two fresh interpreters with different string-hash seeds run every subcommand
+    script = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
+    outputs = [subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+               for seed in ("1", "2")]
+    assert len(outputs[0].splitlines()) == 12  # the src line, then 11 artifact hashes
+    assert outputs[0] == outputs[1]
 
 
 def test_cluster_subcommand(tmp_path, dataset_dir, config_file, run_dir):
@@ -415,6 +428,38 @@ def test_malformed_config_and_spec_files_error_as_json(tmp_path, capsys, argv, p
     err = json.loads(lines[0])
     assert set(err) == {"error", "message"} and key in err["message"]
     assert not (tmp_path / "gen").exists()
+
+
+def _small_train_argv(root, data="data", config="small.json", out="run"):
+    (root / "small.json").write_text(json.dumps({"dim": 4, "epochs": 1, "k1": 3, "k2": 1}),
+                                     encoding="utf-8")
+    return ["train", "--data", str(root / data), "--config", str(root / config),
+            "--out", str(root / out)]
+
+
+# each case names a directory where a file is read, or a file where a directory is
+@pytest.mark.parametrize("argv,out", [
+    pytest.param(lambda r: _small_train_argv(r, config="dir"), "run", id="train-config-dir"),
+    pytest.param(lambda r: _small_train_argv(r, data="split.json"), "run", id="train-data-file"),
+    pytest.param(lambda r: _small_train_argv(r, out="split.json/run"), "split.json/run",
+                 id="train-out-under-file"),
+    pytest.param(lambda r: _cluster_argv(r)[:3] + ["--weights", str(r / "dir"),
+                                                   "--out", str(r / "cluster.json")],
+                 "cluster.json", id="cluster-weights-dir"),
+    pytest.param(lambda r: ["stats", "--labels", str(r / "dir")] + _stats_argv(r)[3:],
+                 "stats.json", id="stats-labels-dir"),
+    pytest.param(lambda r: ["generate", "--spec", str(r / "dir"), "--out", str(r / "gen")],
+                 "gen", id="generate-spec-dir"),
+])
+def test_unreadable_paths_error_as_json(tmp_path, capsys, argv, out):
+    _valid_run_inputs(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    assert not (tmp_path / out).exists()
 
 
 def _save_npz(path, weights):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import average_precision_enum
+from oracles import average_precision_enum, cluster_stats_per_label
 from subtrack.evaluation import ClusterStats, cluster_stats, map_cmc, pairwise_prf
 from subtrack.model import OUTLIER
 
@@ -189,3 +189,24 @@ def test_cluster_stats_all_outliers():
     stats = cluster_stats([OUTLIER, OUTLIER], [1, 2], [0, 0])
     assert stats.total_clusters == 0
     assert stats.total_identities == 2
+
+
+def test_cluster_stats_matches_per_label_oracle():
+    rng = np.random.default_rng(29)
+    # label, identity and camera values that are negative and not contiguous
+    labels, identities, cameras = [1, 2, 5, 17, -3], [-7, -2, 0, 3, 11, 40], [-5, -1, 4, 9]
+    seen = np.zeros(4, dtype=np.int64)
+    for case in range(200):
+        n = int(rng.integers(1, 40))
+        pseudo = rng.choice(labels[: int(rng.integers(1, 6))], size=n)
+        if case % 4 == 0:
+            pseudo[rng.random(n) < 0.3] = OUTLIER
+        elif case % 4 == 1:
+            pseudo[:] = OUTLIER if case % 8 == 1 else 1  # all outliers, or a single cluster
+        # small value pools make pure and single-camera clusters common
+        gt = rng.choice(identities[: int(rng.integers(1, 7))], size=n)
+        cams = rng.choice(cameras[: int(rng.integers(1, 5))], size=n)
+        expected = cluster_stats_per_label(pseudo, gt, cams)
+        assert cluster_stats(pseudo, gt, cams) == ClusterStats(*expected)
+        seen += np.array(expected) > 0
+    assert seen[:3].min() > 20  # correct, cross-camera and incorrect clusters all occur

@@ -90,13 +90,11 @@ def test_label_state_check_direct_symmetry():
     good = LabelState(
         _units(2), np.array([1, 2]),
         positives=_mask({1: frozenset({1, 2}), 2: frozenset({1, 2})}),
-        mode=MODE_DIRECT,
     )
     assert good.check() == []
     bad = LabelState(
         _units(2), np.array([1, 2]),
         positives=_mask({1: frozenset({1, 2}), 2: frozenset({2})}),
-        mode=MODE_DIRECT,
     )
     assert any("asymmetric" in p for p in bad.check())
 
@@ -109,14 +107,12 @@ def test_label_state_check_reachable_partition():
             2: frozenset({1, 2}),
             3: frozenset({3}),
         }),
-        mode=MODE_REACHABLE,
         refined=np.array([1, 1, 2]),
     )
     assert good.check() == []
     bad = LabelState(
         _units(2), np.array([1, 2]),
         positives=_mask({1: frozenset({1, 2}), 2: frozenset({1, 2})}),
-        mode=MODE_REACHABLE,
         refined=np.array([1, 2]),
     )
     assert bad.check() != []
@@ -126,7 +122,6 @@ def test_label_state_self_membership_flagged():
     state = LabelState(
         _units(1), np.array([1]),
         positives=_mask({1: frozenset({2}), 2: frozenset({2})}),
-        mode=MODE_DIRECT,
     )
     assert any("own positive set" in p for p in state.check())
 
@@ -135,8 +130,26 @@ def test_label_state_labels_outside_the_mask_flagged():
     for labels in ([1, 3], [-1, 1]):
         state = LabelState(_units(2), np.array(labels), positives=np.eye(2, dtype=bool))
         assert state.check() == ["labels outside 0..2"]
-    missing = LabelState(_units(1), np.array([1]), np.eye(1, dtype=bool), mode=MODE_REACHABLE)
-    assert missing.check() == ["REACHABLE mode requires refined labels"]
+
+
+def test_label_state_mode_follows_refined():
+    direct = LabelState(_units(2), np.array([1, 2]), np.eye(2, dtype=bool))
+    reach = LabelState(_units(2), np.array([1, 2]), np.eye(2, dtype=bool), np.array([1, 2]))
+    assert (direct.mode, reach.mode) == (MODE_DIRECT, MODE_REACHABLE)
+    assert direct.check() == reach.check() == []
+
+
+@pytest.mark.parametrize("positives, refined, problem", [
+    (np.ones((1, 2), bool), None, "positives must be an (n, n) bool array, not bool (1, 2)"),
+    (np.ones(2, bool), None, "positives must be an (n, n) bool array, not bool (2,)"),
+    (np.eye(2, dtype=np.int64), None, "positives must be an (n, n) bool array, not int64 (2, 2)"),
+    (np.eye(2, dtype=bool), np.array([1]), "refined must have shape (2,), not (1,)"),
+    (np.eye(2, dtype=bool), np.array([[1, 2]]), "refined must have shape (2,), not (1, 2)"),
+])
+def test_label_state_check_rejects_bad_shapes_alone(positives, refined, problem):
+    # a malformed state reports only its shape, not the problems it would imply
+    state = LabelState(_units(1), np.array([1]), positives, refined)
+    assert state.check() == [problem]
 
 
 def test_positive_sets_is_a_read_only_view_of_the_mask():

@@ -25,6 +25,7 @@ from subtrack.model import (
 from subtrack.storage import read_dataset, write_dataset
 from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import (
+    BASELINE,
     MERGE_DIRECT,
     MERGE_NONE,
     MERGE_PROGRESSIVE,
@@ -35,14 +36,12 @@ from subtrack.trainer import (
     _backprop_batch,
     _embed_batch,
     _fixed_k_positive_sets,
-    ablation_matrix,
     cluster_epoch,
     encode_frames,
     inference_features,
     init_encoder,
     standard_ablation_rows,
     train,
-    train_baseline,
     train_with_toggles,
 )
 
@@ -386,7 +385,7 @@ def test_train_baseline_runs_and_differs_from_full():
     tracklets = _small_dataset()
     cfg = _small_cfg()
     full = train(tracklets, cfg)
-    base = train_baseline(tracklets, cfg)
+    base = train_with_toggles(tracklets, cfg, BASELINE)
     assert len(base.reports) == cfg.epochs
     assert not np.array_equal(full.encoder.weights, base.encoder.weights)
 
@@ -448,9 +447,8 @@ def test_standard_ablation_rows_are_structurally_distinct():
 def test_ablation_matrix_smoke():
     tracklets = _small_dataset(identities=3)
     cfg = _small_cfg(epochs=1, iters_per_epoch=1)
-    out = ablation_matrix(tracklets, cfg, standard_ablation_rows())
-    assert set(out) == {r.name for r in standard_ablation_rows()}
-    for result in out.values():
+    for row in standard_ablation_rows():
+        result = train_with_toggles(tracklets, cfg, row)
         assert len(result.reports) == 1
         assert result.labels is not None
 
