@@ -118,6 +118,8 @@ def cmd_train(args) -> None:
     _write_reports(result, out / "reports.jsonl")
     if result.labels is not None:
         storage.dump_json(_labels_payload(result.labels), out / "labels.json")
+    else:  # no epoch ran: drop an earlier run's labels
+        (out / "labels.json").unlink(missing_ok=True)
 
 
 def cmd_cluster(args) -> None:
@@ -129,6 +131,8 @@ def cmd_cluster(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    if args.k_max < 1:
+        raise CliError(f"--k-max must be >= 1, not {args.k_max}")
     tracklets, _ = _read_dataset(args.data)
     by_id = {t.id: t for t in tracklets}
     split = storage.load_json(args.split)

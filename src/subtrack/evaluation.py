@@ -42,6 +42,8 @@ def map_cmc(
     excluded from its ranking (the standard junk rule); queries left without
     any valid match are skipped and counted.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, not {k_max}")
     query_feats = np.asarray(query_feats, dtype=np.float64)
     gallery_feats = np.asarray(gallery_feats, dtype=np.float64)
     q_ids = np.asarray([m[0] for m in query_meta])

@@ -1,16 +1,18 @@
 """Tracklet-consistency reachability graph and progressive positive sets.
 
-Sub-clusters that share sub-tracklets of one tracklet get an edge. Early in
-training only one-hop neighborhoods count as positives (no transitive
-chaining, so a wrong edge cannot propagate); after the merge switch epoch the
-connected components become the refined labels.
+Sub-clusters that share sub-tracklets of one tracklet get an edge. The graph
+is one (n, n) bool adjacency over labels 1..n, the product of the
+tracklet-by-label incidence with itself; there is no per-edge witness map.
+Early in training only one-hop neighborhoods count as positives (no
+transitive chaining, so a wrong edge cannot propagate): the adjacency plus
+the identity. After the merge switch epoch the connected components become
+the refined labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,31 +27,31 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]  # (a, b) with a < b
-    witness: Mapping[tuple[int, int], frozenset[int]]  # each edge's tracklet indices
+    adjacency: np.ndarray  # (n, n) bool: [a - 1, b - 1] when one tracklet holds labels a and b
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The labels some unit holds, ascending."""
+        return np.flatnonzero(np.diagonal(self.adjacency)) + 1
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) label pairs (a, b) with a < b, by rows."""
+        return np.argwhere(np.triu(self.adjacency, 1)) + 1
 
 
 def build_graph(labels: np.ndarray, parent: np.ndarray) -> ReachabilityGraph:
-    """One clique of edges per tracklet whose units span several labels.
+    """Labels are adjacent when some tracklet holds units of both.
 
     Unit i has label ``labels[i]`` and tracklet index ``parent[i]``; OUTLIER
-    units are left out, and ``witness`` names tracklets by that index.
+    units are left out. The diagonal marks the labels some unit holds.
     """
     keep = labels != OUTLIER
-    span = int(labels.max(initial=0)) + 1  # one key per (tracklet, label) pair
-    tracklets, ys = np.divmod(np.unique(parent[keep] * span + labels[keep]), span)
-    witness: dict[tuple[int, int], set[int]] = {}
-    for tracklet, rows in groupby(zip(tracklets.tolist(), ys.tolist()), key=lambda row: row[0]):
-        for edge in combinations([y for _, y in rows], 2):  # labels ascend: a < b
-            witness.setdefault(edge, set()).add(tracklet)
-    return ReachabilityGraph(
-        nodes=frozenset(ys.tolist()),
-        edges=frozenset(witness),
-        witness={e: frozenset(w) for e, w in witness.items()},
-    )
+    incidence = np.zeros((int(parent.max(initial=-1)) + 1, int(labels.max(initial=0))))
+    incidence[parent[keep], labels[keep] - 1] = 1.0  # float: the product goes to BLAS
+    return ReachabilityGraph(incidence.T @ incidence > 0)
 
 
 def merged_state(
@@ -58,19 +60,16 @@ def merged_state(
     g: ReachabilityGraph,
     mode: str,
 ) -> LabelState:
-    """Label state for one mode over labels 1..n, every one of which ``labels`` holds.
+    """Label state for one mode over the graph's labels 1..n, each held in ``labels``.
 
     DIRECT positives are each label plus its one-hop neighbors, with no
     transitive chaining; REACHABLE positives are connected components, whose
     1-based ids, in order of each one's smallest label, become the refined labels.
     """
-    n = int(labels.max(initial=0))
-    a, b = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T - 1
+    n = len(g.adjacency)
     if mode == MODE_DIRECT:
-        positives = np.eye(n, dtype=bool)
-        positives[a, b] = positives[b, a] = True
-        return LabelState(units, labels, positives)
-    root = kernels.components(n, np.concatenate([a, b]), np.concatenate([b, a]))
+        return LabelState(units, labels, g.adjacency | np.eye(n, dtype=bool))
+    root = kernels.components(n, *np.nonzero(g.adjacency))
     refined = np.cumsum(root == np.arange(n))[root]  # root: the component's smallest label
     return LabelState(units, labels, refined[:, None] == refined, refined)
 

@@ -84,6 +84,8 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
             for tid, recs in sorted(splice_log.items())
         }
         dump_json(splices, out_dir / "splices.json")
+    else:  # no splice log: drop an earlier write's
+        (out_dir / "splices.json").unlink(missing_ok=True)
 
 
 def write_synthetic(ds: SyntheticDataset, out_dir) -> None:

@@ -176,22 +176,25 @@ def bfs_components(nodes, edges):
 
 
 def reachability_graph_by_tracklet(pairs, outlier=0):
-    """(nodes, edges, witness) of the reachability graph, by grouping labels per tracklet.
+    """(nodes, edges) of the reachability graph, by grouping labels per tracklet.
 
     ``pairs`` lists each unit's (tracklet id, label). Every tracklet whose
-    non-outlier labels span several values links each pair of them, and the
-    witness of an edge is the set of tracklet ids that link it.
+    non-outlier labels span several values links each pair of them.
     """
     per_tracklet = {}
     for tid, y in pairs:
         if y != outlier:
             per_tracklet.setdefault(tid, set()).add(y)
-    witness = {}
-    for tid, labels in per_tracklet.items():
-        for edge in combinations(sorted(labels), 2):
-            witness.setdefault(edge, set()).add(tid)
-    nodes = frozenset().union(*per_tracklet.values())
-    return nodes, frozenset(witness), {e: frozenset(w) for e, w in witness.items()}
+    edges = {edge for labels in per_tracklet.values() for edge in combinations(sorted(labels), 2)}
+    return frozenset().union(*per_tracklet.values()), frozenset(edges)
+
+
+def adjacency(n, edges):
+    """The (n, n) bool adjacency over labels 1..n: the identity plus each edge both ways."""
+    mask = np.eye(n, dtype=bool)
+    for a, b in edges:
+        mask[a - 1, b - 1] = mask[b - 1, a - 1] = True
+    return mask
 
 
 def positive_mask(positive_sets, n):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from oracles import (
+    adjacency,
     average_precision_enum,
     bfs_components,
     central_difference_grad,
@@ -80,7 +81,7 @@ def test_criterion_02_connectivity_oracle(capsys):
             a, b = rng.integers(1, n + 1, size=2)
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
-        g = ReachabilityGraph(nodes, frozenset(edges), {e: frozenset({"w"}) for e in edges})
+        g = ReachabilityGraph(adjacency(n, edges))
         labels = np.arange(1, n + 1)  # one unit per label
         reach = merged_state([], labels, g, MODE_REACHABLE).positives
         if not np.array_equal(reach, component_mask(bfs_components(nodes, edges), n)):

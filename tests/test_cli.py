@@ -113,6 +113,17 @@ def test_every_cli_artifact_identical_across_processes():
     assert outputs[0] == outputs[1]
 
 
+def test_train_rerun_without_epochs_drops_the_old_labels(tmp_path, dataset_dir):
+    out = tmp_path / "run"
+    for epochs in (1, 0):
+        config = tmp_path / f"epochs{epochs}.json"
+        config.write_text(json.dumps({"dim": 8, "epochs": epochs, "k1": 6, "k2": 2}),
+                          encoding="utf-8")
+        assert main(["train", "--data", str(dataset_dir), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert (out / "labels.json").exists() == (epochs > 0)
+
+
 def test_cluster_subcommand(tmp_path, dataset_dir, config_file, run_dir):
     out = tmp_path / "labels2.json"
     code = main([
@@ -369,6 +380,17 @@ def test_malformed_split_and_labels_error_as_json(tmp_path, capsys, argv, file, 
     err = json.loads(lines[0])
     assert set(err) == {"error", "message"}
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_eval_rejects_k_max_below_one(tmp_path, capsys, k_max):
+    _valid_run_inputs(tmp_path)
+    assert main(_eval_argv(tmp_path) + ["--k-max", k_max]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CliError" and "--k-max" in err["message"]
+    assert not (tmp_path / "eval.json").exists()
 
 
 def _cluster_argv(root):

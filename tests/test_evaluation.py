@@ -48,6 +48,12 @@ def test_map_raises_when_no_query_valid():
         map_cmc(query, [(1, 0)], gallery, [(1, 0)], k_max=1)
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_map_rejects_k_max_below_one(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        map_cmc(np.eye(2), [(1, 0)], np.eye(2), [(1, 1), (2, 0)], k_max=k_max)
+
+
 def test_map_tie_break_by_gallery_index():
     query = np.array([[1.0, 0.0]])
     gallery = _on_circle([0.9, 0.9])  # exact distance tie

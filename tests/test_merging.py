@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    adjacency,
     bfs_components,
     component_mask,
     direct_positive_sets,
@@ -52,33 +53,33 @@ def _merged(spread, mode):
 
 def _states(g):
     """DIRECT and REACHABLE states of a graph on nodes 1..n, one unit per label."""
-    labels = np.arange(1, len(g.nodes) + 1)
+    labels = np.arange(1, len(g.adjacency) + 1)
     return merged_state([], labels, g, MODE_DIRECT), merged_state([], labels, g, MODE_REACHABLE)
 
 
 def test_build_graph_chain_not_transitive():
     g = _graph({"A": [1, 2], "B": [2, 3]})
-    assert g.edges == frozenset({(1, 2), (2, 3)})
-    assert (1, 3) not in g.edges
-    assert g.witness[(1, 2)] == frozenset({0})  # tracklet A
-    assert g.witness[(2, 3)] == frozenset({1})  # tracklet B
+    assert g.edges.tolist() == [[1, 2], [2, 3]]
+    assert not g.adjacency[0, 2] and not g.adjacency[2, 0]
 
 
 def test_build_graph_single_cluster_tracklets_no_edges():
     g = _graph({"A": [1, 1], "B": [2], "C": [3, 3, 3]})
-    assert g.edges == frozenset()
-    assert g.nodes == frozenset({1, 2, 3})
+    assert g.edges.shape == (0, 2)
+    assert g.nodes.tolist() == [1, 2, 3]
+    assert np.array_equal(g.adjacency, np.eye(3, dtype=bool))
 
 
 def test_build_graph_clique_rule():
     g = _graph({"A": [1, 2, 3]})
-    assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
+    assert g.edges.tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert g.adjacency.all()
 
 
 def test_build_graph_ignores_outliers():
     g = _graph({"A": [1, OUTLIER, 2]})
-    assert g.nodes == frozenset({1, 2})
-    assert g.edges == frozenset({(1, 2)})
+    assert g.nodes.tolist() == [1, 2]
+    assert g.edges.tolist() == [[1, 2]]
 
 
 def test_build_graph_order_invariant():
@@ -86,23 +87,31 @@ def test_build_graph_order_invariant():
     labels, parent = _assignment(spread)
     a = build_graph(labels, parent)
     b = build_graph(labels[::-1], parent[::-1])
-    assert a.nodes == b.nodes and a.edges == b.edges and a.witness == b.witness
+    assert np.array_equal(a.adjacency, b.adjacency)
 
 
 def test_build_graph_matches_per_tracklet_oracle_random_units():
+    # OUTLIERs, labels no unit holds and units in shuffled order all occur
     rng = np.random.default_rng(31)
     for _ in range(200):
-        n = int(rng.integers(0, 80))
+        num_units = int(rng.integers(0, 80))
         num_tracklets = int(rng.integers(1, 20))
-        labels = rng.integers(0, int(rng.integers(1, 12)) + 1, size=n)  # 0 is OUTLIER
-        parent = rng.integers(0, num_tracklets, size=n)
+        labels = rng.integers(0, int(rng.integers(1, 12)) + 1, size=num_units)  # 0 is OUTLIER
+        parent = rng.integers(0, num_tracklets, size=num_units)
         ids = [f"t{i}" for i in rng.permutation(num_tracklets)]
-        order = rng.permutation(n)  # units in shuffled order
+        order = rng.permutation(num_units)  # units in shuffled order
         g = build_graph(labels[order], parent[order])
-        nodes, edges, witness = reachability_graph_by_tracklet(
+        nodes, edges = reachability_graph_by_tracklet(
             (ids[t], y) for t, y in zip(parent.tolist(), labels.tolist()))
-        assert g.nodes == nodes and g.edges == edges
-        assert {e: frozenset(ids[t] for t in w) for e, w in g.witness.items()} == witness
+        assert g.nodes.tolist() == sorted(nodes)
+        assert set(map(tuple, g.edges.tolist())) == edges
+        n = int(labels.max(initial=0))
+        every = range(1, n + 1)
+        direct = merged_state([], labels, g, MODE_DIRECT)
+        reach = merged_state([], labels, g, MODE_REACHABLE)
+        assert np.array_equal(direct.positives, positive_mask(direct_positive_sets(every, edges), n))
+        assert np.array_equal(reach.positives,
+                              positive_mask(reachable_positive_sets(every, edges)[0], n))
 
 
 def test_direct_positive_sets_chain():
@@ -144,7 +153,8 @@ def test_reachable_positive_sets_no_edges_singletons():
 
 
 def _random_graph(rng, max_nodes=500, sparse=False):
-    """Nodes 1..n; with ``sparse`` the last quarter of them has no edges."""
+    """(graph, nodes, edges) on nodes 1..n; with ``sparse`` the last quarter of them
+    has no edges."""
     n = int(rng.integers(1, max_nodes + 1))
     ids = np.arange(1, n + 1)
     linked = ids[: max(1, n - n // 4)] if sparse else ids
@@ -154,20 +164,16 @@ def _random_graph(rng, max_nodes=500, sparse=False):
         a, b = rng.choice(linked, size=2).tolist()
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return ReachabilityGraph(
-        nodes=frozenset(ids.tolist()),
-        edges=frozenset(edges),
-        witness={e: frozenset({"w"}) for e in edges},
-    )
+    return ReachabilityGraph(adjacency(n, edges)), frozenset(ids.tolist()), frozenset(edges)
 
 
 def test_reachable_matches_bfs_oracle_random_graphs():
     rng = np.random.default_rng(7)
     for sparse in [False] * 60 + [True] * 60:
-        g = _random_graph(rng, sparse=sparse)
+        g, nodes, edges = _random_graph(rng, sparse=sparse)
         _, state = _states(g)
-        expected = bfs_components(g.nodes, g.edges)
-        assert np.array_equal(state.positives, component_mask(expected, len(g.nodes)))
+        expected = bfs_components(nodes, edges)
+        assert np.array_equal(state.positives, component_mask(expected, len(nodes)))
         refined = state.refined.tolist()
         # refined ids are exactly 1.. in order of each component's smallest member
         by_smallest = sorted(expected, key=min)
@@ -178,7 +184,7 @@ def test_reachable_matches_bfs_oracle_random_graphs():
 def test_direct_subset_of_reachable_random_graphs():
     rng = np.random.default_rng(13)
     for _ in range(60):
-        g = _random_graph(rng, max_nodes=120)
+        g, _, _ = _random_graph(rng, max_nodes=120)
         direct, reach = _states(g)
         assert np.all(direct.positives <= reach.positives)
 
@@ -195,7 +201,7 @@ def test_merged_state_matches_dict_oracles_random_graphs():
         nodes = frozenset(range(1, n + 1))
         # every label 1..n holds some units, and OUTLIER units are mixed in
         labels = rng.permutation(np.repeat(np.arange(n + 1), rng.integers(1, 4, size=n + 1)))
-        g = ReachabilityGraph(nodes, edges, {})
+        g = ReachabilityGraph(adjacency(n, edges))
         direct = merged_state([], labels, g, MODE_DIRECT)
         reach = merged_state([], labels, g, MODE_REACHABLE)
         direct_sets = direct_positive_sets(nodes, edges)

@@ -111,6 +111,16 @@ def test_synthetic_round_trip_with_splices(tmp_path):
     assert all(isinstance(r, SpliceRecord) for recs in splices.values() for r in recs)
 
 
+def test_rewrite_without_splices_drops_the_old_splice_log(tmp_path):
+    spec = {"num_identities": 3, "tracklets_per_identity": 2, "tracklet_length_range": (40, 60),
+            "splice_len_range": (8, 12), "seed": 5}
+    write_synthetic(generate(SyntheticSpec(**spec, splice_rate=1.0)), tmp_path)
+    assert read_dataset(tmp_path)[1]
+    write_synthetic(generate(SyntheticSpec(**spec, splice_rate=0.0)), tmp_path)
+    assert read_dataset(tmp_path)[1] == {}
+    assert not (tmp_path / "splices.json").exists()
+
+
 def test_dump_json_deterministic_bytes(tmp_path):
     payload = {"a": 1 / 3, "b": [1.0, 2.5e-17], "c": "text"}
     dump_json(payload, tmp_path / "one.json")

@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +14,18 @@ from oracles import (
     positive_mask,
     relative_error,
 )
-from subtrack import nftp
+from subtrack import nftp, trainer
 from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
 from subtrack.model import (
     MODE_DIRECT,
     MODE_REACHABLE,
     OUTLIER,
     LabelState,
+    TrainConfig,
     Tracklet,
     default_config,
 )
-from subtrack.storage import read_dataset, write_dataset
+from subtrack.storage import dataclass_from_json, read_dataset, write_dataset, write_synthetic
 from subtrack.synth import SyntheticSpec, generate
 from subtrack.trainer import (
     BASELINE,
@@ -459,3 +462,25 @@ def test_inference_features_shape_and_norm():
     feats = inference_features(enc, tracklets)
     assert feats.shape == (len(tracklets), 8)
     assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
+
+
+def test_output_hash_set_fires_both_merge_modes(tmp_path, monkeypatch):
+    # tools/output_hashes.py shows a merge-stage change keeps outputs identical only
+    # if merges fire on its set: every epoch's graph has edges and both modes run
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
+    tool_spec = importlib.util.spec_from_file_location("output_hashes", path)
+    tool = importlib.util.module_from_spec(tool_spec)
+    tool_spec.loader.exec_module(tool)
+    write_synthetic(generate(dataclass_from_json(SyntheticSpec, tool.SPEC, "spec")), tmp_path)
+    tracklets, _ = read_dataset(tmp_path)
+    graphs, build_graph = [], trainer.build_graph
+
+    def recording_build_graph(labels, parent):
+        graphs.append(build_graph(labels, parent))
+        return graphs[-1]
+
+    monkeypatch.setattr(trainer, "build_graph", recording_build_graph)
+    result = train(tracklets, dataclass_from_json(TrainConfig, tool.CONFIG, "config"))
+    assert len(graphs) == tool.CONFIG["epochs"]
+    assert all(len(g.edges) >= 2 for g in graphs)
+    assert {r.mode for r in result.reports} == {MODE_DIRECT, MODE_REACHABLE}
