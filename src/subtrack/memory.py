@@ -49,12 +49,13 @@ def init_memory(
     n = int(labels.max(initial=0))
     if n < 1:
         raise ValueError("init_memory needs at least one labeled class")
-    centroid = np.empty((n, features.shape[1]))
-    for j in range(1, n + 1):
-        members = features[labels == j]
-        if members.shape[0] == 0:
-            raise ValueError(f"class {j} has no members")
-        centroid[j - 1] = members.mean(axis=0)
+    count = np.bincount(labels, minlength=n + 1)[1:]
+    if not count.all():
+        raise ValueError(f"class {np.argmin(count) + 1} has no members")
+    # each class adds its rows in row order from 0.0, as mean(axis=0) does
+    centroid = np.zeros((n + 1, features.shape[1]))
+    np.add.at(centroid, labels, features)
+    centroid = centroid[1:] / count[:, None]
     norms = np.linalg.norm(centroid, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero row")

@@ -30,16 +30,16 @@ def center_feature(frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("center_feature needs a non-empty (L, dim) array")
-    return frames.mean(axis=0)
+    return np.add.reduce(frames, axis=0) / frames.shape[0]  # mean(axis=0)'s sum and division
 
 
 def frame_distances(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared cosine deviation (1 - cos(f, center))**2 of each frame row f."""
     frames = np.asarray(frames, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
-    norms = np.linalg.norm(frames, axis=1)
-    nc = np.linalg.norm(center)
-    if nc == 0.0 or np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(frames * frames, axis=1))  # np.linalg.norm's sums
+    nc = np.sqrt(center @ center)
+    if nc == 0.0 or not norms.all():
         raise ValueError("frame distance is undefined for zero-norm vectors")
     cos = (frames @ center) / (norms * nc)
     return (1.0 - cos) ** 2

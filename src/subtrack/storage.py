@@ -51,6 +51,17 @@ def load_json(path):
         return json.load(fh)
 
 
+def _feature_files(out_dir: Path) -> set[str]:
+    """The ``.f32`` file names that a manifest.json in ``out_dir`` lists; none if it is
+    unreadable. Names with a directory part are left out, so no other file is named."""
+    try:
+        entries = load_json(out_dir / "manifest.json")["tracklets"]
+        names = {entry["feature_file"] for entry in entries}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    return {n for n in names if type(n) is str and n.endswith(".f32") and Path(n).name == n}
+
+
 def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict] = None) -> None:
     out_dir = Path(out_dir)
     if len({t.id for t in tracklets}) != len(tracklets):
@@ -59,6 +70,7 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
         if os.sep in t.id or (os.altsep and os.altsep in t.id):
             raise StorageError(f"tracklet id {t.id!r} is not a file name")
     d_raw = tracklets[0].frames.shape[1]
+    earlier = _feature_files(out_dir)
     entries = []
     for t in tracklets:
         if t.frames.shape[1] != d_raw:
@@ -77,6 +89,8 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
         entries.append(entry)
     manifest = {"format_version": FORMAT_VERSION, "d_raw": int(d_raw), "tracklets": entries}
     dump_json(manifest, out_dir / "manifest.json")
+    for name in earlier - {e["feature_file"] for e in entries}:  # an earlier write's tracklets
+        (out_dir / name).unlink(missing_ok=True)
     if splice_log:
         splices = {
             tid: [{"start": r.start, "end": r.end, "source_identity": r.source_identity}

@@ -52,8 +52,8 @@ def init_encoder(raw_dim: int, dim: int, rng: np.random.Generator) -> Encoder:
 def _encode(enc: Encoder, frames: np.ndarray):
     """Normalized per-frame encodings of (..., raw_dim) frames, and their norms before it."""
     u = np.asarray(frames, dtype=np.float64) @ enc.weights
-    norms = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))  # np.linalg.norm's sum
+    if not norms.all():
         raise ValueError("zero vector after the linear map")
     return u / norms, norms
 
@@ -168,12 +168,12 @@ def cluster_epoch(
         [(ft, sts)] = nftp.nftp_all([(t.id, encoded)], cfg, filter_frames=toggles.filter_frames,
                                     do_partition=toggles.do_partition)
         filtered_frames += len(ft.filtered_indices)
+        surviving = encoded[ft.surviving_indices]
         for st in sts:
             a, b = st.frame_range
-            idx = ft.surviving_indices[a : b + 1]
-            mean = encoded[idx].mean(axis=0)
-            features.append(mean / np.linalg.norm(mean))
-            unit_frames.append((t.frames, idx))
+            mean = np.add.reduce(surviving[a : b + 1], axis=0) / (b + 1 - a)  # mean(axis=0)'s sum
+            features.append(mean / np.sqrt(mean @ mean))
+            unit_frames.append((t.frames, ft.surviving_indices[a : b + 1]))
         subtracklets += sts
         parent += [ti] * len(sts)
     features = np.asarray(features)

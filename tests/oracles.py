@@ -1,6 +1,7 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
-These deliberately avoid sharing code paths with the package: reachability
+These deliberately avoid sharing code paths with the package: the clustering
+phase runs one numpy call per row, column or unit, reachability
 closures use boolean matrix powers, the merge graph groups labels per
 tracklet in dicts, positive sets are dicts of sets and their loss weights
 are filled in one class at a time, cluster statistics are counted one label
@@ -137,6 +138,108 @@ def k_reciprocal_weights(features, k1, k2):
     if k2 > 1:
         W = W[rank[:, :k2]].mean(axis=1)
     return W
+
+
+# The clustering phase as it ran one numpy call per row, column or unit. The
+# package's block operations make the same floating-point additions in the
+# same order, so the tests require these bit for bit.
+
+
+def nearest_by_lexsort(dist, k):
+    """Each row's k nearest columns, self first, by a (row, distance, column) lexsort.
+
+    ``dist`` has a zero diagonal; it is ranked with the diagonal at -1. Each
+    row keeps its entries up to its k-th smallest value, minus the last ties
+    by column at that value, so exactly k.
+    """
+    ranking = np.array(dist, dtype=np.float64)
+    np.fill_diagonal(ranking, -1.0)
+    kth = np.partition(ranking, k - 1, axis=1)[:, [k - 1]]
+    keep = ranking <= kth
+    extra = keep.sum(axis=1) - k
+    for i in np.flatnonzero(extra):
+        tied = np.flatnonzero(ranking[i] == kth[i, 0])
+        keep[i, tied[-extra[i] :]] = False
+    r, c = np.divmod(np.flatnonzero(keep), len(ranking))
+    return c[np.lexsort((c, ranking[r, c], r))].reshape(-1, k)
+
+
+def expansion_by_2d_index(initial_rank, k1):
+    """The k1-reciprocal mask, expanded by members' half-sets, through 2-D fancy indexing."""
+    n, half = initial_rank.shape[0], int(np.around(k1 / 2))
+
+    def reciprocal(k):
+        forward = initial_rank[:, : k + 1]
+        own = np.arange(n)[:, None, None]
+        return forward, (initial_rank[forward, : k + 1] == own).any(axis=2)
+
+    halves, halves_ok = reciprocal(half)
+    near, near_ok = reciprocal(k1)
+    member = np.zeros((n, n), dtype=bool)
+    member[np.nonzero(near_ok)[0], near[near_ok]] = True
+    cand, cand_ok = halves[near], halves_ok[near]
+    overlap = (member[np.arange(n)[:, None, None], cand] & cand_ok).sum(axis=2)
+    accept = near_ok & (overlap >= (2.0 / 3.0) * cand_ok.sum(axis=2))
+    take = accept[:, :, None] & cand_ok
+    member[np.nonzero(take)[0], cand[take]] = True
+    return member
+
+
+def weights_by_row(dist, member, initial_rank, k2):
+    """exp(-distance) over each row's expansion normalised one row at a time, then
+    each row replaced by the mean of its k2 nearest rows, added one rank at a time."""
+    n = len(dist)
+    W = np.zeros((n, n))
+    for i in range(n):
+        expansion = np.flatnonzero(member[i])
+        weights = np.exp(-dist[i, expansion])
+        W[i, expansion] = weights / weights.sum()
+    if k2 > 1:
+        smooth = W[initial_rank[:, 0]]
+        for col in initial_rank[:, 1:k2].T:
+            smooth += W[col]
+        W = smooth / k2
+    return W
+
+
+def jaccard_by_column(W):
+    """Jaccard distances with sum(min) added by a fancy ``+=`` one column at a time."""
+    W = np.asarray(W, dtype=np.float64)
+    n = W.shape[0]
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for c in range(W.shape[1]):
+        idx = np.flatnonzero(W[:, c])
+        v = W[idx, c]
+        flat[(idx[:, None] * n + idx).ravel()] += np.minimum.outer(v, v).ravel()
+    rowsum = W.sum(axis=1)
+    maxsum = np.add.outer(rowsum, rowsum) - out
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = 1.0 - out / maxsum
+    out[maxsum <= 0.0] = 0.0
+    return out
+
+
+def unit_features_by_unit(encoded_by_tracklet, unit_frames):
+    """Each unit's normalized mean encoding, one unit at a time.
+
+    ``unit_frames`` pairs each unit's tracklet index with the indices of its
+    frames in that tracklet's ``encoded_by_tracklet`` rows.
+    """
+    features = []
+    for t, idx in unit_frames:
+        mean = encoded_by_tracklet[t][idx].mean(axis=0)
+        features.append(mean / np.linalg.norm(mean))
+    return np.asarray(features)
+
+
+def class_means_by_class(features, labels):
+    """Each class's normalized mean feature, classes 1..max(labels) one at a time."""
+    n = int(labels.max())
+    centroid = np.empty((n, features.shape[1]))
+    for j in range(1, n + 1):
+        centroid[j - 1] = features[labels == j].mean(axis=0)
+    return centroid / np.linalg.norm(centroid, axis=1, keepdims=True)
 
 
 def partition_of(labels, outlier=0):

@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +9,16 @@ import pytest
 from oracles import (
     dbscan_closure,
     dbscan_row_scan,
+    expansion_by_2d_index,
     jaccard_pairwise,
     k_reciprocal_weights,
+    nearest_by_lexsort,
     partition_of,
+    weights_by_row,
 )
 from subtrack import kernels
 from subtrack.clustering import (
+    _expansion,
     _nearest,
     cosine_distance_matrix,
     dbscan,
@@ -119,6 +126,7 @@ def test_nearest_matches_stable_argsort_prefix_under_ties():
         for k in {1, 2, d.shape[0] // 2, d.shape[0]}:
             got = _nearest(d, k)
             assert np.array_equal(got, _stable_prefix(d, k))
+            assert np.array_equal(got, nearest_by_lexsort(d, k))
             assert np.array_equal(got[:, 0], np.arange(d.shape[0]))  # self first
             assert np.array_equal(d, before)  # the diagonal is restored
 
@@ -175,6 +183,60 @@ def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):
         jac = jaccard_pairwise(W)
         for eps in (0.25, 0.5, 0.7):
             assert np.array_equal(dbscan(dm, eps, 2), dbscan(jac, eps, 2))
+
+
+def _clustering_cases(rng):
+    """(features, k1, k2): exact duplicate rows, hence ties at the k-th distance,
+    k2 == 1 and n == k1 + 1 among seeded random sizes."""
+    cases = [(10, 1, 11), (30, 6, 31), (4, 3, 5), (2, 1, 3), (30, 1, 200)]
+    for _ in range(20):
+        k1 = int(rng.integers(2, 32))
+        cases.append((k1, int(rng.integers(1, k1)), int(rng.integers(k1 + 1, k1 + 120))))
+    for k1, k2, n in cases:
+        centers = rng.normal(size=(max(1, n // 8), 6))
+        f = centers[rng.integers(0, len(centers), n)] + 0.3 * rng.normal(size=(n, 6))
+        f[rng.integers(0, n, n // 3)] = f[rng.integers(0, n, n // 3)]  # exact duplicates
+        if n % 3 == 0:
+            f = np.round(f, 1) + 0.05  # coarse values: many equal distances
+        yield f / np.linalg.norm(f, axis=1, keepdims=True), k1, k2
+
+
+def test_ranking_expansion_and_weights_match_per_row_oracles(monkeypatch):
+    # the block operations make the per-row loops' additions in their order: same bits
+    rng = np.random.default_rng(21)
+    seen = []
+    real = kernels.jaccard_from_weights
+    monkeypatch.setattr(kernels, "jaccard_from_weights", lambda W: seen.append(W) or real(W))
+    for f, k1, k2 in _clustering_cases(rng):
+        dist = cosine_distance_matrix(f).values
+        rank = _nearest(dist, k1 + 1)
+        assert np.array_equal(rank, nearest_by_lexsort(dist, k1 + 1))
+        member = _expansion(rank, k1)
+        assert np.array_equal(member, expansion_by_2d_index(rank, k1))
+        k_reciprocal_jaccard(f, k1, k2)
+        assert seen.pop().tobytes() == weights_by_row(dist, member, rank, k2).tobytes()
+
+
+def _cluster_sizes_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cluster_sizes.py"
+    spec = importlib.util.spec_from_file_location("cluster_sizes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("n, digest", [
+    (600, "aba71e2af64c7ae6ea0c7e48c22aaefc981d0840a06008ee5b99f60359350812"),
+    (1000, "1d9f7d02beec1e1fdebffb4e214378b19752ff5331aae0193bf3654fb8bb0270"),
+])
+def test_cluster_sizes_labels_are_pinned(n, digest):
+    # tools/cluster_sizes.py's seeded features: a change that moves one label fails here
+    tool = _cluster_sizes_tool()
+    cfg = default_config()
+    labels = dbscan(k_reciprocal_jaccard(tool.features(n), tool.K1, tool.K2), cfg.eps,
+                    cfg.min_samples)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
 
 def test_jaccard_degenerate_falls_back_to_cosine():

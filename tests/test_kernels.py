@@ -1,8 +1,9 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from oracles import bfs_components, jaccard_pairwise
+from oracles import bfs_components, jaccard_by_column, jaccard_pairwise
 from subtrack import kernels
 
 
@@ -33,6 +34,23 @@ def test_jaccard_matches_pairwise_oracle():
         assert np.abs(got - jaccard_pairwise(W)).max() <= 8 * np.finfo(np.float64).eps
         # (i, j) and (j, i) add the same minima in the same order
         assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 1 << 10, kernels.PAIRS_PER_BLOCK, 1 << 30])
+def test_jaccard_matches_column_loop_oracle_bit_for_bit(monkeypatch, pairs_per_block):
+    # each cell adds its minima in ascending column order, as a loop over columns
+    # does, whatever the row groups: one row over budget, several, or all rows
+    monkeypatch.setattr(kernels, "PAIRS_PER_BLOCK", pairs_per_block)
+    rng = np.random.default_rng(4)
+    cases = [np.zeros((0, 0)), np.array([[0.4]]), np.zeros((3, 3)), rng.uniform(size=(70, 70))]
+    for _ in range(30):
+        n = int(rng.integers(2, 160))
+        W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.01, 0.6))
+        W[rng.uniform(size=n) < 0.1] = 0.0  # empty rows
+        W[rng.integers(0, n, n // 4)] = W[rng.integers(0, n, n // 4)]  # duplicate rows
+        cases.append(np.round(W, 1) if n % 2 else W)  # equal values in a column
+    for W in cases:
+        assert kernels.jaccard_from_weights(W).tobytes() == jaccard_by_column(W).tobytes()
 
 
 def test_jaccard_numpy_zero_rows():

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     central_difference_grad,
+    class_means_by_class,
     csc_loss_per_sample,
     positive_mask,
     positive_table_per_class,
@@ -63,6 +64,22 @@ def test_init_memory_class_means_unit_norm():
 def test_init_memory_rejects_empty_class():
     with pytest.raises(ValueError):
         init_memory(np.eye(3), np.array([1, 1, 3]), 0.05, 0.1)
+
+
+def test_init_memory_matches_per_class_oracle():
+    # np.add.at adds each class's rows in row order from 0.0, as mean(axis=0) does
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        rows, dim = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        classes = int(rng.integers(1, rows + 1))
+        labels = rng.integers(0, classes + 1, rows)  # 0 is OUTLIER
+        labels[rng.permutation(rows)[:classes]] = np.arange(1, classes + 1)
+        feats = rng.normal(size=(rows, dim))
+        feats[rng.integers(0, rows, rows // 3)] = feats[rng.integers(0, rows, rows // 3)]
+        banks = init_memory(feats, labels, 0.05, 0.1)
+        assert banks.centroid.tobytes() == class_means_by_class(feats, labels).tobytes()
+    with pytest.raises(ValueError, match="class 2 has no members"):
+        init_memory(np.eye(4), np.array([1, 3, 0, 4]), 0.05, 0.1)
 
 
 def test_infonce_softmax_probabilities_sum_to_one():

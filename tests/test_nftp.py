@@ -50,6 +50,16 @@ def test_frame_distance_hand_value():
     assert expected == pytest.approx(0.3056, abs=1e-4)
 
 
+def test_center_and_distances_match_mean_and_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        frames = rng.normal(size=(int(rng.integers(1, 200)), int(rng.integers(1, 40))))
+        center = center_feature(frames)
+        assert center.tobytes() == frames.mean(axis=0).tobytes()
+        cos = (frames @ center) / (np.linalg.norm(frames, axis=1) * np.linalg.norm(center))
+        assert frame_distances(frames, center).tobytes() == ((1.0 - cos) ** 2).tobytes()
+
+
 def test_frame_distance_rejects_zero_vector():
     with pytest.raises(ValueError):
         frame_distances([[1, 0], [0, 0]], [1, 0])

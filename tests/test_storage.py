@@ -121,6 +121,31 @@ def test_rewrite_without_splices_drops_the_old_splice_log(tmp_path):
     assert not (tmp_path / "splices.json").exists()
 
 
+def test_rewrite_drops_the_old_feature_files(tmp_path):
+    spec = {"num_identities": 4, "tracklets_per_identity": 2, "tracklet_length_range": (20, 30),
+            "seed": 5}
+    write_synthetic(generate(SyntheticSpec(**spec)), tmp_path)
+    (tmp_path / "notes.f32").write_bytes(b"kept")  # not listed by any manifest
+    write_synthetic(generate(SyntheticSpec(**{**spec, "num_identities": 2})), tmp_path)
+    listed = {e["feature_file"] for e in load_json(tmp_path / "manifest.json")["tracklets"]}
+    assert len(listed) == 4
+    assert {p.name for p in tmp_path.glob("*.f32")} == listed | {"notes.f32"}
+    assert len(read_dataset(tmp_path)[0]) == 4
+
+
+def test_rewrite_over_a_manifest_naming_other_files_deletes_none(tmp_path):
+    (tmp_path / "keep").mkdir()
+    for name in ("x.f32", "keep/y.f32", "z.txt"):
+        (tmp_path / name).write_bytes(b"")
+    dump_json({"tracklets": [{"feature_file": n} for n in ("../x.f32", "keep/y.f32", "z.txt")]},
+              tmp_path / "manifest.json")
+    write_dataset([Tracklet("a", np.ones((2, 3), dtype=np.float32))], tmp_path)
+    assert all((tmp_path / n).exists() for n in ("x.f32", "keep/y.f32", "z.txt", "a.f32"))
+    (tmp_path / "manifest.json").write_text("{not json")
+    write_dataset([Tracklet("b", np.ones((2, 3), dtype=np.float32))], tmp_path)
+    assert (tmp_path / "a.f32").exists()
+
+
 def test_dump_json_deterministic_bytes(tmp_path):
     payload = {"a": 1 / 3, "b": [1.0, 2.5e-17], "c": "text"}
     dump_json(payload, tmp_path / "one.json")

@@ -13,6 +13,7 @@ from oracles import (
     fixed_k_positive_sets,
     positive_mask,
     relative_error,
+    unit_features_by_unit,
 )
 from subtrack import nftp, trainer
 from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
@@ -293,6 +294,25 @@ def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition
         assert np.array_equal(raw[idx], by_id[st.parent_id].frames[frames])
         mean = encoded[st.parent_id][frames].mean(axis=0)
         assert np.array_equal(feature, mean / np.linalg.norm(mean))
+
+
+@pytest.mark.parametrize("stride", [1, 3, 16])
+def test_unit_features_match_per_unit_oracle(stride):
+    # stride 1 makes every unit one frame; 3 and 16 give short and long units
+    tracklets = _small_dataset(seed=4)
+    cfg = _small_cfg(partition_stride=stride)
+    enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(2))
+    encoded = []
+    for t in tracklets:  # np.linalg.norm's row norms
+        u = np.asarray(t.frames, dtype=np.float64) @ enc.weights
+        encoded.append(u / np.linalg.norm(u, axis=-1, keepdims=True))
+    which = {id(t.frames): i for i, t in enumerate(tracklets)}
+    for filter_frames in (True, False):
+        toggles = PipelineToggles("t", filter_frames=filter_frames, merge=MERGE_NONE)
+        _, _, features, unit_frames, _ = cluster_epoch(enc, tracklets, cfg, 1, toggles)
+        units = [(which[id(raw)], idx) for raw, idx in unit_frames]
+        assert stride > 1 or all(idx.size == 1 for _, idx in units)
+        assert features.tobytes() == unit_features_by_unit(encoded, units).tobytes()
 
 
 def _report_rows(result):
