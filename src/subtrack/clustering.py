@@ -15,11 +15,16 @@ class DistanceMatrix:
     degenerate_fallback: bool = False  # cosine values: too few samples for the Jaccard metric
 
 
-def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
+def _unit_rows(features: np.ndarray) -> np.ndarray:
     features = np.ascontiguousarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
     if features.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-4:
         raise ValueError("cosine_distance_matrix expects L2-normalized rows")
+    return features
+
+
+def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
+    features = _unit_rows(features)
     d = features @ features.T  # C-ordered, so numpy takes syrk: exactly symmetric
     np.subtract(1.0, d, out=d)
     np.fill_diagonal(d, 0.0)
@@ -27,19 +32,24 @@ def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest columns, self first, as a stable ascending sort orders them.
+def _distances(features: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``cosine_distance_matrix``, from one block product (see ``kernels``)."""
+    d = features[rows] @ features.T
+    np.subtract(1.0, d, out=d)
+    d[np.arange(len(d)), np.arange(rows.start, rows.stop)] = 0.0
+    return np.clip(d, 0.0, 2.0, out=d)
 
-    ``dist`` must have a zero diagonal; it is set to -1 for the ranking and
-    restored. Each row keeps its entries below its k-th smallest value plus
-    the first ties at that value by column, exactly k. These come out in
-    ascending column order, so a stable argsort of their values orders them
-    by (distance, column), as the full stable sort does. Ties never add
-    entries, so the sort holds k per row; rows are ranked a block at a time.
-    """
-    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
-    np.fill_diagonal(dist, -1.0)
-    for rows in kernels.row_blocks(dist.shape[0]):
+
+def _nearest(dist: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
+    """Each row's k nearest columns, self first, as a stable ascending sort orders them.
+    ``dist`` holds rows lo, lo + 1, ... of a matrix with a zero diagonal, set to -1 for
+    the ranking and restored. A row keeps its entries below its k-th smallest value and
+    the first ties at it by column, exactly k, in column order, so a stable argsort of
+    their values orders them by (distance, column), as the full stable sort does."""
+    own = (np.arange(len(dist)), lo + np.arange(len(dist)))
+    nearest = np.empty((len(dist), k), dtype=np.intp)
+    dist[own] = -1.0
+    for rows in kernels.row_blocks(len(dist)):
         block = dist[rows]
         kth = np.partition(block, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
         keep = block <= kth
@@ -47,98 +57,91 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
         for i in np.flatnonzero(extra):  # ties at the k-th value: keep the first by column
             tied = np.flatnonzero(block[i] == kth[i, 0])
             keep[i, tied[-extra[i] :]] = False
-        c = (np.flatnonzero(keep) % len(dist)).reshape(-1, k)  # ascending in each row
+        c = (np.flatnonzero(keep) % dist.shape[1]).reshape(-1, k)  # ascending in each row
         by_value = np.argsort(np.take_along_axis(block, c, axis=1), axis=1, kind="stable")
         nearest[rows] = np.take_along_axis(c, by_value, axis=1)
-    np.fill_diagonal(dist, 0.0)
+    dist[own] = 0.0
     return nearest
 
 
-def _expansion(initial_rank: np.ndarray, k1: int) -> np.ndarray:
-    """The (n, n) mask of each row's k1-reciprocal set, expanded by its members' half-sets.
-
-    j is in i's reciprocal k-set when each is among the other's k + 1 nearest;
-    one (n, n) int8 table of each row's nearest answers that for k1 and for
-    half of k1 by one lookup per pair. Half-sets are added a row block at a
-    time, so the n * k1^2 candidate gathers are one block's; a row reads and
-    writes only its own row of the mask.
-    """
-    n, half = initial_rank.shape[0], int(np.around(k1 / 2))
-    own = np.arange(n)[:, None]
-    near, halves = initial_rank[:, : k1 + 1], initial_rank[:, : half + 1]
-    # level[j * n + i]: 2 if i is among j's half + 1 nearest, 1 if among its k1 + 1, else 0
-    level = np.zeros(n * n, dtype=np.int8)
-    level[own * n + near] = 1
-    level[own * n + halves] = 2
-    near_ok = level[near * n + own] > 0
-    halves_ok = level[halves * n + own] == 2
-    del level
-    member = np.zeros((n, n), dtype=bool)
-    flat = member.reshape(-1)  # a view: (i, j) sits at i * n + j
-    flat[(own * n + near)[near_ok]] = True
+def _expansion(features: np.ndarray, rank: np.ndarray, k1: int):
+    """Each unit's k1-reciprocal set plus the half-sets of its members that lie 2/3 in
+    it: (columns ascending by row, sizes, exp(-distance) weights summing to 1 by row).
+    "i is among j's nearest" comes, a row block at a time, from an int8 table level[i -
+    lo, j] (2: among j's half + 1 nearest, 1: its k1 + 1) filled from reverse neighbour
+    lists, grouped by a stable (radix, below 2^16 blocks) sort of block numbers. Then a
+    (rows, n) mask holds a block's sets, and a second block product their distances."""
+    n, half, listed = len(rank), int(np.around(k1 / 2)), rank.ravel()
+    near, halves, block_of = rank, rank[:, : half + 1], listed // kernels.BLOCK_ROWS
+    order = np.argsort(block_of.astype(np.min_scalar_type(n // kernels.BLOCK_ROWS)), kind="stable")
+    reverse = np.split(order, np.cumsum(np.bincount(block_of)))  # entries naming each block
+    level = np.zeros(min(n, kernels.BLOCK_ROWS) * n, dtype=np.int8)  # (i - lo, j): (i - lo) n + j
+    near_ok, halves_ok = np.empty(rank.shape, dtype=bool), np.empty((n, half + 1), dtype=bool)
+    for rows, entry in zip(kernels.row_blocks(n), reverse):
+        cell = (listed[entry] - rows.start) * n + entry // (k1 + 1)
+        level[cell] = 1 + (entry % (k1 + 1) <= half)
+        own = np.arange(rows.stop - rows.start)[:, None] * n
+        near_ok[rows] = level[own + near[rows]] > 0
+        halves_ok[rows] = level[own + halves[rows]] == 2
+        level[cell] = 0
     half_size = halves_ok.sum(axis=1)
+    member = level.view(bool)  # the same cells, all 0 again
+    cols, size, weights = [], [], []
     for rows in kernels.row_blocks(n):
+        own = np.arange(rows.stop - rows.start)[:, None]
+        member[(own * n + near[rows])[near_ok[rows]]] = True
         # each candidate's half-set as cells of the row, and how much of it lies in its k1 set
-        cand, cand_ok = halves[near[rows]] + own[rows, :, None] * n, halves_ok[near[rows]]
-        overlap = (flat[cand] & cand_ok).sum(axis=2)
+        cand, cand_ok = halves[near[rows]] + own[:, :, None] * n, halves_ok[near[rows]]
+        overlap = (member[cand] & cand_ok).sum(axis=2)
         accept = near_ok[rows] & (overlap >= (2.0 / 3.0) * half_size[near[rows]])
-        # accepted half-sets join the k1 set, so member becomes each row's expansion
-        flat[cand[accept[:, :, None] & cand_ok]] = True
-    return member
-
-
-def _weights(dist: np.ndarray, initial_rank: np.ndarray, k1: int, k2: int) -> np.ndarray:
-    """W: exp(-distance) over each row's expansion, normalised to sum 1, then
-    averaged over the row's k2 nearest rows, added in rank order.
-
-    Rows of one expansion size are normalised by one (k, size) ``.sum(axis=1)``,
-    which adds each row as its own ``.sum()`` does (``np.add.reduceat`` would
-    not); a row block of W is one ``np.bincount`` over its k2 nearest rows'
-    weights listed in rank order, so no unsmoothed n x n array is made.
-    """
-    n = len(dist)
-    cells = np.flatnonzero(_expansion(initial_rank, k1))  # each row's expansion, ascending
-    weights = np.exp(-dist.reshape(-1)[cells])
-    cols, size = cells % n, np.bincount(cells // n, minlength=n)
+        member[cand[accept[:, :, None] & cand_ok]] = True
+        r, c = np.divmod(cells := np.flatnonzero(member), n)  # faster than a 2-D nonzero
+        member[cells] = False
+        cols.append(c)
+        size.append(np.bincount(r, minlength=len(own)))
+        weights.append(np.exp(-_distances(features, rows)[r, c]))
+    cols, size, weights = np.concatenate(cols), np.concatenate(size), np.concatenate(weights)
     first = np.cumsum(size) - size
     for length in np.flatnonzero(np.bincount(size)):
         row = first[size == length, None] + np.arange(length)
         weights[row] /= weights[row].sum(axis=1, keepdims=True)
-    W = np.empty((n, n))
-    for rows in kernels.row_blocks(n):
-        nearest = initial_rank[rows, :k2].ravel()
+    return cols, size, weights
+
+
+def _weights(features: np.ndarray, k1: int, k2: int):
+    """W's nonzeros by row, then column, (rows, columns, values), and W.sum(axis=1).
+    A row of W is the mean of its k2 nearest units' expansion weights, added in rank
+    order by one ``np.bincount`` per row block; only the block's nonzeros are kept."""
+    n, blocks = len(features), kernels.row_blocks(len(features))
+    rank = np.concatenate([_nearest(_distances(features, r), k1 + 1, r.start) for r in blocks])
+    cols, size, weights = _expansion(features, rank, k1)
+    first, rowsum, nonzeros = np.cumsum(size) - size, np.empty(n), []
+    for rows in blocks:
+        nearest = rank[rows, :k2].ravel()
         pos = kernels.ranges(first[nearest], size[nearest])
         cell = np.repeat(np.arange(nearest.size) // k2 * n, size[nearest]) + cols[pos]
-        W[rows] = np.bincount(cell, weights[pos], minlength=W[rows].size).reshape(-1, n)
-    W /= k2
-    return W
+        block = np.bincount(cell, weights[pos], minlength=nearest.size // k2 * n).reshape(-1, n)
+        block /= k2
+        rowsum[rows] = block.sum(axis=1)
+        r, c = np.divmod(np.flatnonzero(block), n)
+        nonzeros.append((r + rows.start, c, block[r, c]))
+    return (*(np.concatenate(part) for part in zip(*nonzeros)), rowsum)
 
 
 def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatrix:
-    """Jaccard distance over expanded k-reciprocal neighbor weight vectors.
-
-    Units are ranked by cosine distance, self first and ties by index, but
-    only each row's k1 + 1 nearest are found: a partition picks the
-    (k1 + 1)-th value and only the entries up to it are sorted. Reciprocal
-    neighbor sets are expanded with half-k1 reciprocal neighbors of their
-    members when the overlap reaches 2/3, weighted by a Gaussian of the
-    cosine distance, then smoothed by averaging over each sample's k2 nearest
-    weight vectors. Every n x n step runs a row block at a time, so at most
-    two n x n float arrays live at once: the cosine matrix and W, then W and
-    the kernel's output. Every step adds in the order of a per-row loop, so
-    the distances are the loop's bit for bit (see ``kernels``). With
-    fewer than k1 + 1 samples the metric degenerates and the plain cosine
-    matrix is returned with a flag.
-    """
+    """Jaccard distance over expanded k-reciprocal neighbor weight vectors, as (n, n).
+    Each unit's k1 + 1 nearest by cosine distance give reciprocal sets, expanded by
+    their members' half-k1 sets, weighted by a Gaussian of the distance and averaged
+    over its k2 nearest rows: ``sub_cluster_generate``'s W, here filled into an array
+    for tests and tools. Up to k1 samples the plain cosine matrix comes with a flag."""
     if not k1 > k2 >= 1:
         raise ValueError("need k1 > k2 >= 1")
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    dist = cosine_distance_matrix(features).values
-    if n <= k1:
-        return DistanceMatrix(dist, degenerate_fallback=True)
-    W = _weights(dist, _nearest(dist, k1 + 1), k1, k2)
-    del dist
+    if len(features := _unit_rows(features)) <= k1:
+        return DistanceMatrix(cosine_distance_matrix(features).values, degenerate_fallback=True)
+    rows, cols, vals, _ = _weights(features, k1, k2)
+    W = np.zeros((len(features),) * 2)
+    W[rows, cols] = vals
+    del rows, cols, vals
     jac = kernels.jaccard_from_weights(W)  # exactly symmetric already
     np.fill_diagonal(jac, 0.0)
     np.clip(jac, 0.0, 1.0, out=jac)
@@ -146,24 +149,26 @@ def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatr
 
 
 def dbscan(dist, eps: float, min_samples: int) -> np.ndarray:
-    """Density clustering over a precomputed distance matrix.
-
-    Returns an int array with cluster labels 1..n (assigned in order of first
-    core point index) and OUTLIER (0) for unclustered samples.
-    """
+    """Density clustering over a distance matrix: labels 1.. in order of each cluster's
+    first core point index, OUTLIER (0) for unclustered samples."""
     if eps <= 0 or min_samples < 2:
         raise ValueError("need eps > 0 and min_samples >= 2")
-    values = dist.values if isinstance(dist, DistanceMatrix) else np.asarray(dist, dtype=np.float64)
-    return kernels.dbscan_labels(values, eps, min_samples)
+    return kernels.dbscan_labels(getattr(dist, "values", dist), eps, min_samples)
 
 
 def sub_cluster_generate(features: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """Cluster sub-tracklet features into reliable sub-clusters.
-
-    Returns each row's label, aligned with ``features``: 1..n, or OUTLIER for
-    a row that drops out of the epoch's training set.
-    """
+    """Each row's label, aligned with ``features``: 1..n, or OUTLIER for a row that sits
+    out the epoch. The labels are ``dbscan(k_reciprocal_jaccard(...))``'s, but no n x n
+    array is made: W stays per-row nonzeros, and DBSCAN runs on the pairs within eps
+    that ``kernels.jaccard_pairs`` keeps. Up to k1 units the degenerate metric's small
+    cosine matrix is clustered instead."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
+    if (n := len(features)) == 0:
         return np.zeros(0, dtype=np.int64)
-    return dbscan(k_reciprocal_jaccard(features, cfg.k1, cfg.k2), cfg.eps, cfg.min_samples)
+    if n <= cfg.k1:
+        return dbscan(k_reciprocal_jaccard(features, cfg.k1, cfg.k2), cfg.eps, cfg.min_samples)
+    if not (cfg.k1 > cfg.k2 >= 1 and cfg.eps > 0 and cfg.min_samples >= 2):
+        raise ValueError("need k1 > k2 >= 1, eps > 0 and min_samples >= 2")
+    a, b = kernels.jaccard_pairs(*_weights(_unit_rows(features), cfg.k1, cfg.k2), cfg.eps)
+    src, dst = np.concatenate([a, b, np.arange(n)]), np.concatenate([b, a, np.arange(n)])
+    return kernels.dbscan_pairs(n, src, dst, cfg.min_samples)

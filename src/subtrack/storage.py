@@ -10,7 +10,6 @@ import dataclasses
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +34,9 @@ def dump_json(obj, path) -> None:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # mode 0o666 less the umask, as a plain open() makes it (mkstemp would make it 0600)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

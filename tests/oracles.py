@@ -99,21 +99,19 @@ def jaccard_pairwise(W):
     return out
 
 
-def k_reciprocal_weights(features, k1, k2):
+def k_reciprocal_weights(dist, k1, k2):
     """k-reciprocal neighbor weight rows by per-unit set operations.
 
-    Ranks come from a stable sort of the cosine distances with self first.
-    Each unit's reciprocal k1 set takes in the reciprocal round(k1 / 2) set of
-    every member when 2/3 of that set lies inside it; the union is weighted by
-    exp(-distance) normalised to sum 1, and each row is then averaged with
-    those of its k2 nearest units.
+    ``dist`` is the cosine distance matrix the clustering path computes (its
+    row blocks), so the weights are compared bit for bit. Ranks come from a
+    stable sort of each row with self first. Each unit's reciprocal k1 set
+    takes in the reciprocal round(k1 / 2) set of every member when 2/3 of
+    that set lies inside it; the union is weighted by exp(-distance)
+    normalised to sum 1, and each row is then averaged with those of its k2
+    nearest units.
     """
-    f = np.asarray(features, dtype=np.float64)
-    n = f.shape[0]
-    dist = 1.0 - f @ f.T
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
-    np.clip(dist, 0.0, 2.0, out=dist)
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
     ranking = dist.copy()
     np.fill_diagonal(ranking, -1.0)
     rank = np.argsort(ranking, axis=1, kind="stable")
@@ -217,6 +215,30 @@ def jaccard_by_column(W):
     with np.errstate(invalid="ignore", divide="ignore"):
         out = 1.0 - out / maxsum
     out[maxsum <= 0.0] = 0.0
+    return out
+
+
+def jaccard_dense_kernel(W):
+    """The dense-output Jaccard kernel the clustering stage ran before its pair path,
+    one row per group: W's nonzeros listed by column, each row's pairs (i, j >= i)
+    that share a column summed by ``np.bincount`` in list order, every cell made a
+    distance, and the lower triangle mirrored from the upper."""
+    W = np.asarray(W, dtype=np.float64)
+    n, m = W.shape
+    cols, rows = np.divmod(np.flatnonzero(W.T), max(n, 1))  # by column, then row
+    vals, end = W[rows, cols], np.cumsum(np.bincount(cols, minlength=m))
+    rowsum = W.sum(axis=1)
+    out = np.zeros((n, n))
+    for i in range(n):
+        sums = np.zeros(n)
+        for p in np.flatnonzero(rows == i):
+            below = np.arange(p, end[cols[p]])  # its column's rows from i down
+            sums += np.bincount(rows[below], np.minimum(vals[below], vals[p]), minlength=n)
+        maxsum = rowsum[i] + rowsum[i:] - sums[i:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            row = 1.0 - sums[i:] / maxsum
+        row[maxsum <= 0.0] = 0.0
+        out[i, i:] = out[i:, i] = row
     return out
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -87,6 +88,17 @@ def test_train_artifacts(run_dir):
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first["epoch"] == 1 and "seconds" not in first
+
+
+def test_train_outputs_take_the_mode_open_gives(run_dir, tmp_path):
+    # 0o666 less the umask, as a plain open() creates a file, not mkstemp's 0600
+    with open(tmp_path / "plain", "wb"):
+        pass
+    expected = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    outputs = sorted(run_dir.iterdir())
+    assert {p.name for p in outputs} == {"weights.npy", "reports.jsonl", "labels.json"}
+    for path in outputs:
+        assert stat.S_IMODE(path.stat().st_mode) == expected, path.name
 
 
 def test_train_rerun_byte_identical_reports(tmp_path, dataset_dir, config_file):

@@ -10,6 +10,7 @@ from oracles import (
     dbscan_closure,
     dbscan_row_scan,
     expansion_by_2d_index,
+    jaccard_by_column,
     jaccard_pairwise,
     k_reciprocal_weights,
     nearest_by_lexsort,
@@ -18,8 +19,10 @@ from oracles import (
 )
 from subtrack import kernels
 from subtrack.clustering import (
+    _distances,
     _expansion,
     _nearest,
+    _weights,
     cosine_distance_matrix,
     dbscan,
     k_reciprocal_jaccard,
@@ -67,6 +70,12 @@ def test_cosine_distance_exactly_symmetric(n, layout):
 def test_cosine_distance_rejects_unnormalized():
     with pytest.raises(ValueError):
         cosine_distance_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
+def _path_distances(f):
+    """The cosine distances the clustering path computes: its row blocks, stacked."""
+    f = np.ascontiguousarray(f)
+    return np.concatenate([_distances(f, rows) for rows in kernels.row_blocks(len(f))])
 
 
 def _two_groups(rng, size=10, d=8):
@@ -178,7 +187,7 @@ def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):
         f[rng.integers(0, n, n // 4)] = f[rng.integers(0, n, n // 4)]  # exact duplicates
         f /= np.linalg.norm(f, axis=1, keepdims=True)
         dm = k_reciprocal_jaccard(f, k1, k2)
-        W = k_reciprocal_weights(f, k1, k2)
+        W = k_reciprocal_weights(_path_distances(f), k1, k2)
         assert np.array_equal(seen.pop(), W)
         jac = jaccard_pairwise(W)
         for eps in (0.25, 0.5, 0.7):
@@ -201,20 +210,74 @@ def _clustering_cases(rng):
         yield f / np.linalg.norm(f, axis=1, keepdims=True), k1, k2
 
 
-def test_ranking_expansion_and_weights_match_per_row_oracles(monkeypatch):
-    # the block operations make the per-row loops' additions in their order: same bits
+def test_ranking_expansion_and_weights_match_per_row_oracles():
+    # fed the path's own row-block distances, the block operations make the per-row
+    # loops' additions in their order: same bits
     rng = np.random.default_rng(21)
-    seen = []
-    real = kernels.jaccard_from_weights
-    monkeypatch.setattr(kernels, "jaccard_from_weights", lambda W: seen.append(W) or real(W))
     for f, k1, k2 in _clustering_cases(rng):
-        dist = cosine_distance_matrix(f).values
-        rank = _nearest(dist, k1 + 1)
-        assert np.array_equal(rank, nearest_by_lexsort(dist, k1 + 1))
-        member = _expansion(rank, k1)
-        assert np.array_equal(member, expansion_by_2d_index(rank, k1))
-        k_reciprocal_jaccard(f, k1, k2)
-        assert seen.pop().tobytes() == weights_by_row(dist, member, rank, k2).tobytes()
+        n, dist = len(f), _path_distances(f)
+        rank = nearest_by_lexsort(dist, k1 + 1)  # _weights ranks the same blocks itself
+        assert np.array_equal(_nearest(dist, k1 + 1), rank)
+        member = expansion_by_2d_index(rank, k1)
+        cols, size, _ = _expansion(f, rank, k1)
+        assert np.array_equal(np.repeat(np.arange(n), size) * n + cols, np.flatnonzero(member))
+        W = weights_by_row(dist, member, rank, k2)
+        rows, cols, vals, rowsum = _weights(f, k1, k2)
+        assert np.array_equal(rows * n + cols, np.flatnonzero(W))
+        assert vals.tobytes() == W[rows, cols].tobytes()
+        assert rowsum.tobytes() == W.sum(axis=1).tobytes()
+
+
+def test_row_block_distances_are_the_cosine_matrix_to_round_off():
+    # a block product may round a dot product differently from the whole matrix's
+    # (syrk), by an ulp or so: labels, not distance bits, are the end-to-end gate
+    rng = np.random.default_rng(9)
+    cases = [f for f, _, _ in _clustering_cases(rng)]
+    cases += [_cluster_sizes_tool().features(n) for n in (377, 613)]
+    for f in cases:
+        dist = _path_distances(f)
+        assert np.abs(dist - cosine_distance_matrix(f).values).max() <= 1e-15
+        assert np.all(np.diag(dist) == 0.0) and dist.min() >= 0.0 and dist.max() <= 2.0
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.7])
+def test_eps_pairs_match_the_thresholded_column_oracle(eps):
+    rng = np.random.default_rng(31)
+    for f, k1, k2 in _clustering_cases(rng):
+        rows, cols, vals, rowsum = _weights(f, k1, k2)
+        W = np.zeros((len(f), len(f)))
+        W[rows, cols] = vals
+        i, j = np.nonzero(jaccard_by_column(W) <= eps)
+        a, b = kernels.jaccard_pairs(rows, cols, vals, rowsum, eps)
+        assert np.array_equal(a, i[i < j]) and np.array_equal(b, j[i < j])
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.7])
+def test_sub_cluster_generate_matches_the_dense_row_scan(eps):
+    rng = np.random.default_rng(41)
+    for f, k1, k2 in _clustering_cases(rng):
+        dist = _path_distances(f)
+        rank = nearest_by_lexsort(dist, k1 + 1)
+        jac = jaccard_by_column(weights_by_row(dist, expansion_by_2d_index(rank, k1), rank, k2))
+        np.fill_diagonal(jac, 0.0)
+        for min_samples in (2, 4):
+            cfg = default_config(k1=k1, k2=k2, eps=eps, min_samples=min_samples)
+            labels = sub_cluster_generate(f, cfg)
+            assert np.array_equal(labels, dbscan_row_scan(jac, eps, min_samples))
+
+
+@pytest.mark.parametrize("n, bound", [(600, 1.25), (2000, 0.5)])
+def test_sub_cluster_generate_holds_no_square_array(n, bound):
+    # W stays per-row nonzeros and only the eps-pairs leave the Jaccard kernel, so the
+    # pass holds O(n k1) plus one row block: well below one n x n float array
+    f = _cluster_sizes_tool().features(n)
+    tracemalloc.start()
+    try:
+        sub_cluster_generate(f, default_config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
 
 
 def _cluster_sizes_tool():
@@ -230,13 +293,13 @@ def _cluster_sizes_tool():
     (1000, "1d9f7d02beec1e1fdebffb4e214378b19752ff5331aae0193bf3654fb8bb0270"),
 ])
 def test_cluster_sizes_labels_are_pinned(n, digest):
-    # tools/cluster_sizes.py's seeded features: a change that moves one label fails here
-    tool = _cluster_sizes_tool()
-    cfg = default_config()
-    labels = dbscan(k_reciprocal_jaccard(tool.features(n), tool.K1, tool.K2), cfg.eps,
-                    cfg.min_samples)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+    # tools/cluster_sizes.py's seeded features: a change that moves one label fails here,
+    # in the pipeline's call or in the dense adapters
+    f, cfg = _cluster_sizes_tool().features(n), default_config()
+    for labels in (sub_cluster_generate(f, cfg),
+                   dbscan(k_reciprocal_jaccard(f, cfg.k1, cfg.k2), cfg.eps, cfg.min_samples)):
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
 
 def test_jaccard_degenerate_falls_back_to_cosine():

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bfs_components, jaccard_by_column, jaccard_pairwise
+from oracles import (
+    bfs_components,
+    dbscan_row_scan,
+    jaccard_by_column,
+    jaccard_dense_kernel,
+    jaccard_pairwise,
+)
 from subtrack import kernels
 
 
@@ -51,6 +57,55 @@ def test_jaccard_matches_column_loop_oracle_bit_for_bit(monkeypatch, pairs_per_b
         cases.append(np.round(W, 1) if n % 2 else W)  # equal values in a column
     for W in cases:
         assert kernels.jaccard_from_weights(W).tobytes() == jaccard_by_column(W).tobytes()
+
+
+def test_dense_adapter_matches_the_previous_dense_kernel():
+    rng = np.random.default_rng(6)
+    cases = [np.zeros((0, 0)), np.array([[0.4]]), np.zeros((4, 4)), rng.uniform(size=(40, 40))]
+    for _ in range(20):
+        n = int(rng.integers(2, 120))
+        W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.01, 0.5))
+        W[rng.uniform(size=n) < 0.1] = 0.0  # empty rows
+        cases.append(np.round(W, 1) if n % 2 else W)
+    for W in cases:
+        assert kernels.jaccard_from_weights(W).tobytes() == jaccard_dense_kernel(W).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.7])
+def test_jaccard_pairs_keep_pairs_ulps_either_side_of_eps(eps):
+    # row 2p holds 1.0 in column p; row 2p + 1 holds t_p there and 1 - t_p in a column of
+    # its own, so the pair is at distance eps when t_p = 2 (1 - eps) / (2 - eps). With t_p
+    # a few ulps either side, and every row sum about 1, the floor sits just below those
+    # pairs' sum(min): each is kept or dropped exactly as the thresholded oracle says
+    t = [2 * (1 - eps) / (2 - eps)]
+    for _ in range(8):
+        t = [np.nextafter(t[0], 0.0), *t, np.nextafter(t[-1], 1.0)]
+    m = len(t)
+    W = np.zeros((2 * m, 2 * m))
+    W[2 * np.arange(m), np.arange(m)] = 1.0
+    W[2 * np.arange(m) + 1, np.arange(m)] = t
+    W[2 * np.arange(m) + 1, m + np.arange(m)] = 1.0 - np.array(t)
+    oracle = jaccard_by_column(W)
+    near = oracle[2 * np.arange(m), 2 * np.arange(m) + 1]
+    ulp = np.spacing(eps)
+    assert np.any(near <= eps) and np.any(near > eps) and np.abs(near - eps).max() <= 32 * ulp
+    rows, cols = np.nonzero(W)
+    a, b = kernels.jaccard_pairs(rows, cols, W[rows, cols], W.sum(axis=1), eps)
+    i, j = np.nonzero(oracle <= eps)
+    assert np.array_equal(a, i[i < j]) and np.array_equal(b, j[i < j])
+
+
+def test_dbscan_pairs_take_the_pairs_in_any_order():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        n = int(rng.integers(1, 80))
+        pts = rng.uniform(size=(n, 2))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+        eps, min_samples = float(rng.uniform(0.05, 0.3)), int(rng.integers(2, 5))
+        src, dst = np.nonzero(d <= eps)
+        order = rng.permutation(src.size)
+        labels = kernels.dbscan_pairs(n, src[order], dst[order], min_samples)
+        assert np.array_equal(labels, dbscan_row_scan(d, eps, min_samples))
 
 
 def test_jaccard_numpy_zero_rows():

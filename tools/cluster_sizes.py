@@ -2,14 +2,16 @@
 
     python3 tools/cluster_sizes.py [--src SRC]
 
-Each size (600, 1000, 2000 and 5000 units) runs in its own fresh process
-with one BLAS/OpenMP thread. The process draws seeded synthetic unit
-features (32 dims, about eight units per identity), then times ``k_reciprocal_jaccard`` (k1=30, k2=6) plus ``dbscan``
-with the default eps and min_samples, and prints one line: the unit count,
-the seconds, the process's peak RSS in MB, the cluster count and the sha256
-of the labels. ``--src`` names the ``src`` directory to import ``subtrack``
-from (default: this tree's); running the command once per tree, e.g. on a
-checkout of an earlier commit, compares the labels size by size.
+Each size (600, 1000, 2000, 5000 and 20,000 units) runs in its own fresh
+process with one BLAS/OpenMP thread. The process draws seeded synthetic unit
+features (32 dims, about eight units per identity), then times
+``sub_cluster_generate(features, default_config())`` (k1=30, k2=6, the
+default eps and min_samples), the pipeline's own call, and prints one line:
+the unit count, the seconds, the process's peak RSS in MB, the cluster count
+and the sha256 of the labels. ``--src`` names the ``src`` directory to
+import ``subtrack`` from (default: this tree's); running the command once
+per tree, e.g. on a checkout of an earlier commit, compares the labels size
+by size.
 """
 
 import argparse
@@ -25,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-DIM, K1, K2 = 32, 30, 6
-SIZES, SEED = (600, 1000, 2000, 5000), 0
+DIM = 32
+SIZES, SEED = (600, 1000, 2000, 5000, 20000), 0
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -40,13 +42,12 @@ def features(n: int) -> np.ndarray:
 
 def one_size(n: int) -> dict:
     """Run in a fresh process: the clustering stage on n units."""
-    from subtrack.clustering import dbscan, k_reciprocal_jaccard
+    from subtrack.clustering import sub_cluster_generate
     from subtrack.model import default_config
 
-    cfg = default_config()
     f = features(n)
     t0 = time.perf_counter()
-    labels = dbscan(k_reciprocal_jaccard(f, K1, K2), cfg.eps, cfg.min_samples)
+    labels = sub_cluster_generate(f, default_config())
     seconds = time.perf_counter() - t0
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     return {
@@ -68,7 +69,7 @@ def main() -> None:
         print(json.dumps(one_size(args.one)))
         return
     env = {**os.environ, **SINGLE_THREAD}
-    print(f"src: {Path(args.src).resolve()}  seed: {SEED}  k1={K1} k2={K2} dim={DIM}")
+    print(f"src: {Path(args.src).resolve()}  seed: {SEED}  dim={DIM}  config: default_config()")
     for n in SIZES:
         out = subprocess.run(
             [sys.executable, __file__, "--one", str(n), "--src", args.src],
