@@ -57,6 +57,12 @@ def _read_dataset(path):
         raise CliError(str(exc))
 
 
+def _require_ground_truth(tracklets, command: str) -> None:
+    """``command`` scores against identities and cameras: each tracklet needs both."""
+    if any(t.identity is None or t.camera is None for t in tracklets):
+        raise CliError(f"{command} needs identity and camera labels in the manifest")
+
+
 def _read_encoder(path, tracklets) -> Encoder:
     weights = storage.read_weights(path)
     if len(weights) != tracklets[0].frames.shape[1]:
@@ -147,8 +153,7 @@ def cmd_eval(args) -> None:
         except KeyError as exc:
             raise CliError(f"split references unknown tracklet {exc}")
     query, gallery = sides
-    if any(t.identity is None or t.camera is None for t in query + gallery):
-        raise CliError("evaluation needs identity and camera labels in the manifest")
+    _require_ground_truth(query + gallery, "eval")
     enc = _read_encoder(args.weights, tracklets)
     q = inference_features(enc, query)
     g = inference_features(enc, gallery)
@@ -174,18 +179,18 @@ def cmd_stats(args) -> None:
     assignment = storage._field(payload, "assignment", "labels file", list)
     if not assignment:
         raise CliError("labels file has an empty assignment")
-    pseudo, gt, cams = [], [], []
+    pseudo, parents = [], []
     for i, item in enumerate(assignment):
         tid = storage._field(item, "tracklet", f"labels record {i}", str)
-        parent = by_id.get(tid)
-        if parent is None:
+        if tid not in by_id:
             raise CliError(f"labels reference unknown tracklet {tid!r}")
-        if parent.identity is None or parent.camera is None:
-            raise CliError("stats need identity and camera labels in the manifest")
-        pseudo.append(storage._field(item, "label", f"labels record {i}", int))
-        gt.append(parent.identity)
-        cams.append(parent.camera)
-    stats = cluster_stats(pseudo, gt, cams)
+        label = storage._field(item, "label", f"labels record {i}", int)
+        if label < 0:
+            raise CliError(f"labels record {i} has label {label}, not >= 0 (0 is OUTLIER)")
+        pseudo.append(label)
+        parents.append(by_id[tid])
+    _require_ground_truth(parents, "stats")
+    stats = cluster_stats(pseudo, [t.identity for t in parents], [t.camera for t in parents])
     storage.dump_json(
         {
             "correct": stats.correct,
@@ -208,6 +213,7 @@ def _write_csv(path, header, rows) -> None:
 
 def cmd_ablate(args) -> None:
     tracklets, _ = _read_dataset(args.data)
+    _require_ground_truth(tracklets, "ablate")
     cfg = _load_config(args.config)
     header = ["name", "filter", "partition", "merge", "loss",
               "map", "rank1", "pairwise_f1", "incorrect_clusters"]
@@ -227,6 +233,7 @@ def cmd_sweep(args) -> None:
     if args.param not in SWEEP_PARAMS:
         raise CliError(f"unknown sweep param {args.param!r}; choose from {sorted(SWEEP_PARAMS)}")
     tracklets, _ = _read_dataset(args.data)
+    _require_ground_truth(tracklets, "sweep")
     cfg = _load_config(args.config)
     runs = []  # every value is checked before the first run
     for raw_value in args.values.split(","):

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .model import TrainConfig
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    values: np.ndarray  # symmetric, zero diagonal
-    degenerate_fallback: bool = False  # cosine values: too few samples for the Jaccard metric
 
 
 def _unit_rows(features: np.ndarray) -> np.ndarray:
@@ -23,13 +16,13 @@ def _unit_rows(features: np.ndarray) -> np.ndarray:
     return features
 
 
-def cosine_distance_matrix(features: np.ndarray) -> DistanceMatrix:
+def cosine_distance_matrix(features: np.ndarray) -> np.ndarray:
+    """Symmetric (n, n) cosine distances of L2-normalized rows, zero diagonal, in [0, 2]."""
     features = _unit_rows(features)
     d = features @ features.T  # C-ordered, so numpy takes syrk: exactly symmetric
     np.subtract(1.0, d, out=d)
     np.fill_diagonal(d, 0.0)
-    np.clip(d, 0.0, 2.0, out=d)
-    return DistanceMatrix(d)
+    return np.clip(d, 0.0, 2.0, out=d)
 
 
 def _distances(features: np.ndarray, rows: slice) -> np.ndarray:
@@ -128,47 +121,29 @@ def _weights(features: np.ndarray, k1: int, k2: int):
     return (*(np.concatenate(part) for part in zip(*nonzeros)), rowsum)
 
 
-def k_reciprocal_jaccard(features: np.ndarray, k1: int, k2: int) -> DistanceMatrix:
-    """Jaccard distance over expanded k-reciprocal neighbor weight vectors, as (n, n).
-    Each unit's k1 + 1 nearest by cosine distance give reciprocal sets, expanded by
-    their members' half-k1 sets, weighted by a Gaussian of the distance and averaged
-    over its k2 nearest rows: ``sub_cluster_generate``'s W, here filled into an array
-    for tests and tools. Up to k1 samples the plain cosine matrix comes with a flag."""
-    if not k1 > k2 >= 1:
-        raise ValueError("need k1 > k2 >= 1")
-    if len(features := _unit_rows(features)) <= k1:
-        return DistanceMatrix(cosine_distance_matrix(features).values, degenerate_fallback=True)
-    rows, cols, vals, _ = _weights(features, k1, k2)
-    W = np.zeros((len(features),) * 2)
-    W[rows, cols] = vals
-    del rows, cols, vals
-    jac = kernels.jaccard_from_weights(W)  # exactly symmetric already
-    np.fill_diagonal(jac, 0.0)
-    np.clip(jac, 0.0, 1.0, out=jac)
-    return DistanceMatrix(jac)
-
-
-def dbscan(dist, eps: float, min_samples: int) -> np.ndarray:
-    """Density clustering over a distance matrix: labels 1.. in order of each cluster's
-    first core point index, OUTLIER (0) for unclustered samples."""
+def dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
+    """Density clustering over a symmetric distance matrix: labels 1.. in order of each
+    cluster's first core point index, OUTLIER (0) for unclustered samples."""
     if eps <= 0 or min_samples < 2:
         raise ValueError("need eps > 0 and min_samples >= 2")
-    return kernels.dbscan_labels(getattr(dist, "values", dist), eps, min_samples)
+    src, dst = np.nonzero(np.asarray(dist, dtype=np.float64) <= eps)
+    return kernels.dbscan_pairs(len(dist), src, dst, min_samples)
 
 
 def sub_cluster_generate(features: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Each row's label, aligned with ``features``: 1..n, or OUTLIER for a row that sits
-    out the epoch. The labels are ``dbscan(k_reciprocal_jaccard(...))``'s, but no n x n
-    array is made: W stays per-row nonzeros, and DBSCAN runs on the pairs within eps
-    that ``kernels.jaccard_pairs`` keeps. Up to k1 units the degenerate metric's small
-    cosine matrix is clustered instead."""
-    features = np.asarray(features, dtype=np.float64)
+    out the epoch. Beyond k1 units the metric is the Jaccard distance between rows of W:
+    each unit's k1 + 1 nearest by cosine distance give reciprocal sets, expanded by their
+    members' half-k1 sets, weighted by a Gaussian of the distance and averaged over its k2
+    nearest rows. W stays per-row nonzeros, and DBSCAN runs on the pairs within eps that
+    ``kernels.jaccard_pairs`` keeps, so no n x n array is made. Up to k1 units, too few
+    for the metric, the small cosine matrix is clustered at the same eps."""
+    if not (cfg.k1 > cfg.k2 >= 1 and cfg.eps > 0 and cfg.min_samples >= 2):
+        raise ValueError("need k1 > k2 >= 1, eps > 0 and min_samples >= 2")
     if (n := len(features)) == 0:
         return np.zeros(0, dtype=np.int64)
     if n <= cfg.k1:
-        return dbscan(k_reciprocal_jaccard(features, cfg.k1, cfg.k2), cfg.eps, cfg.min_samples)
-    if not (cfg.k1 > cfg.k2 >= 1 and cfg.eps > 0 and cfg.min_samples >= 2):
-        raise ValueError("need k1 > k2 >= 1, eps > 0 and min_samples >= 2")
+        return dbscan(cosine_distance_matrix(features), cfg.eps, cfg.min_samples)
     a, b = kernels.jaccard_pairs(*_weights(_unit_rows(features), cfg.k1, cfg.k2), cfg.eps)
     src, dst = np.concatenate([a, b, np.arange(n)]), np.concatenate([b, a, np.arange(n)])
     return kernels.dbscan_pairs(n, src, dst, cfg.min_samples)

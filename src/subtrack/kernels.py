@@ -1,17 +1,16 @@
 """Hot numeric kernels: pairwise Jaccard distance and density clustering.
 
-Both run in plain numpy on a single core, and the clustering path holds no
-n x n array: the Jaccard kernel takes W as its nonzeros by row, keeps only
-the pairs within eps, and DBSCAN works on pairs. ``jaccard_from_weights`` and
-``dbscan_labels`` are the same kernels' dense forms. Block operations here and
-in ``clustering`` add in the order of a per-row, per-column or per-unit loop,
-so their bits are the loop's (``tests/oracles.py``): ``np.bincount`` and
-``np.add.at`` add into each bin in input order from 0.0, a (k, L)
-``.sum(axis=1)`` adds each row as its ``.sum()`` does, and a stable argsort
-keeps ties in input order (``np.add.reduceat`` would not keep the order). The
-cosine distances are the exception: a row block's BLAS product rounds some
-dot products (0.2-0.7% of cells below 1000 units) an ulp away from the whole
-matrix's, so labels and CLI outputs, not distance bits, are the gate.
+Both run in plain numpy on a single core and hold no n x n array: the Jaccard
+kernel takes W as its nonzeros by row and keeps only the pairs within eps,
+and DBSCAN works on those pairs. Block operations here and in ``clustering``
+add in the order of a per-row, per-column or per-unit loop, so their bits are
+the loop's (``tests/oracles.py``): ``np.bincount`` and ``np.add.at`` add into
+each bin in input order from 0.0, a (k, L) ``.sum(axis=1)`` adds each row as
+its ``.sum()`` does, and a stable argsort keeps ties in input order
+(``np.add.reduceat`` would not keep the order). The cosine distances are the
+exception: a row block's BLAS product rounds some dot products (0.2-0.7% of
+cells below 1000 units) an ulp away from the whole matrix's, so labels and
+CLI outputs, not distance bits, are the gate.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def _row_groups(rows, cols, vals, n):
-    """Yield (lo, hi, sums): sums[i - lo, j - lo] = sum(min(W[i], W[j])) for j >= i (0
+    """Yield (lo, sums): sums[i - lo, j - lo] = sum(min(W[i], W[j])) for j >= i (0
     below), added over shared columns in ascending order from 0.0. W's nonzeros by row
     are listed by column; a group of at most ``BLOCK_ROWS`` rows and ``PAIRS_PER_BLOCK``
     pairs lists i's nonzeros in column order, each followed by its column's rows from
@@ -65,7 +64,7 @@ def _row_groups(rows, cols, vals, n):
         np.minimum(mins, np.repeat(col_vals[first], k), out=mins)
         sums = np.bincount(cells, mins, minlength=(hi - lo) * width)
         del pos, cells, mins  # at most one group's pairs exist at once
-        yield lo, hi, sums.reshape(hi - lo, width)
+        yield lo, sums.reshape(hi - lo, width)
         lo = hi
 
 
@@ -83,31 +82,17 @@ def jaccard_pairs(rows, cols, vals, rowsum, eps: float) -> tuple[np.ndarray, np.
     Jaccard distance at most eps. That needs sum(min) >= (1 - eps) (sum(W[i]) +
     sum(W[j])) / (2 - eps), so cells below ``floor`` are skipped. The floor is
     conservative: the smallest row sum stands in for both, less 1e-9 relative, far
-    more than a few ulps of round-off. Survivors get ``jaccard_from_weights``'s bits.
-    Every distance is at most 1, so an eps of 1 or more keeps every pair."""
+    more than a few ulps of round-off. Survivors get the bits of a loop that adds each
+    pair's minima in ascending column order (``tests/oracles.py``). Every distance is
+    at most 1, so an eps of 1 or more keeps every pair."""
     floor = (1 - eps) * 2 * rowsum.min(initial=np.inf) / (2 - eps) * (1 - 1e-9) if eps < 1 else 0
     found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]
-    for lo, _, sums in _row_groups(rows, cols, vals, len(rowsum)):
+    for lo, sums in _row_groups(rows, cols, vals, len(rowsum)):
         i, j = np.divmod(np.flatnonzero(sums >= floor), sums.shape[1])
         found.append((i + lo, j + lo, sums[i, j]))
     i, j, s = (np.concatenate(side) for side in zip(*found))
     near = (j > i) & (_jaccard(s, rowsum[i], rowsum[j]) <= eps)
     return i[near], j[near]
-
-
-def jaccard_from_weights(W: np.ndarray) -> np.ndarray:
-    """Pairwise Jaccard distance between nonnegative neighbor-weight rows, (n, n): every
-    cell of ``_row_groups``, with the lower triangle the upper one mirrored."""
-    W = np.ascontiguousarray(W, dtype=np.float64)
-    n = len(W)
-    rows, cols = np.nonzero(W)
-    rowsum, out = W.sum(axis=1), np.empty((n, n))
-    for lo, hi, sums in _row_groups(rows, cols, W[rows, cols], n):
-        square = sums[:, : hi - lo]  # upper triangle filled, lower still zero
-        np.maximum(square, square.T, out=square)
-        out[lo:hi, lo:] = _jaccard(sums, rowsum[lo:hi, None], rowsum[lo:])
-        out[hi:, lo:hi] = out[lo:hi, hi:].T
-    return out
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,9 +122,3 @@ def dbscan_pairs(n: int, src: np.ndarray, dst: np.ndarray, min_samples: int) -> 
     border, first = np.unique(key // n, return_index=True)
     labels[border] = labels[key[first] % n]
     return labels
-
-
-def dbscan_labels(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
-    """``dbscan_pairs`` over the cells of a symmetric distance matrix within eps."""
-    src, dst = np.nonzero(np.asarray(dist, dtype=np.float64) <= float(eps))
-    return dbscan_pairs(len(dist), src, dst, min_samples)

@@ -218,30 +218,6 @@ def jaccard_by_column(W):
     return out
 
 
-def jaccard_dense_kernel(W):
-    """The dense-output Jaccard kernel the clustering stage ran before its pair path,
-    one row per group: W's nonzeros listed by column, each row's pairs (i, j >= i)
-    that share a column summed by ``np.bincount`` in list order, every cell made a
-    distance, and the lower triangle mirrored from the upper."""
-    W = np.asarray(W, dtype=np.float64)
-    n, m = W.shape
-    cols, rows = np.divmod(np.flatnonzero(W.T), max(n, 1))  # by column, then row
-    vals, end = W[rows, cols], np.cumsum(np.bincount(cols, minlength=m))
-    rowsum = W.sum(axis=1)
-    out = np.zeros((n, n))
-    for i in range(n):
-        sums = np.zeros(n)
-        for p in np.flatnonzero(rows == i):
-            below = np.arange(p, end[cols[p]])  # its column's rows from i down
-            sums += np.bincount(rows[below], np.minimum(vals[below], vals[p]), minlength=n)
-        maxsum = rowsum[i] + rowsum[i:] - sums[i:]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row = 1.0 - sums[i:] / maxsum
-        row[maxsum <= 0.0] = 0.0
-        out[i, i:] = out[i:, i] = row
-    return out
-
-
 def unit_features_by_unit(encoded_by_tracklet, unit_frames):
     """Each unit's normalized mean encoding, one unit at a time.
 

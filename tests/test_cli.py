@@ -121,7 +121,7 @@ def test_every_cli_artifact_identical_across_processes():
     outputs = [subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
                for seed in ("1", "2")]
-    assert len(outputs[0].splitlines()) == 12  # the src line, then 11 artifact hashes
+    assert len(outputs[0].splitlines()) == 13  # the src line, then 12 artifact hashes
     assert outputs[0] == outputs[1]
 
 
@@ -335,11 +335,13 @@ def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key, splices)
     assert not (tmp_path / "o").exists()
 
 
-def _valid_run_inputs(root):
-    """Two identities seen by two cameras, weights, a split and a labels file."""
+def _valid_run_inputs(root, labeled=True):
+    """Two identities seen by two cameras, weights, a split and a labels file; with
+    ``labeled`` False the manifest names no identity or camera."""
     rng = np.random.default_rng(0)
     ids = [f"t{i}" for i in range(4)]
-    write_dataset([Tracklet(tid, rng.normal(size=(12, 4)), identity=i // 2, camera=i % 2)
+    write_dataset([Tracklet(tid, rng.normal(size=(12, 4)), identity=i // 2 if labeled else None,
+                            camera=i % 2 if labeled else None)
                    for i, tid in enumerate(ids)], root / "data")
     write_weights(rng.normal(size=(4, 4)), root / "weights.npy")
     (root / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
@@ -368,6 +370,8 @@ def _stats_argv(root):
                  id="labels-no-label"),
     pytest.param(_stats_argv, "labels.json", {"assignment": [{"tracklet": "t0", "label": True}]},
                  "label", id="labels-bool-label"),
+    pytest.param(_stats_argv, "labels.json", {"assignment": [{"tracklet": "t0", "label": -1}]},
+                 "label", id="labels-negative-label"),
     pytest.param(_stats_argv, "labels.json", {"assignment": []}, "assignment",
                  id="labels-empty-assignment"),
     pytest.param(_eval_argv, "split.json", ["t0", "t1"], "query", id="split-list"),
@@ -403,6 +407,25 @@ def test_eval_rejects_k_max_below_one(tmp_path, capsys, k_max):
     err = json.loads(lines[0])
     assert err["error"] == "CliError" and "--k-max" in err["message"]
     assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    pytest.param(_eval_argv, "eval.json", id="eval"),
+    pytest.param(_stats_argv, "stats.json", id="stats"),
+    pytest.param(lambda r: ["ablate", "--data", str(r / "data"), "--out", str(r / "ablate.csv")],
+                 "ablate.csv", id="ablate"),
+    pytest.param(lambda r: ["sweep", "--data", str(r / "data"), "--param", "K", "--values", "1",
+                            "--out", str(r / "sweep.csv")], "sweep.csv", id="sweep"),
+])
+def test_scoring_commands_need_ground_truth_before_they_run(tmp_path, capsys, argv, out):
+    _valid_run_inputs(tmp_path, labeled=False)
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CliError"
+    assert "identity" in err["message"] and "camera" in err["message"]
+    assert not (tmp_path / out).exists()
 
 
 def _cluster_argv(root):

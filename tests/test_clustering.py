@@ -25,7 +25,6 @@ from subtrack.clustering import (
     _weights,
     cosine_distance_matrix,
     dbscan,
-    k_reciprocal_jaccard,
     sub_cluster_generate,
 )
 from subtrack.model import OUTLIER, default_config
@@ -38,14 +37,14 @@ def _unit_rows(rng, n, d):
 
 def test_cosine_distance_identical_and_orthogonal():
     f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    d = cosine_distance_matrix(f).values
+    d = cosine_distance_matrix(f)
     assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert d[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_distance_hand_value():
     f = np.array([[1.0, 0.0], [np.sqrt(2) / 2, np.sqrt(2) / 2]])
-    d = cosine_distance_matrix(f).values
+    d = cosine_distance_matrix(f)
     assert d[0, 1] == pytest.approx(1 - np.sqrt(2) / 2, abs=1e-12)
 
 
@@ -63,7 +62,7 @@ def test_cosine_distance_exactly_symmetric(n, layout):
             f = wide[:, ::2]
         elif layout == "reversed-rows":
             f = f[::-1]
-        values = cosine_distance_matrix(f).values
+        values = cosine_distance_matrix(f)
         assert np.array_equal(values, values.T)
 
 
@@ -93,24 +92,19 @@ def _two_groups(rng, size=10, d=8):
 
 
 def test_jaccard_two_groups_within_less_than_between():
+    # at eps = the largest distance within a group, the kept pairs are exactly the
+    # within-group ones: every between-group pair is farther
     rng = np.random.default_rng(4)
     feats = _two_groups(rng)
-    dm = k_reciprocal_jaccard(feats, k1=8, k2=3)
-    assert not dm.degenerate_fallback
-    d = dm.values
-    within = max(d[:10, :10].max(), d[10:, 10:].max())
-    between = d[:10, 10:].min()
-    assert within < between
-
-
-def test_jaccard_matrix_properties():
-    rng = np.random.default_rng(8)
-    feats = _unit_rows(rng, 40, 6)
-    d = k_reciprocal_jaccard(feats, k1=10, k2=4).values
-    # exact: the metric relies on the kernel's output being symmetric bit for bit
-    assert np.all(np.diag(d) == 0.0)
-    assert np.array_equal(d, d.T)
-    assert d.min() >= 0.0 and d.max() <= 1.0
+    rows, cols, vals, rowsum = _weights(feats, 8, 3)
+    W = np.zeros((20, 20))
+    W[rows, cols] = vals
+    d = jaccard_by_column(W)
+    eps = max(d[:10, :10].max(), d[10:, 10:].max())
+    i, j = np.triu_indices(20, 1)
+    within = (i < 10) == (j < 10)
+    a, b = kernels.jaccard_pairs(rows, cols, vals, rowsum, eps)
+    assert np.array_equal(a, i[within]) and np.array_equal(b, j[within])
 
 
 def _stable_prefix(d, k):
@@ -127,7 +121,7 @@ def test_nearest_matches_stable_argsort_prefix_under_ties():
         cases += [d, (d + d.T) / 2.0]
         dup = _unit_rows(rng, n, 3)
         dup[rng.integers(0, n, n // 2)] = dup[rng.integers(0, n, n // 2)]  # exact duplicate rows
-        cases.append(cosine_distance_matrix(dup).values)
+        cases.append(cosine_distance_matrix(dup))
     cases.append(np.zeros((8, 8)))  # every entry ties with self
     for d in cases:
         np.fill_diagonal(d, 0.0)
@@ -155,28 +149,8 @@ def test_nearest_memory_is_bounded_under_ties():
     assert peak <= 1.5 * 8 * n * n
 
 
-def test_k_reciprocal_jaccard_holds_few_square_arrays():
-    # at 500 units the pass's own allocations peak below 3.25 n x n float arrays:
-    # every n x n step runs in row blocks, so two float arrays live at once
-    n = 500
-    rng = np.random.default_rng(5)
-    centers = rng.normal(size=(n // 8, 32))
-    f = centers[rng.integers(0, n // 8, n)] + 0.35 * rng.normal(size=(n, 32))
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    tracemalloc.start()
-    try:
-        k_reciprocal_jaccard(f, k1=30, k2=6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * 8 * n * n
-
-
-def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):
+def test_k_reciprocal_weights_and_labels_match_set_oracle():
     rng = np.random.default_rng(12)
-    seen = []
-    real = kernels.jaccard_from_weights
-    monkeypatch.setattr(kernels, "jaccard_from_weights", lambda W: seen.append(W) or real(W))
     cases = [(10, 1, 11), (30, 6, 31), (4, 3, 5)]  # (k1, k2, n): k2 == 1, n == k1 + 1
     for _ in range(12):
         k1 = int(rng.integers(3, 25))
@@ -186,12 +160,14 @@ def test_k_reciprocal_weights_and_labels_match_set_oracle(monkeypatch):
         f = centers[rng.integers(0, 4, n)] + 0.3 * rng.normal(size=(n, 6))
         f[rng.integers(0, n, n // 4)] = f[rng.integers(0, n, n // 4)]  # exact duplicates
         f /= np.linalg.norm(f, axis=1, keepdims=True)
-        dm = k_reciprocal_jaccard(f, k1, k2)
-        W = k_reciprocal_weights(_path_distances(f), k1, k2)
-        assert np.array_equal(seen.pop(), W)
+        rows, cols, vals, _ = _weights(f, k1, k2)
+        W = np.zeros((n, n))
+        W[rows, cols] = vals
+        assert np.array_equal(W, k_reciprocal_weights(_path_distances(f), k1, k2))
         jac = jaccard_pairwise(W)
         for eps in (0.25, 0.5, 0.7):
-            assert np.array_equal(dbscan(dm, eps, 2), dbscan(jac, eps, 2))
+            labels = sub_cluster_generate(f, default_config(k1=k1, k2=k2, eps=eps, min_samples=2))
+            assert np.array_equal(labels, dbscan(jac, eps, 2))
 
 
 def _clustering_cases(rng):
@@ -236,7 +212,7 @@ def test_row_block_distances_are_the_cosine_matrix_to_round_off():
     cases += [_cluster_sizes_tool().features(n) for n in (377, 613)]
     for f in cases:
         dist = _path_distances(f)
-        assert np.abs(dist - cosine_distance_matrix(f).values).max() <= 1e-15
+        assert np.abs(dist - cosine_distance_matrix(f)).max() <= 1e-15
         assert np.all(np.diag(dist) == 0.0) and dist.min() >= 0.0 and dist.max() <= 2.0
 
 
@@ -293,28 +269,32 @@ def _cluster_sizes_tool():
     (1000, "1d9f7d02beec1e1fdebffb4e214378b19752ff5331aae0193bf3654fb8bb0270"),
 ])
 def test_cluster_sizes_labels_are_pinned(n, digest):
-    # tools/cluster_sizes.py's seeded features: a change that moves one label fails here,
-    # in the pipeline's call or in the dense adapters
-    f, cfg = _cluster_sizes_tool().features(n), default_config()
-    for labels in (sub_cluster_generate(f, cfg),
-                   dbscan(k_reciprocal_jaccard(f, cfg.k1, cfg.k2), cfg.eps, cfg.min_samples)):
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
-        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+    # tools/cluster_sizes.py's seeded features: a change that moves one label fails here
+    labels = sub_cluster_generate(_cluster_sizes_tool().features(n), default_config())
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
 
 def test_jaccard_degenerate_falls_back_to_cosine():
+    # up to k1 units, too few for the Jaccard metric, the cosine matrix is clustered
     rng = np.random.default_rng(1)
-    feats = _unit_rows(rng, 5, 4)
-    dm = k_reciprocal_jaccard(feats, k1=30, k2=6)
-    assert dm.degenerate_fallback
-    assert np.allclose(dm.values, cosine_distance_matrix(feats).values)
+    for n in (5, 30):  # k1 is 30
+        feats = _unit_rows(rng, n, 4)
+        for eps in (0.1, 0.25, 0.5):
+            for min_samples in (2, 3):
+                cfg = default_config(k1=30, k2=6, eps=eps, min_samples=min_samples)
+                want = dbscan_row_scan(cosine_distance_matrix(feats), eps, min_samples)
+                assert np.array_equal(sub_cluster_generate(feats, cfg), want)
 
 
 def test_jaccard_rejects_bad_k():
+    # checked before the branch on n: on both sides of n = k1
     rng = np.random.default_rng(1)
-    feats = _unit_rows(rng, 40, 4)
-    with pytest.raises(ValueError):
-        k_reciprocal_jaccard(feats, k1=4, k2=6)
+    for n in (3, 4, 40):
+        feats = _unit_rows(rng, n, 4)
+        for k1, k2 in ((4, 6), (4, 4)):
+            with pytest.raises(ValueError):
+                sub_cluster_generate(feats, default_config(k1=k1, k2=k2))
 
 
 def test_dbscan_three_point_example():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,15 +5,31 @@ from oracles import (
     bfs_components,
     dbscan_row_scan,
     jaccard_by_column,
-    jaccard_dense_kernel,
     jaccard_pairwise,
 )
 from subtrack import kernels
+from subtrack.clustering import dbscan
 
 
 def _random_weights(rng, n):
     W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.3)
     return np.ascontiguousarray(W)
+
+
+def _pairs(W, eps):
+    """``kernels.jaccard_pairs`` on a dense W's nonzeros by row."""
+    rows, cols = np.nonzero(W)
+    return kernels.jaccard_pairs(rows, cols, W[rows, cols], W.sum(axis=1), eps)
+
+
+def _thresholded(jac, eps):
+    """The pairs (i < j) of a distance matrix within eps, ordered by row, then column."""
+    i, j = np.nonzero(jac <= eps)
+    return i[i < j], j[i < j]
+
+
+def _same_pairs(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_jaccard_matches_pairwise_oracle():
@@ -35,17 +49,19 @@ def test_jaccard_matches_pairwise_oracle():
     # 8.5 for 120; the W of a 600-unit clustering pass (about 50 nonzeros per
     # column, at most about 120) reads 6.5-7.
     for W in cases:
-        got = kernels.jaccard_from_weights(W)
+        jac = jaccard_by_column(W)
         # only summation order differs from the per-pair enumeration
-        assert np.abs(got - jaccard_pairwise(W)).max() <= 8 * np.finfo(np.float64).eps
-        # (i, j) and (j, i) add the same minima in the same order
-        assert np.array_equal(got, got.T)
+        assert np.abs(jac - jaccard_pairwise(W)).max() <= 8 * np.finfo(np.float64).eps
+        for eps in (0.3, 0.7):
+            assert _same_pairs(_pairs(W, eps), _thresholded(jac, eps))
 
 
 @pytest.mark.parametrize("pairs_per_block", [1, 1 << 10, kernels.PAIRS_PER_BLOCK, 1 << 30])
 def test_jaccard_matches_column_loop_oracle_bit_for_bit(monkeypatch, pairs_per_block):
     # each cell adds its minima in ascending column order, as a loop over columns
-    # does, whatever the row groups: one row over budget, several, or all rows
+    # does, whatever the row groups: one row over budget, several, or all rows. A
+    # distance d is kept at eps = d and dropped one ulp below it, so the pairs kept at
+    # both pin the bits of every cell at that distance
     monkeypatch.setattr(kernels, "PAIRS_PER_BLOCK", pairs_per_block)
     rng = np.random.default_rng(4)
     cases = [np.zeros((0, 0)), np.array([[0.4]]), np.zeros((3, 3)), rng.uniform(size=(70, 70))]
@@ -56,19 +72,11 @@ def test_jaccard_matches_column_loop_oracle_bit_for_bit(monkeypatch, pairs_per_b
         W[rng.integers(0, n, n // 4)] = W[rng.integers(0, n, n // 4)]  # duplicate rows
         cases.append(np.round(W, 1) if n % 2 else W)  # equal values in a column
     for W in cases:
-        assert kernels.jaccard_from_weights(W).tobytes() == jaccard_by_column(W).tobytes()
-
-
-def test_dense_adapter_matches_the_previous_dense_kernel():
-    rng = np.random.default_rng(6)
-    cases = [np.zeros((0, 0)), np.array([[0.4]]), np.zeros((4, 4)), rng.uniform(size=(40, 40))]
-    for _ in range(20):
-        n = int(rng.integers(2, 120))
-        W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.01, 0.5))
-        W[rng.uniform(size=n) < 0.1] = 0.0  # empty rows
-        cases.append(np.round(W, 1) if n % 2 else W)
-    for W in cases:
-        assert kernels.jaccard_from_weights(W).tobytes() == jaccard_dense_kernel(W).tobytes()
+        jac = jaccard_by_column(W)
+        upper = jac[np.triu_indices(len(W), 1)]
+        for d in rng.choice(upper, size=min(8, upper.size), replace=False):
+            for eps in (d, np.nextafter(d, 0.0)):
+                assert _same_pairs(_pairs(W, eps), _thresholded(jac, eps))
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.5, 0.7])
@@ -89,10 +97,7 @@ def test_jaccard_pairs_keep_pairs_ulps_either_side_of_eps(eps):
     near = oracle[2 * np.arange(m), 2 * np.arange(m) + 1]
     ulp = np.spacing(eps)
     assert np.any(near <= eps) and np.any(near > eps) and np.abs(near - eps).max() <= 32 * ulp
-    rows, cols = np.nonzero(W)
-    a, b = kernels.jaccard_pairs(rows, cols, W[rows, cols], W.sum(axis=1), eps)
-    i, j = np.nonzero(oracle <= eps)
-    assert np.array_equal(a, i[i < j]) and np.array_equal(b, j[i < j])
+    assert _same_pairs(_pairs(W, eps), _thresholded(oracle, eps))
 
 
 def test_dbscan_pairs_take_the_pairs_in_any_order():
@@ -109,33 +114,16 @@ def test_dbscan_pairs_take_the_pairs_in_any_order():
 
 
 def test_jaccard_numpy_zero_rows():
+    # both-empty rows count as distance 0, an empty row and a nonempty one as 1
     W = np.zeros((3, 3))
     W[0, 0] = 1.0
-    out = kernels.jaccard_from_weights(W)
-    assert out[0, 0] == 0.0      # identical rows
-    assert out[1, 2] == 0.0      # both-empty rows count as distance 0
-    assert out[0, 1] == 1.0      # disjoint supports
-
-
-def test_jaccard_holds_its_output_and_the_nonzeros():
-    # a W about 2% dense, as at 5000 units: besides the caller's W the kernel
-    # holds its n x n output, the nonzeros and one row block (1.2 n x n float
-    # arrays); a transposed copy of W or an n x n sum(max) array adds a whole one
-    n = 1000
-    rng = np.random.default_rng(3)
-    W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.02)
-    tracemalloc.start()
-    try:
-        out = kernels.jaccard_from_weights(W)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(out, out.T)
-    assert peak <= 1.5 * 8 * n * n
+    for eps in (0.0, np.nextafter(1.0, 0.0)):
+        assert _same_pairs(_pairs(W, eps), ([1], [2]))
+    assert _same_pairs(_pairs(W, 1.0), ([0, 0, 1], [1, 2, 2]))
 
 
 def test_dispatch_empty_input():
-    out = kernels.dbscan_labels(np.zeros((0, 0)), 0.3, 2)
+    out = dbscan(np.zeros((0, 0)), 0.3, 2)
     assert out.shape == (0,)
     assert out.dtype == np.int64
 

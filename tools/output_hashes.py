@@ -11,12 +11,15 @@ process with one BLAS/OpenMP thread the command runs ``generate``,
 ``train``, ``cluster`` twice with the trained weights (at epoch 4, past the
 switch, for REACHABLE labels, and with ``epochs`` 2 for DIRECT labels),
 ``eval`` (every tracklet as query and gallery), ``stats`` (on the trained
-labels), ``ablate``, and ``sweep`` over ``K`` and ``lambda``, then prints one line
-per artifact: its sha256 and its name. The generated dataset is one
-artifact, hashed over its files' names and bytes. ``--src`` names the
-``src`` directory to import ``subtrack`` from (default: this tree's);
-running the command once per tree, e.g. on a checkout of an earlier
-commit, shows whether a change keeps every output byte-identical.
+labels), ``ablate``, ``sweep`` over ``K`` and ``lambda``, and last ``cluster``
+with k1 400, above the unit count, so its labels come from the small
+cosine matrix in place of the Jaccard metric (at eps 0.05: at 0.25 every
+unit falls in one cluster). It then prints one line per artifact: its
+sha256 and its name. The generated dataset is one artifact, hashed over
+its files' names and bytes. ``--src`` names the ``src`` directory to
+import ``subtrack`` from (default: this tree's); running the command once
+per tree, e.g. on a checkout of an earlier commit, shows whether a change
+keeps every output byte-identical.
 """
 
 import argparse
@@ -36,6 +39,7 @@ SPEC = {
 CONFIG = {"dim": 8, "k1": 6, "k2": 2, "partition_stride": 16, "epochs": 4,
           "merge_switch_epoch": 3}
 DIRECT_CONFIG = {**CONFIG, "epochs": 2}  # `cluster` runs at epoch `epochs`: before the switch
+COSINE_CONFIG = {**CONFIG, "k1": 400, "eps": 0.05}  # more than the units: the n <= k1 branch
 SWEEPS = {"K": "1,2,4", "lambda": "0.2,0.8"}
 
 
@@ -51,6 +55,7 @@ def run(work: Path) -> list[tuple[str, list[Path]]]:
     (work / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
     (work / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     (work / "direct.json").write_text(json.dumps(DIRECT_CONFIG), encoding="utf-8")
+    (work / "cosine.json").write_text(json.dumps(COSINE_CONFIG), encoding="utf-8")
     cli("generate", "--spec", work / "spec.json", "--out", data)
     ids = [e["tracklet_id"] for e in json.loads((data / "manifest.json").read_text())["tracklets"]]
     (work / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
@@ -66,11 +71,13 @@ def run(work: Path) -> list[tuple[str, list[Path]]]:
     for param, values in SWEEPS.items():
         cli("sweep", "--data", data, *config, "--param", param, "--values", values,
             "--out", work / f"sweep_{param}.csv")
+    cli("cluster", "--data", data, "--weights", weights, "--config", work / "cosine.json",
+        "--out", work / "cluster_cosine.json")
     artifacts = [("generate: data/", sorted(data.iterdir()))]
     artifacts += [(f"train: {name}", [run_dir / name])
                   for name in ("weights.npy", "reports.jsonl", "labels.json")]
     names = ["cluster.json", "cluster_direct.json", "eval.json", "stats.json", "ablate.csv",
-             *(f"sweep_{param}.csv" for param in SWEEPS)]
+             *(f"sweep_{param}.csv" for param in SWEEPS), "cluster_cosine.json"]
     return artifacts + [(f"{name.split('.')[0]}: {name}", [work / name]) for name in names]
 
 
