@@ -63,6 +63,16 @@ def _require_ground_truth(tracklets, command: str) -> None:
         raise CliError(f"{command} needs identity and camera labels in the manifest")
 
 
+def _require_cross_camera_match(tracklets, command: str) -> None:
+    """``command`` ranks every tracklet against the rest: some identity needs two cameras."""
+    cameras = {}
+    for t in tracklets:
+        cameras.setdefault(t.identity, set()).add(t.camera)
+    if all(len(seen) < 2 for seen in cameras.values()):
+        raise CliError(f"{command} needs an identity seen by two cameras: "
+                       "no query would have a cross-camera match")
+
+
 def _read_encoder(path, tracklets) -> Encoder:
     weights = storage.read_weights(path)
     if len(weights) != tracklets[0].frames.shape[1]:
@@ -214,6 +224,7 @@ def _write_csv(path, header, rows) -> None:
 def cmd_ablate(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     _require_ground_truth(tracklets, "ablate")
+    _require_cross_camera_match(tracklets, "ablate")
     cfg = _load_config(args.config)
     header = ["name", "filter", "partition", "merge", "loss",
               "map", "rank1", "pairwise_f1", "incorrect_clusters"]
@@ -234,6 +245,7 @@ def cmd_sweep(args) -> None:
         raise CliError(f"unknown sweep param {args.param!r}; choose from {sorted(SWEEP_PARAMS)}")
     tracklets, _ = _read_dataset(args.data)
     _require_ground_truth(tracklets, "sweep")
+    _require_cross_camera_match(tracklets, "sweep")
     cfg = _load_config(args.config)
     runs = []  # every value is checked before the first run
     for raw_value in args.values.split(","):

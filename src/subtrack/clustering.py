@@ -92,7 +92,9 @@ def _expansion(features: np.ndarray, rank: np.ndarray, k1: int):
         member[cells] = False
         cols.append(c)
         size.append(np.bincount(r, minlength=len(own)))
-        weights.append(np.exp(-_distances(features, rows)[r, c]))
+        d = 1.0 - (features[rows] @ features.T)[r, c]  # _distances' cells, on these only
+        d[c == r + rows.start] = 0.0
+        weights.append(np.exp(-np.clip(d, 0.0, 2.0, out=d)))
     cols, size, weights = np.concatenate(cols), np.concatenate(size), np.concatenate(weights)
     first = np.cumsum(size) - size
     for length in np.flatnonzero(np.bincount(size)):

@@ -3,17 +3,18 @@
 Per tracklet: average the frame features into a center, drop frames whose
 squared cosine deviation from the center exceeds an adaptive threshold, then
 split the survivors into fixed-stride segments (the trailing remainder is
-absorbed into the last full segment).
+absorbed into the last full segment). ``trainer.cluster_epoch`` calls
+``noise_filter`` and ``partition`` once per tracklet; the training loop draws
+every sample of a batch with one ``sample_frames`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .model import SubTracklet, TrainConfig
+from .model import SubTracklet
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +69,6 @@ def noise_filter(frames: np.ndarray, filter_factor: float) -> FilteredTracklet:
     return FilteredTracklet(np.flatnonzero(keep), np.flatnonzero(~keep), threshold)
 
 
-def keep_all(length: int) -> FilteredTracklet:
-    """A FilteredTracklet that filters nothing (partition-only path)."""
-    return FilteredTracklet(np.arange(length), np.arange(0), float("inf"))
-
-
 def partition(parent_id: str, length: int, stride: int) -> list[SubTracklet]:
     """Split ``length`` surviving frames of tracklet ``parent_id`` into segments of ``stride``.
 
@@ -97,37 +93,22 @@ def partition(parent_id: str, length: int, stride: int) -> list[SubTracklet]:
     return [SubTracklet(parent_id, t + 1, rng) for t, rng in enumerate(bounds)]
 
 
-def sample_frames(segment_length: int, count: int, stride: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices of ``count`` frames at the given stride from a random start.
+def sample_frames(segment_lengths, count: int, stride: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``count`` frames at the given stride from a random start, per segment.
 
-    When the strided span does not fit into the segment, the indices wrap
-    modulo the segment length instead of shrinking the sample.
+    ``segment_lengths`` is one length or an array of them; the result has one
+    row of ``count`` indices per length. When the strided span does not fit
+    into a segment, its indices wrap modulo the segment length instead of
+    shrinking the sample. All starts come from one ``rng.integers`` call, which
+    draws the values, and leaves ``rng`` in the state, of one scalar call per
+    segment in order.
     """
     if count < 1 or stride < 1:
         raise ValueError("count and stride must be >= 1")
-    if segment_length < 1:
+    lengths = np.asarray(segment_lengths)
+    if (lengths < 1).any():
         raise ValueError("empty segment")
     span = (count - 1) * stride
-    if span < segment_length:
-        start = int(rng.integers(0, segment_length - span))
-        return start + stride * np.arange(count)
-    start = int(rng.integers(0, segment_length))
-    return (start + stride * np.arange(count)) % segment_length
-
-
-def nftp_all(
-    feature_tracklets: Sequence[tuple[str, np.ndarray]],
-    cfg: TrainConfig,
-    filter_frames: bool = True,
-    do_partition: bool = True,
-) -> list[tuple[FilteredTracklet, list[SubTracklet]]]:
-    """Filter and partition each given tracklet once; ``cluster_epoch`` passes one at a time.
-
-    Without partitioning each tracklet is one unit spanning all its surviving frames.
-    """
-    out = []
-    for tid, frames in feature_tracklets:
-        ft = noise_filter(frames, cfg.filter_factor) if filter_frames else keep_all(frames.shape[0])
-        length = len(ft.surviving_indices)
-        out.append((ft, partition(tid, length, cfg.partition_stride if do_partition else length)))
-    return out
+    starts = rng.integers(0, np.where(span < lengths, lengths - span, lengths))
+    # a span that fits ends below its length, so the modulo only wraps the others
+    return (np.asarray(starts)[..., None] + stride * np.arange(count)) % lengths[..., None]

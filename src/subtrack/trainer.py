@@ -141,6 +141,11 @@ class PipelineToggles:
 BASELINE = PipelineToggles("baseline", filter_frames=False, do_partition=False, merge=MERGE_NONE)
 
 
+def _normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm; the stacked product has ``row @ row``'s bits."""
+    return rows / np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0])
+
+
 def cluster_epoch(
     enc: Encoder,
     tracklets: Sequence[Tracklet],
@@ -155,28 +160,33 @@ def cluster_epoch(
     ``state.labels[i]`` and ``features[i]`` its normalized mean encoding.
     ``unit_frames[i]`` is a (frames, indices) pair: its tracklet's own
     read-only (L, raw_dim) frames, not a copy, and the indices of the unit's
-    surviving frames in them, a view into the noise filter's output.
-    Tracklets are encoded, filtered, partitioned and averaged one at a time,
-    so only one tracklet's frame encodings exist at once.
+    surviving frames in them, a view into its tracklet's surviving indices.
+    Tracklets are encoded, filtered and partitioned one at a time, so only one
+    tracklet's frame encodings exist at once. All but a tracklet's last segment
+    have one length: one axis-1 reduce sums them, each in frame order.
     """
     if len({t.id for t in tracklets}) != len(tracklets):
         raise ValueError("tracklet ids must be unique")
     subtracklets: list[SubTracklet] = []
-    features, unit_frames, parent, filtered_frames = [], [], [], 0
+    means, unit_frames, parent, filtered_frames = [], [], [], 0
     for ti, t in enumerate(tracklets):
         encoded = encode_frames(enc, t.frames)
-        [(ft, sts)] = nftp.nftp_all([(t.id, encoded)], cfg, filter_frames=toggles.filter_frames,
-                                    do_partition=toggles.do_partition)
-        filtered_frames += len(ft.filtered_indices)
-        surviving = encoded[ft.surviving_indices]
-        for st in sts:
-            a, b = st.frame_range
-            mean = np.add.reduce(surviving[a : b + 1], axis=0) / (b + 1 - a)  # mean(axis=0)'s sum
-            features.append(mean / np.sqrt(mean @ mean))
-            unit_frames.append((t.frames, ft.surviving_indices[a : b + 1]))
+        keep = np.arange(len(encoded))
+        if toggles.filter_frames:
+            ft = nftp.noise_filter(encoded, cfg.filter_factor)
+            keep, filtered_frames = ft.surviving_indices, filtered_frames + len(ft.filtered_indices)
+        sts = nftp.partition(t.id, keep.size, cfg.partition_stride if toggles.do_partition
+                             else keep.size)
+        n, length, surviving = len(sts), len(sts[0]), encoded[keep]
+        head = (n - 1) * length
+        body = surviving[:head].reshape(n - 1, length, surviving.shape[1])  # empty if n is 1
+        means += [np.add.reduce(body, axis=1) / length,
+                  np.add.reduce(surviving[head:], axis=0)[None] / (keep.size - head)]
+        unit_frames += [(t.frames, keep[a : b + 1]) for a, b in (st.frame_range for st in sts)]
         subtracklets += sts
-        parent += [ti] * len(sts)
-    features = np.asarray(features)
+        parent += [ti] * n
+    features = _normalized_rows(np.concatenate(means))
+    del means  # not held through clustering
     labels = sub_cluster_generate(features, cfg)
     if toggles.merge == MERGE_NONE:  # each unit its own tracklet: a graph with no edges
         parent = range(labels.size)
@@ -236,13 +246,14 @@ def train_with_toggles(
         lr = cfg.lr_at(epoch)
         table = positive_table(state.positives, cfg.smoothing)
         X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
+        sizes = np.array([idx.size for _, idx in unit_frames])
         losses = []
         for _ in range(iters):
             units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
+            picks = nftp.sample_frames(sizes[units], cfg.frames_per_sample, cfg.sample_stride, rng)
             for b, i in enumerate(units):
                 frames, idx = unit_frames[i]
-                X[b] = frames[idx[nftp.sample_frames(idx.size, cfg.frames_per_sample,
-                                                     cfg.sample_stride, rng)]]
+                X[b] = frames[idx[picks[b]]]
             y = state.labels[units]
             V, cache = _embed_batch(enc, X)
             out = combined_loss(V, y, table, banks, cfg)
@@ -276,8 +287,5 @@ def standard_ablation_rows() -> list[PipelineToggles]:
 
 def inference_features(enc: Encoder, tracklets: Sequence[Tracklet]) -> np.ndarray:
     """Whole-tracklet features for retrieval: normalized mean over all frames."""
-    feats = []
-    for t in tracklets:
-        mean = encode_frames(enc, t.frames).mean(axis=0)
-        feats.append(mean / np.linalg.norm(mean))
-    return np.asarray(feats)
+    means = [encode_frames(enc, t.frames).mean(axis=0) for t in tracklets]
+    return _normalized_rows(np.array(means))

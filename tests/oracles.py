@@ -8,7 +8,8 @@ are filled in one class at a time, cluster statistics are counted one label
 at a time, DBSCAN labels come from a row-scanning frontier search, AP and
 Jaccard distances are computed by direct enumeration, gradients come from
 central finite differences, and the training step's loss, embedding and
-bank updates run one sample at a time.
+bank updates run one sample at a time, each sample's frames from its own
+scalar draw.
 """
 
 from itertools import combinations
@@ -229,6 +230,17 @@ def unit_features_by_unit(encoded_by_tracklet, unit_frames):
         mean = encoded_by_tracklet[t][idx].mean(axis=0)
         features.append(mean / np.linalg.norm(mean))
     return np.asarray(features)
+
+
+def sample_frames_per_segment(segment_length, count, stride, rng):
+    """One segment's ``count`` strided frame indices from one scalar start draw,
+    wrapped modulo the length when the span does not fit."""
+    span = (count - 1) * stride
+    if span < segment_length:
+        start = int(rng.integers(0, segment_length - span))
+        return start + stride * np.arange(count)
+    start = int(rng.integers(0, segment_length))
+    return (start + stride * np.arange(count)) % segment_length
 
 
 def class_means_by_class(features, labels):

@@ -335,13 +335,13 @@ def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key, splices)
     assert not (tmp_path / "o").exists()
 
 
-def _valid_run_inputs(root, labeled=True):
-    """Two identities seen by two cameras, weights, a split and a labels file; with
-    ``labeled`` False the manifest names no identity or camera."""
+def _valid_run_inputs(root, labeled=True, cameras=2):
+    """Two identities seen by ``cameras`` cameras, weights, a split and a labels file;
+    with ``labeled`` False the manifest names no identity or camera."""
     rng = np.random.default_rng(0)
     ids = [f"t{i}" for i in range(4)]
     write_dataset([Tracklet(tid, rng.normal(size=(12, 4)), identity=i // 2 if labeled else None,
-                            camera=i % 2 if labeled else None)
+                            camera=i % cameras if labeled else None)
                    for i, tid in enumerate(ids)], root / "data")
     write_weights(rng.normal(size=(4, 4)), root / "weights.npy")
     (root / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
@@ -409,21 +409,32 @@ def test_eval_rejects_k_max_below_one(tmp_path, capsys, k_max):
     assert not (tmp_path / "eval.json").exists()
 
 
-@pytest.mark.parametrize("argv,out", [
-    pytest.param(_eval_argv, "eval.json", id="eval"),
-    pytest.param(_stats_argv, "stats.json", id="stats"),
-    pytest.param(lambda r: ["ablate", "--data", str(r / "data"), "--out", str(r / "ablate.csv")],
-                 "ablate.csv", id="ablate"),
-    pytest.param(lambda r: ["sweep", "--data", str(r / "data"), "--param", "K", "--values", "1",
-                            "--out", str(r / "sweep.csv")], "sweep.csv", id="sweep"),
+def _ablate_argv(root):
+    return ["ablate", "--data", str(root / "data"), "--out", str(root / "ablate.csv")]
+
+
+def _sweep_argv(root):
+    return ["sweep", "--data", str(root / "data"), "--param", "K", "--values", "1",
+            "--out", str(root / "sweep.csv")]
+
+
+@pytest.mark.parametrize("argv,out,inputs", [
+    pytest.param(_eval_argv, "eval.json", {"labeled": False}, id="eval"),
+    pytest.param(_stats_argv, "stats.json", {"labeled": False}, id="stats"),
+    pytest.param(_ablate_argv, "ablate.csv", {"labeled": False}, id="ablate"),
+    pytest.param(_sweep_argv, "sweep.csv", {"labeled": False}, id="sweep"),
+    # labeled, but every tracklet is seen by one camera: no query has a valid match
+    pytest.param(_ablate_argv, "ablate.csv", {"cameras": 1}, id="ablate-one-camera"),
+    pytest.param(_sweep_argv, "sweep.csv", {"cameras": 1}, id="sweep-one-camera"),
 ])
-def test_scoring_commands_need_ground_truth_before_they_run(tmp_path, capsys, argv, out):
-    _valid_run_inputs(tmp_path, labeled=False)
+def test_scoring_commands_need_ground_truth_before_they_run(tmp_path, capsys, argv, out, inputs):
+    _valid_run_inputs(tmp_path, **inputs)
     assert main(argv(tmp_path)) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "CliError"
+    assert err["message"].startswith(argv(tmp_path)[0] + " needs")
     assert "identity" in err["message"] and "camera" in err["message"]
     assert not (tmp_path / out).exists()
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import sample_frames_per_segment
 from subtrack.model import default_config
 from subtrack.nftp import (
     center_feature,
     frame_distances,
-    keep_all,
     noise_filter,
-    nftp_all,
     partition,
     sample_frames,
 )
@@ -121,6 +120,10 @@ def test_noise_filter_permutation_covariant():
         (95, 32, [32, 63]),
         (96, 32, [32, 32, 32]),
         (1, 1, [1]),
+        # cluster_epoch without partitioning: the stride is the length, one unit
+        (2, 2, [2]),
+        (33, 33, [33]),
+        (100, 100, [100]),
     ],
 )
 def test_partition_lengths(length, stride, expected_lengths):
@@ -128,13 +131,6 @@ def test_partition_lengths(length, stride, expected_lengths):
     assert [len(p) for p in parts] == expected_lengths
     assert all(p.parent_id == "t" for p in parts)
     assert [p.segment_index for p in parts] == list(range(1, len(parts) + 1))
-
-
-def test_keep_all_filters_nothing():
-    ft = keep_all(5)
-    assert ft.surviving_indices.tolist() == [0, 1, 2, 3, 4]
-    assert ft.filtered_indices.tolist() == []
-    assert ft.threshold == float("inf")
 
 
 def test_partition_reconstruction_random():
@@ -185,32 +181,43 @@ def test_sample_frames_always_valid_indices():
 
 
 def test_nftp_all_counts():
+    # 64 identical frames: none filtered, two units at the default stride
     cfg = default_config()
-    frames = np.tile([1.0, 0.0], (64, 1))
-    out = nftp_all([("a", frames)], cfg)
-    assert len(out) == 1
-    ft, sts = out[0]
+    ft = noise_filter(np.tile([1.0, 0.0], (64, 1)), cfg.filter_factor)
     assert len(ft.filtered_indices) == 0
-    assert len(sts) == 2
+    assert len(partition("a", ft.surviving_indices.size, cfg.partition_stride)) == 2
 
 
 def test_nftp_all_one_subtracklet_per_exact_stride():
+    # a tracklet of exactly one stride is one unit
     cfg = default_config()
     tracklets = [("t%d" % i, np.tile([0.0, 1.0], (32, 1))) for i in range(5)]
-    out = nftp_all(tracklets, cfg)
-    assert sum(len(sts) for _, sts in out) == 5
+    units = [
+        partition(tid, noise_filter(frames, cfg.filter_factor).surviving_indices.size,
+                  cfg.partition_stride)
+        for tid, frames in tracklets
+    ]
+    assert sum(len(sts) for sts in units) == 5
 
 
-def test_nftp_all_without_partition_gives_one_unit_spanning_survivors():
-    cfg = default_config(partition_stride=4)
-    rng = np.random.default_rng(2)
-    tracklets = [("t%d" % i, rng.normal(size=(int(rng.integers(1, 40)), 6))) for i in range(8)]
-    for filter_frames in (True, False):
-        out = nftp_all(tracklets, cfg, filter_frames=filter_frames, do_partition=False)
-        assert len(out) == len(tracklets)
-        for (tid, _), (ft, sts) in zip(tracklets, out):
-            assert [(st.parent_id, st.segment_index) for st in sts] == [(tid, 1)]
-            assert sts[0].frame_range == (0, len(ft.surviving_indices) - 1)
+def test_sample_frames_batch_draw_equals_scalar_draws():
+    # spans that fit and spans that wrap, one-frame segments, count 1 and stride 1
+    for seed in range(5):
+        lengths = np.random.default_rng(seed).integers(1, 50, size=64)
+        lengths[:3] = 1
+        for count, stride in [(8, 4), (1, 4), (8, 1), (1, 1), (12, 7)]:
+            batch_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            picks = sample_frames(lengths, count, stride, batch_rng)
+            assert picks.shape == (lengths.size, count)
+            for length, row in zip(lengths, picks):
+                assert row.tolist() == sample_frames_per_segment(
+                    int(length), count, stride, scalar_rng).tolist()
+            assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_sample_frames_rejects_an_empty_segment():
+    with pytest.raises(ValueError):
+        sample_frames(np.array([3, 0, 2]), 2, 1, np.random.default_rng(0))
 
 
 def test_nftp_filter_recall_on_spliced_data():
