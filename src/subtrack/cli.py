@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -23,7 +24,6 @@ from .trainer import (
     standard_ablation_rows,
     train,
     train_with_toggles,
-    TrainResult,
 )
 
 SWEEP_PARAMS = {
@@ -98,25 +98,10 @@ def _labels_payload(state: LabelState) -> dict:
         "mode": state.mode,
         "num_clusters": state.num_clusters,
         "assignment": items,
-        "positive_sets": {str(y): sorted(p) for y, p in sorted(state.positive_sets.items())},
+        "positive_sets": {str(y): (np.flatnonzero(row) + 1).tolist()
+                          for y, row in enumerate(state.positives, start=1)},
         "refined": {str(y): r for y, r in enumerate(refined, start=1)} if refined else None,
     }
-
-
-def _write_reports(result: TrainResult, path) -> None:
-    lines = []
-    for r in result.reports:
-        # timing is deliberately left out so reruns are byte-identical
-        payload = {
-            "epoch": r.epoch,
-            "num_clusters": r.num_clusters,
-            "num_outliers": r.num_outliers,
-            "mode": r.mode,
-            "mean_loss": None if np.isnan(r.mean_loss) else r.mean_loss,
-            "filtered_frames": r.filtered_frames,
-        }
-        lines.append(json.dumps(payload))
-    storage._atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def cmd_generate(args) -> None:
@@ -127,15 +112,19 @@ def cmd_generate(args) -> None:
 
 def cmd_train(args) -> None:
     tracklets, _ = _read_dataset(args.data)
-    cfg = _load_config(args.config)
-    result = train(tracklets, cfg)
-    out = Path(args.out)
-    storage.write_weights(result.encoder.weights, out / "weights.npy")
-    _write_reports(result, out / "reports.jsonl")
-    if result.labels is not None:
-        storage.dump_json(_labels_payload(result.labels), out / "labels.json")
-    else:  # no epoch ran: drop an earlier run's labels
-        (out / "labels.json").unlink(missing_ok=True)
+    result = train(tracklets, _load_config(args.config))
+    lines = []
+    for r in result.reports:  # timing is deliberately left out so reruns are byte-identical
+        loss = None if np.isnan(r.mean_loss) else r.mean_loss
+        payload = {**dataclasses.asdict(r), "mean_loss": loss}
+        del payload["seconds"]
+        lines.append(json.dumps(payload))
+    labels = result.labels  # None when no epoch ran: an earlier run's labels.json is removed
+    storage.write_files(args.out, {
+        "weights.npy": storage.weights_bytes(result.encoder.weights),
+        "reports.jsonl": ("\n".join(lines) + "\n").encode("utf-8"),
+        "labels.json": None if labels is None else storage.json_bytes(_labels_payload(labels)),
+    })
 
 
 def cmd_cluster(args) -> None:
@@ -143,7 +132,7 @@ def cmd_cluster(args) -> None:
     cfg = _load_config(args.config)
     enc = _read_encoder(args.weights, tracklets)
     state = cluster_epoch(enc, tracklets, cfg, epoch=cfg.epochs or 1)[0]
-    storage.dump_json(_labels_payload(state), Path(args.out))
+    storage.dump_json(_labels_payload(state), args.out)
 
 
 def cmd_eval(args) -> None:
@@ -178,7 +167,7 @@ def cmd_eval(args) -> None:
             "cmc": [float(x) for x in res.cmc],
             "skipped_queries": res.skipped_queries,
         },
-        Path(args.out),
+        args.out,
     )
 
 
@@ -209,7 +198,7 @@ def cmd_stats(args) -> None:
             "total_clusters": stats.total_clusters,
             "total_identities": stats.total_identities,
         },
-        Path(args.out),
+        args.out,
     )
 
 
@@ -218,7 +207,8 @@ def _write_csv(path, header, rows) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    storage._atomic_write(Path(path), buf.getvalue().encode("utf-8"))
+    path = Path(path)
+    storage.write_files(path.parent, {path.name: buf.getvalue().encode("utf-8")})
 
 
 def cmd_ablate(args) -> None:
@@ -272,55 +262,29 @@ def cmd_sweep(args) -> None:
     _write_csv(args.out, header, rows)
 
 
+# (command, handler, help, flags): --config is optional, --k-max an int, every other flag required
+COMMANDS = [
+    ("generate", cmd_generate, "generate a synthetic dataset", "--spec --out"),
+    ("train", cmd_train, "train the full pipeline", "--data --config --out"),
+    ("cluster", cmd_cluster, "one-shot filter, partition, cluster, merge",
+     "--data --weights --config --out"),
+    ("eval", cmd_eval, "retrieval metrics on a query/gallery split",
+     "--data --weights --split --out --k-max"),
+    ("stats", cmd_stats, "cluster-quality statistics for a labels file", "--labels --data --out"),
+    ("ablate", cmd_ablate, "run the standard toggle matrix", "--data --config --out"),
+    ("sweep", cmd_sweep, "sweep one hyperparameter", "--data --config --param --values --out"),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="subtrack")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a synthetic dataset")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="train the full pipeline")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("cluster", help="one-shot filter, partition, cluster, merge")
-    p.add_argument("--data", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("eval", help="retrieval metrics on a query/gallery split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-max", type=int, default=10)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("stats", help="cluster-quality statistics for a labels file")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("ablate", help="run the standard toggle matrix")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep", help="sweep one hyperparameter")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config")
-    p.add_argument("--param", required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    for name, func, summary, flags in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **({"type": int, "default": 10} if flag == "--k-max"
+                                    else {"required": flag != "--config"}))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -106,7 +106,7 @@ class LabelState:
 
     @cached_property
     def positive_sets(self) -> Mapping[int, frozenset[int]]:
-        """A read-only view of ``positives``: each label's positive labels as a set."""
+        """A read-only view of ``positives``: each label's positive set. Only perfbench reads it."""
         return MappingProxyType({y: frozenset((np.flatnonzero(row) + 1).tolist())
                                  for y, row in enumerate(self.positives, start=1)})
 

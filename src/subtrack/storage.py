@@ -2,6 +2,8 @@
 
 Control plane is JSON (fixed key order, floats in Python's shortest round-trip
 repr); bulk features are raw little-endian float32 files, one per tracklet.
+Every file reaches disk through one ``write_files`` call per command output:
+a map from file name to bytes, or to None for a stale file to remove.
 """
 
 from __future__ import annotations
@@ -25,26 +27,45 @@ class StorageError(Exception):
     pass
 
 
-def dump_json(obj, path) -> None:
-    """Deterministic JSON written atomically via temp-file rename."""
-    path = Path(path)
-    text = json.dumps(obj, indent=2) + "\n"
-    _atomic_write(path, text.encode("utf-8"))
+def write_files(out_dir, files: dict[str, Optional[bytes]]) -> None:
+    """Write each of ``files`` into ``out_dir``: its bytes, or None to remove the file.
 
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # mode 0o666 less the umask, as a plain open() makes it (mkstemp would make it 0600)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    A name that is a directory is refused first. Every file is staged under a temporary name
+    before the first is moved in, and a failure removes the staged files not yet moved in;
+    a rename that fails after the first move keeps the earlier moves."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in files:
+        if (out_dir / name).is_dir():
+            raise IsADirectoryError(f"{out_dir / name} is a directory, not a file")
+    tag = f"{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    staged = {}  # temporary path -> target, until it is moved in
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for name, data in files.items():
+            if data is not None:  # "x": a new file, 0o666 less the umask, as open() makes it
+                with open(out_dir / f"{name}.{tag}", "xb") as fh:
+                    staged[out_dir / f"{name}.{tag}"] = out_dir / name
+                    fh.write(data)
+        for tmp, path in list(staged.items()):
+            os.replace(tmp, path)
+            del staged[tmp]
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
         raise
+    for name, data in files.items():
+        if data is None:
+            (out_dir / name).unlink(missing_ok=True)
+
+
+def json_bytes(obj) -> bytes:
+    """Deterministic JSON: fixed key order, two-space indent, a final newline."""
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+def dump_json(obj, path) -> None:
+    path = Path(path)
+    write_files(path.parent, {path.name: json_bytes(obj)})
 
 
 def load_json(path):
@@ -64,20 +85,19 @@ def _feature_files(out_dir: Path) -> set[str]:
 
 
 def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict] = None) -> None:
+    """Every check, then one ``write_files`` call: the feature files and the manifest, and
+    None for an earlier write's ``splices.json`` and feature files that are not rewritten."""
     out_dir = Path(out_dir)
     if len({t.id for t in tracklets}) != len(tracklets):
         raise StorageError("tracklet ids must be unique")
+    d_raw = tracklets[0].frames.shape[1]
+    files, entries = {}, []
     for t in tracklets:
         if os.sep in t.id or (os.altsep and os.altsep in t.id):
             raise StorageError(f"tracklet id {t.id!r} is not a file name")
-    d_raw = tracklets[0].frames.shape[1]
-    earlier = _feature_files(out_dir)
-    entries = []
-    for t in tracklets:
         if t.frames.shape[1] != d_raw:
             raise StorageError(f"tracklet {t.id}: dimension mismatch")
-        data = np.ascontiguousarray(t.frames, dtype="<f4").tobytes()
-        _atomic_write(out_dir / f"{t.id}.f32", data)
+        files[f"{t.id}.f32"] = np.ascontiguousarray(t.frames, dtype="<f4").tobytes()
         entry = {
             "tracklet_id": t.id,
             "frame_count": int(t.frames.shape[0]),
@@ -89,18 +109,13 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
             entry["camera"] = int(t.camera)
         entries.append(entry)
     manifest = {"format_version": FORMAT_VERSION, "d_raw": int(d_raw), "tracklets": entries}
-    dump_json(manifest, out_dir / "manifest.json")
-    for name in earlier - {e["feature_file"] for e in entries}:  # an earlier write's tracklets
-        (out_dir / name).unlink(missing_ok=True)
-    if splice_log:
-        splices = {
-            tid: [{"start": r.start, "end": r.end, "source_identity": r.source_identity}
-                  for r in recs]
-            for tid, recs in sorted(splice_log.items())
-        }
-        dump_json(splices, out_dir / "splices.json")
-    else:  # no splice log: drop an earlier write's
-        (out_dir / "splices.json").unlink(missing_ok=True)
+    files["manifest.json"] = json_bytes(manifest)
+    splices = {tid: [{"start": r.start, "end": r.end, "source_identity": r.source_identity}
+                     for r in recs] for tid, recs in sorted((splice_log or {}).items())}
+    files["splices.json"] = json_bytes(splices) if splices else None  # None drops an earlier one
+    for name in sorted(_feature_files(out_dir) - files.keys()):  # an earlier write's tracklets
+        files[name] = None
+    write_files(out_dir, files)
 
 
 def write_synthetic(ds: SyntheticDataset, out_dir) -> None:
@@ -205,14 +220,22 @@ def dataclass_from_json(cls, obj, where: str):
     return cls(**values)
 
 
-def write_weights(weights: np.ndarray, path) -> None:
+def weights_bytes(weights: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, np.asarray(weights, dtype=np.float64), allow_pickle=False)
-    _atomic_write(Path(path), buf.getvalue())
+    return buf.getvalue()
+
+
+def write_weights(weights: np.ndarray, path) -> None:
+    path = Path(path)
+    write_files(path.parent, {path.name: weights_bytes(weights)})
 
 
 def read_weights(path) -> np.ndarray:
-    weights = np.load(path, allow_pickle=False)
+    try:
+        weights = np.load(path, allow_pickle=False)
+    except EOFError:
+        raise StorageError(f"{path}: weights file is empty") from None
     if not isinstance(weights, np.ndarray) or weights.ndim != 2 or weights.dtype.kind != "f":
         raise StorageError(f"{path}: weights must be a 2-D float array in .npy format")
     if not np.isfinite(weights).all():

@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import io
+import itertools
 import json
 import os
 import stat
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subtrack import storage
 from subtrack.cli import main
 from subtrack.model import Tracklet
 from subtrack.storage import load_json, read_dataset, write_dataset, write_weights
@@ -535,8 +538,13 @@ def _save_npz(path, weights):
         np.savez(fh, weights=weights)
 
 
+def _save_empty(path, weights):
+    path.write_bytes(b"")
+
+
 @pytest.mark.parametrize("argv", [_cluster_argv, _eval_argv], ids=["cluster", "eval"])
 @pytest.mark.parametrize("weights,save,key", [
+    pytest.param(None, _save_empty, "empty", id="empty"),
     pytest.param(np.full((4, 4), np.nan), np.save, "NaN", id="nan"),
     pytest.param(np.tile([np.inf, 1.0], (4, 2)), np.save, "infinite", id="inf"),
     pytest.param(np.ones((3, 4)), np.save, "d_raw", id="row-count"),
@@ -558,6 +566,132 @@ def test_malformed_weights_error_as_json(tmp_path, capsys, argv, weights, save, 
     assert set(err) == {"error", "message"}
     assert key in err["message"]
     assert not out.exists()
+
+
+SMALL_CONFIG = {"dim": 4, "epochs": 1, "k1": 3, "k2": 1}
+SMALL_SPEC = {"num_identities": 3, "tracklets_per_identity": 2, "tracklet_length_range": [12, 16],
+              "raw_dim": 4, "splice_rate": 1.0, "splice_len_range": [2, 4], "seed": 1}
+# each command's argv for an earlier run and for a rerun into the same --out, run in the
+# directory that _command_inputs fills; the reruns of generate and train-no-epochs remove
+# files that the earlier run wrote (splices.json and two feature files; labels.json)
+RERUNS = {
+    "generate": ("generate --spec spec.json --out gen", "generate --spec spec2.json --out gen"),
+    "train": ("train --data data --config small.json --out run",) * 2,
+    "train-no-epochs": ("train --data data --config small.json --out run",
+                        "train --data data --config no_epochs.json --out run"),
+    "cluster": ("cluster --data data --weights weights.npy --config small.json --out c.json",) * 2,
+    "eval": ("eval --data data --weights weights.npy --split split.json --out eval.json",) * 2,
+    "stats": ("stats --labels labels.json --data data --out stats.json",) * 2,
+    "ablate": ("ablate --data data --config small.json --out ablate.csv",) * 2,
+    "sweep": ("sweep --data data --config small.json --param K --values 1,2 --out sweep.csv",) * 2,
+}
+
+
+def _command_inputs(root):
+    _valid_run_inputs(root)
+    for name, payload in [("small.json", SMALL_CONFIG),
+                          ("no_epochs.json", {**SMALL_CONFIG, "epochs": 0}),
+                          ("spec.json", SMALL_SPEC),
+                          ("spec2.json", {**SMALL_SPEC, "num_identities": 2, "splice_rate": 0.0})]:
+        (root / name).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _snapshot(root):
+    """Each path under ``root``: a file's inode and bytes, or None for a directory. A file that
+    a rename replaced has a new inode, even with the same bytes."""
+    return {str(p.relative_to(root)): None if p.is_dir() else (p.stat().st_ino, p.read_bytes())
+            for p in root.rglob("*")}
+
+
+class _FullDiskAt:
+    """Stands in for ``open``: the n-th file opened for writing takes half its bytes, then fails."""
+
+    def __init__(self, n):
+        self.n, self.writes, self.open = n, 0, open
+
+    def __call__(self, file, mode="r", *args, **kwargs):
+        fh = self.open(file, mode, *args, **kwargs)
+        if set(mode) & set("wxa+"):
+            self.writes += 1
+            if self.writes == self.n:
+                return _HalfWrite(fh)
+        return fh
+
+
+class _HalfWrite:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _one_json_error(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_a_failed_write_leaves_the_earlier_output_untouched(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    earlier, rerun = (argv.split() for argv in RERUNS[command])
+    assert main(earlier) == 0
+    before = _snapshot(tmp_path)
+    for n in itertools.count(1):
+        fault = _FullDiskAt(n)
+        with monkeypatch.context() as m:  # os.fdopen opens files through io.open
+            m.setattr("builtins.open", fault)
+            m.setattr("io.open", fault)
+            code = main(rerun)
+        if fault.writes < n:  # no n-th write: the rerun went through
+            break
+        assert code == 1, f"write {n}"
+        assert _one_json_error(capsys)["error"] == "OSError"
+        assert _snapshot(tmp_path) == before, f"write {n} failed but the output changed"
+    assert code == 0 and n > 1
+    assert _snapshot(tmp_path) != before
+
+
+@pytest.mark.parametrize("command,target", [
+    ("train", "run/labels.json"),
+    ("generate", "gen/id0001_t1.f32"),  # the last of the rerun's feature files
+])
+def test_an_output_name_that_is_a_directory_leaves_the_earlier_output(tmp_path, monkeypatch,
+                                                                      capsys, command, target):
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    earlier, rerun = (argv.split() for argv in RERUNS[command])
+    assert main(earlier) == 0
+    (tmp_path / target).unlink()
+    (tmp_path / target).mkdir()
+    before = _snapshot(tmp_path)
+    assert main(rerun) == 1
+    assert target in _one_json_error(capsys)["message"]
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_every_command_writes_its_output_in_one_write_files_call(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    calls, write_files = [], storage.write_files
+
+    def counted(*args):
+        calls.append(args)
+        write_files(*args)
+
+    monkeypatch.setattr(storage, "write_files", counted)
+    assert main(RERUNS[command][1].split()) == 0
+    assert len(calls) == 1
 
 
 KEEP, DROP, SET = "keep", "drop", "set"

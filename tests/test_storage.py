@@ -12,6 +12,7 @@ from subtrack.storage import (
     read_dataset,
     read_weights,
     write_dataset,
+    write_files,
     write_synthetic,
     write_weights,
 )
@@ -91,6 +92,21 @@ def test_write_dataset_rejects_ids_that_are_not_file_names(tmp_path):
                       out)
     assert not (tmp_path / "escaped.f32").exists()
     assert not out.exists()
+
+
+def test_write_dataset_checks_every_tracklet_before_it_writes(tmp_path):
+    with pytest.raises(StorageError, match="dimension mismatch"):
+        write_dataset([Tracklet("a", np.ones((2, 4))), Tracklet("b", np.ones((2, 5)))], tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("data", [b"d", None])
+def test_write_files_refuses_a_directory_before_it_writes(tmp_path, data):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "old").write_bytes(b"old")
+    with pytest.raises(IsADirectoryError, match="d is a directory"):
+        write_files(tmp_path, {"new": b"new", "old": None, "d": data})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "old"]
 
 
 def test_synthetic_round_trip_with_splices(tmp_path):
