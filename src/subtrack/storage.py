@@ -8,6 +8,7 @@ a map from file name to bytes, or to None for a stale file to remove.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -31,9 +32,11 @@ def write_files(out_dir, files: dict[str, Optional[bytes]]) -> None:
     """Write each of ``files`` into ``out_dir``: its bytes, or None to remove the file.
 
     A name that is a directory is refused first. Every file is staged under a temporary name
-    before the first is moved in, and a failure removes the staged files not yet moved in;
-    a rename that fails after the first move keeps the earlier moves."""
+    before the first is moved in, and a failure removes the staged files not yet moved in and
+    then each directory that this call made and left empty; a rename that fails after the
+    first move keeps the earlier moves."""
     out_dir = Path(out_dir)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in files:
         if (out_dir / name).is_dir():
@@ -52,6 +55,9 @@ def write_files(out_dir, files: dict[str, Optional[bytes]]) -> None:
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # one that a rename filled stays, with its parents
+            for made_dir in made:
+                made_dir.rmdir()
         raise
     for name, data in files.items():
         if data is None:

@@ -173,17 +173,17 @@ def cluster_epoch(
         encoded = encode_frames(enc, t.frames)
         keep = np.arange(len(encoded))
         if toggles.filter_frames:
-            ft = nftp.noise_filter(encoded, cfg.filter_factor)
-            keep, filtered_frames = ft.surviving_indices, filtered_frames + len(ft.filtered_indices)
-        sts = nftp.partition(t.id, keep.size, cfg.partition_stride if toggles.do_partition
-                             else keep.size)
-        n, length, surviving = len(sts), len(sts[0]), encoded[keep]
+            keep = nftp.noise_filter(encoded, cfg.filter_factor)[0]
+            filtered_frames += len(encoded) - keep.size
+        bounds = nftp.partition(keep.size, cfg.partition_stride if toggles.do_partition
+                                else keep.size).tolist()
+        n, length, surviving = len(bounds), bounds[0][1] + 1, encoded[keep]
         head = (n - 1) * length
         body = surviving[:head].reshape(n - 1, length, surviving.shape[1])  # empty if n is 1
         means += [np.add.reduce(body, axis=1) / length,
                   np.add.reduce(surviving[head:], axis=0)[None] / (keep.size - head)]
-        unit_frames += [(t.frames, keep[a : b + 1]) for a, b in (st.frame_range for st in sts)]
-        subtracklets += sts
+        unit_frames += [(t.frames, keep[a : b + 1]) for a, b in bounds]
+        subtracklets += [SubTracklet(t.id, s, (a, b)) for s, (a, b) in enumerate(bounds, 1)]
         parent += [ti] * n
     features = _normalized_rows(np.concatenate(means))
     del means  # not held through clustering

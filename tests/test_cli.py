@@ -661,6 +661,22 @@ def test_a_failed_write_leaves_the_earlier_output_untouched(tmp_path, monkeypatc
     assert _snapshot(tmp_path) != before
 
 
+@pytest.mark.parametrize("out", ["new/run", "data/new/run"])  # "data" existed before
+def test_a_failed_write_removes_the_out_directories_it_made(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    before = _snapshot(tmp_path)
+    fault = _FullDiskAt(1)
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", fault)
+        m.setattr("io.open", fault)
+        assert main(f"train --data data --config small.json --out {out}".split()) == 1
+    assert fault.writes == 1
+    assert _one_json_error(capsys)["error"] == "OSError"
+    assert _snapshot(tmp_path) == before
+    assert not (tmp_path / out).parent.exists()
+
+
 @pytest.mark.parametrize("command,target", [
     ("train", "run/labels.json"),
     ("generate", "gen/id0001_t1.f32"),  # the last of the rerun's feature files

@@ -3,92 +3,121 @@ import pytest
 
 from oracles import sample_frames_per_segment
 from subtrack.model import default_config
-from subtrack.nftp import (
-    center_feature,
-    frame_distances,
-    noise_filter,
-    partition,
-    sample_frames,
-)
+from subtrack.nftp import noise_filter, partition, sample_frames
 from subtrack.synth import SyntheticSpec, generate, oracle_noise_indices
 
 
+def _filtered(frames, factor):
+    """The indices that ``noise_filter`` drops: every frame index it does not keep."""
+    return set(range(len(frames))) - set(noise_filter(frames, factor)[0].tolist())
+
+
 def test_center_feature_identical():
-    assert np.allclose(center_feature([[1, 0], [1, 0]]), [1, 0])
+    # identical frames: the center is their direction, so every distance and the threshold are 0
+    kept, threshold = noise_filter([[1, 0], [1, 0]], 0.7)
+    assert threshold == 0.0 and kept.tolist() == [0, 1]
 
 
 def test_center_feature_symmetry():
-    assert np.allclose(center_feature([[1, 0], [0, 1]]), [0.5, 0.5])
+    # the center of (1, 0) and (0, 1) is (0.5, 0.5), at cos 1/sqrt(2) from both
+    _, threshold = noise_filter([[1, 0], [0, 1]], 1.0)
+    assert threshold == pytest.approx((1 - 1 / np.sqrt(2)) ** 2, abs=1e-12)
 
 
 def test_center_feature_hand_value():
-    c = center_feature([[1, 0], [1, 0], [0, 1]])
-    assert np.allclose(c, [2 / 3, 1 / 3])
+    # the center (2/3, 1/3) is at cos 2/sqrt(5) from (1, 0) and 1/sqrt(5) from (0, 1)
+    _, threshold = noise_filter([[1, 0], [1, 0], [0, 1]], 1.0)
+    expected = (2 * (1 - 2 / np.sqrt(5)) ** 2 + (1 - 1 / np.sqrt(5)) ** 2) / 3
+    assert threshold == pytest.approx(expected, abs=1e-12)
 
 
 def test_center_feature_rejects_empty():
     with pytest.raises(ValueError):
-        center_feature(np.zeros((0, 2)))
+        noise_filter(np.zeros((0, 2)), 0.7)
 
 
 def test_frame_distance_identical_direction():
     # scale-free: a longer frame in the same direction is at distance 0 too
-    assert frame_distances([[1, 0], [3, 0]], [1, 0]).tolist() == [0.0, 0.0]
+    kept, threshold = noise_filter([[1, 0], [3, 0]], 0.7)
+    assert threshold == 0.0 and kept.tolist() == [0, 1]
 
 
 def test_frame_distance_orthogonal():
-    assert frame_distances([[1, 0]], [0, 1]).tolist() == [1.0]
+    # the center (0, 2/3) is orthogonal to the first two frames: distances 1, 1 and 0
+    kept, threshold = noise_filter([[1, 0], [-1, 0], [0, 2]], 1.0)
+    assert threshold == 2 / 3 and kept.tolist() == [2]
 
 
 def test_frame_distance_hand_value():
-    # cos((0,1), (2/3,1/3)) = (1/3) / (sqrt(5)/3)
-    expected = (1 - (1 / 3) / (np.sqrt(5) / 3)) ** 2
-    dist = frame_distances([[0, 1], [2, 1]], [2 / 3, 1 / 3])
-    assert dist[0] == pytest.approx(expected, abs=1e-12)
-    assert dist[1] == pytest.approx(0.0, abs=1e-12)
+    # the center (2, 1) is at cos 1/sqrt(5) from (0, 1): distance 0.3056; (2, 1) is at 0
+    expected = (1 - 1 / np.sqrt(5)) ** 2
+    cos = 9 / np.sqrt(85)  # (4, 1) against (2, 1)
+    kept, threshold = noise_filter([[0, 1], [2, 1], [4, 1]], 1.0)
+    assert threshold == pytest.approx((expected + (1 - cos) ** 2) / 3, abs=1e-12)
+    assert kept.tolist() == [1, 2]
     assert expected == pytest.approx(0.3056, abs=1e-4)
 
 
 def test_center_and_distances_match_mean_and_linalg_norm_bit_for_bit():
+    # each factor after the first puts the threshold at one frame's distance, so a last-bit
+    # change in that distance, the center or the sum moves the threshold or the kept set
     rng = np.random.default_rng(13)
     for _ in range(60):
         frames = rng.normal(size=(int(rng.integers(1, 200)), int(rng.integers(1, 40))))
-        center = center_feature(frames)
-        assert center.tobytes() == frames.mean(axis=0).tobytes()
+        center = frames.mean(axis=0)
         cos = (frames @ center) / (np.linalg.norm(frames, axis=1) * np.linalg.norm(center))
-        assert frame_distances(frames, center).tobytes() == ((1.0 - cos) ** 2).tobytes()
+        dist = (1.0 - cos) ** 2
+        total = dist.sum()
+        factors = [0.7] + [total / (len(frames) * d) for d in dist[:5] if d > 0]
+        for factor in factors:
+            threshold = float(total / (len(frames) * factor))
+            oracle = np.flatnonzero(dist <= threshold)
+            if oracle.size == 0:
+                oracle = np.array([np.argmin(dist)])
+            kept, got = noise_filter(frames, factor)
+            assert np.float64(got).tobytes() == np.float64(threshold).tobytes()
+            assert kept.tolist() == oracle.tolist()
 
 
 def test_frame_distance_rejects_zero_vector():
     with pytest.raises(ValueError):
-        frame_distances([[1, 0], [0, 0]], [1, 0])
+        noise_filter([[1, 0], [0, 0]], 0.7)  # a zero frame
     with pytest.raises(ValueError):
-        frame_distances([[1, 0]], [0, 0])
+        noise_filter([[1, 0], [-1, 0]], 0.7)  # a zero center
 
 
 def test_noise_filter_identical_frames_nothing_removed():
     frames = np.tile([1.0, 0.0], (4, 1))
-    ft = noise_filter(frames, 0.7)
-    assert ft.threshold == 0.0
-    assert ft.surviving_indices.tolist() == [0, 1, 2, 3]
-    assert ft.filtered_indices.tolist() == []
+    kept, threshold = noise_filter(frames, 0.7)
+    assert threshold == 0.0
+    assert kept.tolist() == [0, 1, 2, 3]
+    assert _filtered(frames, 0.7) == set()
 
 
 def test_noise_filter_worked_example():
     frames = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    ft = noise_filter(frames, 0.7)
+    kept, threshold = noise_filter(frames, 0.7)
     q_expected = (2 * (1 - 2 / np.sqrt(5)) ** 2 + (1 - 1 / np.sqrt(5)) ** 2) / (3 * 0.7)
-    assert ft.threshold == pytest.approx(q_expected, abs=1e-12)
-    assert ft.threshold == pytest.approx(0.1561, abs=1e-4)
-    assert ft.surviving_indices.tolist() == [0, 1]
-    assert ft.filtered_indices.tolist() == [2]
+    assert threshold == pytest.approx(q_expected, abs=1e-12)
+    assert threshold == pytest.approx(0.1561, abs=1e-4)
+    assert kept.tolist() == [0, 1]
+    assert _filtered(frames, 0.7) == {2}
 
 
 def test_noise_filter_small_factor_keeps_everything():
     frames = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    ft = noise_filter(frames, 0.05)
-    assert ft.threshold > 2.0
-    assert ft.filtered_indices.tolist() == []
+    kept, threshold = noise_filter(frames, 0.05)
+    assert threshold > 2.0
+    assert kept.tolist() == [0, 1, 2]
+
+
+def test_noise_filter_keeps_the_first_closest_frame_when_all_lie_above():
+    # both frames are at (1 - 1/sqrt(2))**2 from the center, twice the threshold at factor 2
+    frames = [[1.0, 0.0], [0.0, 1.0]]
+    kept, threshold = noise_filter(frames, 2.0)
+    assert threshold == pytest.approx((1 - 1 / np.sqrt(2)) ** 2 / 2, abs=1e-12)
+    assert kept.tolist() == [0]
+    assert kept.dtype.kind == "i" and kept.ndim == 1
 
 
 def test_noise_filter_monotone_in_factor():
@@ -96,7 +125,7 @@ def test_noise_filter_monotone_in_factor():
     for _ in range(30):
         frames = rng.normal(size=(rng.integers(3, 40), 6))
         factors = sorted(rng.uniform(0.05, 3.0, size=4))
-        removed = [set(noise_filter(frames, f).filtered_indices) for f in factors]
+        removed = [_filtered(frames, f) for f in factors]
         for small, large in zip(removed, removed[1:]):
             assert small <= large
 
@@ -105,8 +134,8 @@ def test_noise_filter_permutation_covariant():
     rng = np.random.default_rng(9)
     frames = rng.normal(size=(20, 5))
     perm = rng.permutation(20)
-    base = set(noise_filter(frames, 0.7).filtered_indices)
-    permuted = set(noise_filter(frames[perm], 0.7).filtered_indices)
+    base = _filtered(frames, 0.7)
+    permuted = _filtered(frames[perm], 0.7)
     assert {int(np.flatnonzero(perm == i)[0]) for i in base} == permuted
 
 
@@ -127,10 +156,14 @@ def test_noise_filter_permutation_covariant():
     ],
 )
 def test_partition_lengths(length, stride, expected_lengths):
-    parts = partition("t", length, stride)
-    assert [len(p) for p in parts] == expected_lengths
-    assert all(p.parent_id == "t" for p in parts)
-    assert [p.segment_index for p in parts] == list(range(1, len(parts) + 1))
+    bounds = partition(length, stride)
+    assert bounds.shape == (len(expected_lengths), 2) and bounds.dtype.kind == "i"
+    assert (bounds[:, 1] - bounds[:, 0] + 1).tolist() == expected_lengths
+
+
+def test_partition_of_no_frames_is_empty():
+    bounds = partition(0, 32)
+    assert bounds.shape == (0, 2) and bounds.dtype.kind == "i"
 
 
 def test_partition_reconstruction_random():
@@ -138,14 +171,15 @@ def test_partition_reconstruction_random():
     for _ in range(200):
         length = int(rng.integers(1, 200))
         stride = int(rng.integers(1, 50))
-        parts = partition("t", length, stride)
+        bounds = partition(length, stride)
         covered = []
-        for p in parts:
-            covered.extend(range(p.frame_range[0], p.frame_range[1] + 1))
+        for a, b in bounds.tolist():
+            covered.extend(range(a, b + 1))
         assert covered == list(range(length))
         if length >= stride:
-            assert all(len(p) >= stride for p in parts)
-            assert len(parts[-1]) <= 2 * stride - 1
+            lengths = bounds[:, 1] - bounds[:, 0] + 1
+            assert (lengths >= stride).all()
+            assert lengths[-1] <= 2 * stride - 1
 
 
 def test_sample_frames_fitting_span():
@@ -183,21 +217,18 @@ def test_sample_frames_always_valid_indices():
 def test_nftp_all_counts():
     # 64 identical frames: none filtered, two units at the default stride
     cfg = default_config()
-    ft = noise_filter(np.tile([1.0, 0.0], (64, 1)), cfg.filter_factor)
-    assert len(ft.filtered_indices) == 0
-    assert len(partition("a", ft.surviving_indices.size, cfg.partition_stride)) == 2
+    kept, _ = noise_filter(np.tile([1.0, 0.0], (64, 1)), cfg.filter_factor)
+    assert kept.size == 64
+    assert len(partition(kept.size, cfg.partition_stride)) == 2
 
 
 def test_nftp_all_one_subtracklet_per_exact_stride():
     # a tracklet of exactly one stride is one unit
     cfg = default_config()
-    tracklets = [("t%d" % i, np.tile([0.0, 1.0], (32, 1))) for i in range(5)]
-    units = [
-        partition(tid, noise_filter(frames, cfg.filter_factor).surviving_indices.size,
-                  cfg.partition_stride)
-        for tid, frames in tracklets
-    ]
-    assert sum(len(sts) for sts in units) == 5
+    tracklets = [np.tile([0.0, 1.0], (32, 1)) for _ in range(5)]
+    units = [partition(noise_filter(frames, cfg.filter_factor)[0].size, cfg.partition_stride)
+             for frames in tracklets]
+    assert sum(len(bounds) for bounds in units) == 5
 
 
 def test_sample_frames_batch_draw_equals_scalar_draws():
@@ -241,8 +272,7 @@ def test_nftp_filter_recall_on_spliced_data():
         if not truth:
             continue
         unit = t.frames / np.linalg.norm(t.frames, axis=1, keepdims=True)
-        ft = noise_filter(unit, cfg.filter_factor)
-        caught += len(truth & set(ft.filtered_indices))
+        caught += len(truth & _filtered(unit, cfg.filter_factor))
         total += len(truth)
     assert total > 0
     assert caught / total > 0.6

@@ -177,13 +177,14 @@ def test_dump_json_atomic_leaves_no_temp_files(tmp_path, monkeypatch):
         out = tmp_path / writer.__name__
         writer(payload, out / "out")
         assert [p.name for p in out.iterdir()] == ["out"]
-    # a write that fails at the final rename leaves neither target nor temp file behind
+    # a write that fails at the final rename leaves neither target nor temp file behind,
+    # nor the directory that it made
     monkeypatch.setattr("subtrack.storage.os.replace", _failing_replace)
     for writer, payload in writers:
         out = tmp_path / f"{writer.__name__}_failed"
         with pytest.raises(OSError):
             writer(payload, out / "out")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def _failing_replace(src, dst):

@@ -23,6 +23,7 @@ from subtrack.model import (
     MODE_REACHABLE,
     OUTLIER,
     LabelState,
+    SubTracklet,
     TrainConfig,
     Tracklet,
     default_config,
@@ -280,12 +281,15 @@ def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition
                                                                      toggles)
     by_id = {t.id: t for t in tracklets}
     encoded = {t.id: encode_frames(enc, t.frames) for t in tracklets}
-    surviving = {tid: nftp.noise_filter(e, cfg.filter_factor).surviving_indices if filter_frames
+    surviving = {tid: nftp.noise_filter(e, cfg.filter_factor)[0] if filter_frames
                  else np.arange(len(e)) for tid, e in encoded.items()}
     # without partitioning, the survivor count is the stride: one unit spans them all
     stride = cfg.partition_stride if do_partition else None
-    assert subtracklets == [st for tid, keep in surviving.items()
-                            for st in nftp.partition(tid, keep.size, stride or keep.size)]
+    # each tracklet's segments in order, numbered from 1, one per row of its bounds
+    assert subtracklets == [
+        SubTracklet(tid, s, (a, b)) for tid, keep in surviving.items()
+        for s, (a, b) in enumerate(nftp.partition(keep.size, stride or keep.size).tolist(), 1)]
+    assert all(type(v) is int for st in subtracklets for v in st.frame_range)
     kept = sum(keep.size for keep in surviving.values())
     assert filtered == sum(len(t.frames) for t in tracklets) - kept
     assert (filtered > 0) == filter_frames
