@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CliError, ValueError, OSError, storage.StorageError) as exc:
+    except (CliError, ValueError, OSError, MemoryError, storage.StorageError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0

@@ -2,7 +2,8 @@
 
 The loss takes a mini-batch of B embeddings and returns each row's value and
 analytic gradient (verified against finite differences in the test suite) at
-O(B n) cost for n classes. Bank rows are kept unit-norm after every update so
+O(B n) cost for n classes; its weights are formed per batch from the batch's B
+rows of the positive mask. Bank rows are kept unit-norm after every update so
 cosine logits stay on a fixed scale.
 """
 
@@ -19,8 +20,6 @@ from .model import TrainConfig
 class MemoryBanks:
     centroid: np.ndarray  # (n, dim), rows unit-norm
     hard: np.ndarray      # (n, dim), rows unit-norm
-    temperature: float
-    momentum: float
 
     @property
     def num_classes(self) -> int:
@@ -33,12 +32,7 @@ class LossOutput:
     grad: np.ndarray   # (B, dim), d(value[b])/d(V[b])
 
 
-def init_memory(
-    features: np.ndarray,
-    labels: np.ndarray,
-    temperature: float,
-    momentum: float,
-) -> MemoryBanks:
+def init_memory(features: np.ndarray, labels: np.ndarray) -> MemoryBanks:
     """Both banks start as the normalized per-class feature means.
 
     ``labels`` holds values 1..n aligned with feature rows; OUTLIER rows are
@@ -60,48 +54,40 @@ def init_memory(
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero row")
     centroid = centroid / norms
-    return MemoryBanks(centroid, centroid.copy(), float(temperature), float(momentum))
+    return MemoryBanks(centroid, centroid.copy())
 
 
-@dataclass(frozen=True)
-class PositiveTable:
-    """Row y - 1: class y's weight on each class, and which classes are its positives.
+def batch_weights(positives: np.ndarray, labels: np.ndarray,
+                  smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, pos): each batch row's weight on every class and its row of ``positives``.
 
-    The anchor weighs 1 - smoothing + smoothing/K, each other positive
-    smoothing/K (0 when smoothing is, hence the mask) and each negative 0.
+    Row y - 1 of the (n, n) bool ``positives`` marks class y's positives, which
+    must hold y. The anchor weighs 1 - smoothing + smoothing/K, each other
+    positive smoothing/K (0 when smoothing is, hence the mask), a negative 0.
     """
-
-    weights: np.ndarray  # (n, n)
-    mask: np.ndarray     # (n, n) bool
-
-
-def positive_table(positives: np.ndarray, smoothing: float) -> PositiveTable:
-    """Check that every class is its own positive and tabulate the weights of the
-    (n, n) positive mask, where row y - 1 marks class y's positives."""
     if not positives.diagonal().all():
         raise ValueError("anchor label must belong to its positive set")
-    share = smoothing / positives.sum(axis=1)  # smoothing / K for each class
-    weights = np.where(positives, share[:, None], 0.0)
-    np.fill_diagonal(weights, 1.0 - smoothing + share)
-    return PositiveTable(weights, positives)
+    if labels.size and (labels.min() < 1 or labels.max() > positives.shape[0]):
+        raise ValueError("label outside 1..n")
+    pos = positives[labels - 1]
+    share = smoothing / pos.sum(axis=1)  # smoothing / K for each row's class
+    s = np.where(pos, share[:, None], 0.0)
+    s[np.arange(labels.size), labels - 1] = 1.0 - smoothing + share
+    return s, pos
 
 
-def csc_loss(V: np.ndarray, labels: np.ndarray, table: PositiveTable, rows: np.ndarray,
+def csc_loss(V: np.ndarray, s: np.ndarray, pos: np.ndarray, rows: np.ndarray,
              temperature: float) -> LossOutput:
     """Class-smoothed contrastive loss of each row of ``V`` against one bank.
 
-    With z = rows @ v_b / T and L the log-sum-exp of z over the negatives,
-    positive j pays -s_j log p_j, p_j = 1 / (1 + e^(L - z_j)): its denominator
-    holds only itself and the negatives, so positives never repel one another.
-    The gradient is -s_j (1 - p_j) on z_j and softmax_neg(z)_k * sum_j
-    s_j (1 - p_j) on negative k, so a row costs O(n); one without negatives
-    pays 0. Positives {y} give plain InfoNCE for any smoothing in [0, 1]: the
-    anchor weight 1 - smoothing + smoothing rounds to exactly 1.
+    Row b weighs class j by s_j = s[b, j], and pos[b] marks its positives (``batch_weights``).
+    With z = rows @ v_b / T and L the log-sum-exp of z over the negatives, positive j pays
+    -s_j log p_j, p_j = 1 / (1 + e^(L - z_j)): its denominator holds only itself and the
+    negatives, so positives never repel one another. The gradient is -s_j (1 - p_j) on z_j
+    and softmax_neg(z)_k * sum_j s_j (1 - p_j) on negative k, so a row costs O(n); one
+    without negatives pays 0. Positives {y} give plain InfoNCE for any smoothing in [0, 1]:
+    the anchor weight 1 - smoothing + smoothing rounds to exactly 1.
     """
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 1 or labels.max() > rows.shape[0]):
-        raise ValueError("label outside 1..n")
-    s, pos = table.weights[labels - 1], table.mask[labels - 1]
     z = V @ rows.T / temperature
     z_neg = np.where(pos, -np.inf, z)
     m = z_neg.max(axis=1, keepdims=True)
@@ -117,26 +103,27 @@ def csc_loss(V: np.ndarray, labels: np.ndarray, table: PositiveTable, rows: np.n
     return LossOutput((s * log1p_e).sum(axis=1), grad_z @ rows / temperature)
 
 
-def combined_loss(V: np.ndarray, labels: np.ndarray, table: PositiveTable, banks: MemoryBanks,
+def combined_loss(V: np.ndarray, labels: np.ndarray, positives: np.ndarray, banks: MemoryBanks,
                   cfg: TrainConfig) -> LossOutput:
     """Weighted sum of the hard-memory and centroid-memory losses, per row."""
-    hard = csc_loss(V, labels, table, banks.hard, banks.temperature)
-    cent = csc_loss(V, labels, table, banks.centroid, banks.temperature)
+    s, pos = batch_weights(positives, labels, cfg.smoothing)
+    hard = csc_loss(V, s, pos, banks.hard, cfg.temperature)
+    cent = csc_loss(V, s, pos, banks.centroid, cfg.temperature)
     return LossOutput(cfg.hard_weight * hard.value + cfg.centroid_weight * cent.value,
                       cfg.hard_weight * hard.grad + cfg.centroid_weight * cent.grad)
 
 
-def update_banks(banks: MemoryBanks, V: np.ndarray, labels: np.ndarray) -> MemoryBanks:
+def update_banks(banks: MemoryBanks, V: np.ndarray, labels: np.ndarray,
+                 momentum: float) -> MemoryBanks:
     """Move each class's centroid row to its batch mean, hard row to its least similar sample."""
     if labels.size == 0:
         raise ValueError("empty batch")
-    a = banks.momentum
-    if a == 1.0:
+    if momentum == 1.0:
         return banks  # exact fixed point: renormalizing would only add round-off
 
     def moved(rows, classes, targets):
         out = rows.copy()
-        new = a * rows[classes - 1] + (1.0 - a) * targets
+        new = momentum * rows[classes - 1] + (1.0 - momentum) * targets
         out[classes - 1] = new / np.linalg.norm(new, axis=1, keepdims=True)
         return out
 

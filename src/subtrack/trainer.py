@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nftp
 from .clustering import sub_cluster_generate
-from .memory import MemoryBanks, combined_loss, init_memory, positive_table, update_banks
+from .memory import MemoryBanks, combined_loss, init_memory, update_banks
 from .merging import build_graph, merged_state, progressive_positive_sets
 from .model import (
     MODE_DIRECT,
@@ -237,14 +237,13 @@ def train_with_toggles(
             )
             continue
 
-        banks = init_memory(features, state.labels, cfg.temperature, cfg.momentum)  # skips outliers
+        banks = init_memory(features, state.labels)  # skips outliers
         if fixed_k is not None:
             state = _fixed_k_positive_sets(state, banks, fixed_k)
             result.labels = state
 
         iters = cfg.iters_per_epoch or -(-labeled.size // cfg.batch_size)
         lr = cfg.lr_at(epoch)
-        table = positive_table(state.positives, cfg.smoothing)
         X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
         sizes = np.array([idx.size for _, idx in unit_frames])
         losses = []
@@ -256,10 +255,10 @@ def train_with_toggles(
                 X[b] = frames[idx[picks[b]]]
             y = state.labels[units]
             V, cache = _embed_batch(enc, X)
-            out = combined_loss(V, y, table, banks, cfg)
+            out = combined_loss(V, y, state.positives, banks, cfg)
             grad_w = _backprop_batch(out.grad / cfg.batch_size, cache)
             enc.weights = opt.step(enc.weights, grad_w, lr)
-            banks = update_banks(banks, V, y)
+            banks = update_banks(banks, V, y, cfg.momentum)
             losses.append(out.value)
 
         result.reports.append(

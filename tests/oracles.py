@@ -465,8 +465,8 @@ def csc_loss_per_sample(v, label, positives, rows, temperature, smoothing):
 
 def combined_loss_per_sample(v, label, positives, banks, cfg):
     """Weighted sum of the per-sample losses against the hard and centroid banks."""
-    hard = csc_loss_per_sample(v, label, positives, banks.hard, banks.temperature, cfg.smoothing)
-    cent = csc_loss_per_sample(v, label, positives, banks.centroid, banks.temperature,
+    hard = csc_loss_per_sample(v, label, positives, banks.hard, cfg.temperature, cfg.smoothing)
+    cent = csc_loss_per_sample(v, label, positives, banks.centroid, cfg.temperature,
                                cfg.smoothing)
     return (cfg.hard_weight * hard[0] + cfg.centroid_weight * cent[0],
             cfg.hard_weight * hard[1] + cfg.centroid_weight * cent[1])

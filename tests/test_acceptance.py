@@ -29,9 +29,9 @@ from subtrack.evaluation import map_cmc
 from subtrack.experiment import compare_full_vs_baseline
 from subtrack.memory import (
     MemoryBanks,
+    batch_weights,
     combined_loss,
     csc_loss,
-    positive_table,
     update_banks,
 )
 from subtrack.merging import ReachabilityGraph, merged_state
@@ -105,8 +105,8 @@ def _multi_label_sets(rng, n):
     return {y: {y, int(rng.integers(1, n + 1))} for y in range(1, n + 1)}
 
 
-def _table(psets, n, smoothing):
-    return positive_table(positive_mask(psets, n), smoothing)
+def _csc(V, labels, positives, smoothing, rows, temperature):
+    return csc_loss(V, *batch_weights(positives, labels, smoothing), rows, temperature)
 
 
 def test_criterion_03_gradient_suite(capsys):
@@ -121,19 +121,20 @@ def test_criterion_03_gradient_suite(capsys):
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 7))
         rows = _unit_rows(rng, n, dim)
-        banks = MemoryBanks(rows, np.flipud(rows).copy(), float(rng.uniform(0.05, 0.5)), 0.1)
+        t = float(rng.uniform(0.05, 0.5))
+        banks, step_cfg = MemoryBanks(rows, np.flipud(rows).copy()), cfg.replace(temperature=t)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
-        single = _table({y: {y} for y in range(1, n + 1)}, n, cfg.smoothing)
-        multi = _table(_multi_label_sets(rng, n), n, cfg.smoothing)
-        smoothed = _table(_multi_label_sets(rng, n), n, 0.1)
+        single = positive_mask({y: {y} for y in range(1, n + 1)}, n)
+        multi = positive_mask(_multi_label_sets(rng, n), n)
+        smoothed = positive_mask(_multi_label_sets(rng, n), n)
         for out, fn in (
-            (combined_loss(V, labels, single, banks, cfg),
-             lambda x: combined_loss(x, labels, single, banks, cfg).value.sum()),
-            (csc_loss(V, labels, smoothed, banks.hard, banks.temperature),
-             lambda x: csc_loss(x, labels, smoothed, banks.hard, banks.temperature).value.sum()),
-            (combined_loss(V, labels, multi, banks, cfg),
-             lambda x: combined_loss(x, labels, multi, banks, cfg).value.sum()),
+            (combined_loss(V, labels, single, banks, step_cfg),
+             lambda x: combined_loss(x, labels, single, banks, step_cfg).value.sum()),
+            (_csc(V, labels, smoothed, 0.1, banks.hard, t),
+             lambda x: _csc(x, labels, smoothed, 0.1, banks.hard, t).value.sum()),
+            (combined_loss(V, labels, multi, banks, step_cfg),
+             lambda x: combined_loss(x, labels, multi, banks, step_cfg).value.sum()),
         ):
             if np.linalg.norm(out.grad) < 1e-3:
                 continue
@@ -146,17 +147,17 @@ def test_criterion_03_gradient_suite(capsys):
         X = rng.normal(size=(int(rng.integers(2, 5)), int(rng.integers(1, 6)), raw_dim))
         n = int(rng.integers(2, 6))
         rows = _unit_rows(rng, n, dim)
-        banks = MemoryBanks(rows, np.flipud(rows).copy(), 0.2, 0.1)
+        banks, step_cfg = MemoryBanks(rows, np.flipud(rows).copy()), cfg.replace(temperature=0.2)
         labels = rng.integers(1, n + 1, size=X.shape[0])
-        table = _table(_multi_label_sets(rng, n), n, cfg.smoothing)
+        positives = positive_mask(_multi_label_sets(rng, n), n)
         weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
 
         def loss_of(w):
             Ve, _ = _embed_batch(Encoder(w), X)
-            return combined_loss(Ve, labels, table, banks, cfg).value.mean()
+            return combined_loss(Ve, labels, positives, banks, step_cfg).value.mean()
 
         Ve, cache = _embed_batch(Encoder(weights), X)
-        out = combined_loss(Ve, labels, table, banks, cfg)
+        out = combined_loss(Ve, labels, positives, banks, step_cfg)
         grad_w = _backprop_batch(out.grad / X.shape[0], cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
@@ -179,8 +180,8 @@ def test_criterion_04_csc_reduction(capsys):
         V = rng.normal(size=(4, dim))
         labels = rng.integers(1, n + 1, size=4)
         smoothing = float(rng.uniform(0.0, 0.5))
-        table = _table({y: {y} for y in range(1, n + 1)}, n, smoothing)
-        out = csc_loss(V, labels, table, rows, temperature)
+        out = _csc(V, labels, positive_mask({y: {y} for y in range(1, n + 1)}, n), smoothing, rows,
+                   temperature)
         for b in range(4):
             value, grad = softmax_cross_entropy(V[b], labels[b], rows, temperature)
             worst = max(worst, abs(out.value[b] - value), float(np.abs(out.grad[b] - grad).max()))
@@ -230,15 +231,15 @@ def test_criterion_06_partition_reconstruction(capsys):
 
 
 def test_criterion_07_memory_update_arithmetic(capsys):
-    banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), 0.05, momentum=0.1)
-    updated = update_banks(banks, np.array([[0.0, 1.0]]), np.array([1]))
+    banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    updated = update_banks(banks, np.array([[0.0, 1.0]]), np.array([1]), 0.1)
     expected = np.array([0.1, 0.9]) / np.linalg.norm([0.1, 0.9])  # oracle by direct substitution
     ok = bool(np.abs(updated.centroid[0] - expected).max() <= 1e-4)
     rng = np.random.default_rng(107)
     rows = rng.normal(size=(3, 4))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    frozen = MemoryBanks(rows, rows.copy(), 0.05, momentum=1.0)
-    out = update_banks(frozen, rng.normal(size=(1, 4)), np.array([2]))
+    frozen = MemoryBanks(rows, rows.copy())
+    out = update_banks(frozen, rng.normal(size=(1, 4)), np.array([2]), 1.0)
     ok = ok and np.array_equal(out.centroid, frozen.centroid)
     _verdict(capsys, 7,
              f"momentum update reproduces ({updated.centroid[0][0]:.4f}, {updated.centroid[0][1]:.4f}) "

@@ -119,13 +119,17 @@ def test_train_rerun_byte_identical_reports(tmp_path, dataset_dir, config_file):
 
 
 def test_every_cli_artifact_identical_across_processes():
-    # two fresh interpreters with different string-hash seeds run every subcommand
+    # two fresh interpreters with different string-hash seeds run every subcommand,
+    # and both print the recorded hashes: a change that alters an artifact on purpose
+    # re-records the fixture with `python3 tools/output_hashes.py | tail -n +2`
     script = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
     outputs = [subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
                for seed in ("1", "2")]
     assert len(outputs[0].splitlines()) == 13  # the src line, then 12 artifact hashes
     assert outputs[0] == outputs[1]
+    recorded = (Path(__file__).parent / "fixtures" / "output_hashes.txt").read_text()
+    assert outputs[0].splitlines()[1:] == recorded.splitlines()
 
 
 def test_train_rerun_without_epochs_drops_the_old_labels(tmp_path, dataset_dir):
@@ -498,6 +502,27 @@ def test_malformed_config_and_spec_files_error_as_json(tmp_path, capsys, argv, p
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert set(err) == {"error", "message"} and key in err["message"]
+    assert not (tmp_path / "gen").exists()
+
+
+# each array needs over 2 x 10^17 bytes, more than even a 57-bit address space holds,
+# yet stays within numpy's size limit, so its allocation fails at once and writes nothing
+@pytest.mark.parametrize("argv,payload", [
+    pytest.param(lambda r: _small_train_argv(r, config="file.json", out="gen"),
+                 {"dim": 4, "epochs": 1, "k1": 3, "k2": 1, "batch_size": 10**15},
+                 id="train-batch_size"),
+    pytest.param(lambda r: _small_train_argv(r, config="file.json", out="gen"),
+                 {"dim": 10**16, "epochs": 1, "k1": 3, "k2": 1}, id="train-dim"),
+    pytest.param(_generate_argv, {"raw_dim": 10**17}, id="generate-raw_dim"),
+])
+def test_oversized_values_error_as_json(tmp_path, capsys, argv, payload):
+    _valid_run_inputs(tmp_path)
+    (tmp_path / "file.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(argv(tmp_path)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"} and err["error"] == "MemoryError"
     assert not (tmp_path / "gen").exists()
 
 

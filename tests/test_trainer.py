@@ -17,7 +17,7 @@ from oracles import (
     unit_features_by_unit,
 )
 from subtrack import nftp, trainer
-from subtrack.memory import MemoryBanks, combined_loss, init_memory, positive_table
+from subtrack.memory import MemoryBanks, combined_loss, init_memory
 from subtrack.model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -107,7 +107,7 @@ def test_embed_with_cache_matches_plain_forward():
 
 
 def _random_step(rng, raw_dim, dim, n, batch_size, frames):
-    """Weights, a frame batch, labels, a multi-label positive table and banks."""
+    """Weights, a frame batch, labels, multi-label positive sets and banks."""
     weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
     X = rng.normal(size=(batch_size, frames, raw_dim))
     labels = rng.integers(1, n + 1, size=batch_size)
@@ -115,27 +115,27 @@ def _random_step(rng, raw_dim, dim, n, batch_size, frames):
              for y in range(1, n + 1)}
     rows = rng.normal(size=(n, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    banks = MemoryBanks(rows, np.flipud(rows).copy(), 0.2, 0.1)
+    banks = MemoryBanks(rows, np.flipud(rows).copy())
     return weights, X, labels, psets, banks
 
 
 def test_end_to_end_gradient_matches_finite_differences():
     # weights -> batched embed -> batched loss -> batch mean, as in one training step
     rng = np.random.default_rng(3)
-    cfg = default_config()
+    cfg = default_config(temperature=0.2)
     checked = 0
     while checked < 100:
         weights, X, labels, psets, banks = _random_step(
             rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6)),
             int(rng.integers(2, 5)), int(rng.integers(1, 6)))
-        table = positive_table(positive_mask(psets, banks.num_classes), cfg.smoothing)
+        positives = positive_mask(psets, banks.num_classes)
 
         def loss_of(w):
             V, _ = _embed_batch(Encoder(w), X)
-            return combined_loss(V, labels, table, banks, cfg).value.mean()
+            return combined_loss(V, labels, positives, banks, cfg).value.mean()
 
         V, cache = _embed_batch(Encoder(weights), X)
-        out = combined_loss(V, labels, table, banks, cfg)
+        out = combined_loss(V, labels, positives, banks, cfg)
         grad_w = _backprop_batch(out.grad / len(labels), cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
@@ -146,12 +146,11 @@ def test_end_to_end_gradient_matches_finite_differences():
 
 def test_batched_gradient_is_mean_of_per_sample_oracle():
     rng = np.random.default_rng(17)
-    cfg = default_config()
+    cfg = default_config(temperature=0.2)
     for _ in range(50):
         weights, X, labels, psets, banks = _random_step(rng, 16, 8, 7, 32, 4)
         V, cache = _embed_batch(Encoder(weights), X)
-        table = positive_table(positive_mask(psets, 7), cfg.smoothing)
-        out = combined_loss(V, labels, table, banks, cfg)
+        out = combined_loss(V, labels, positive_mask(psets, 7), banks, cfg)
         grad_w = _backprop_batch(out.grad / len(labels), cache)
         expected = np.zeros_like(weights)
         for b, y in enumerate(labels):
@@ -172,8 +171,7 @@ def test_train_iteration_matches_per_sample_oracle():
     state, subtracklets, features, unit_frames, _ = cluster_epoch(enc, tracklets, cfg, 1)
     labels = state.labels.tolist()
     labeled = [i for i, y in enumerate(labels) if y != OUTLIER]
-    banks = init_memory(features[labeled], np.asarray([labels[i] for i in labeled]),
-                        cfg.temperature, cfg.momentum)
+    banks = init_memory(features[labeled], np.asarray([labels[i] for i in labeled]))
     grad_w = np.zeros_like(enc.weights)
     values = []
     for i in rng.integers(0, len(labeled), size=cfg.batch_size):
@@ -443,7 +441,7 @@ def test_fixed_k_positive_sets_match_per_class_oracle():
         rows = rng.normal(size=(n, 4))
         rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n, size=n // 2)]  # duplicates
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        banks = MemoryBanks(rows, rows.copy(), 0.05, 0.1)
+        banks = MemoryBanks(rows, rows.copy())
         state = LabelState([], np.zeros(0, dtype=np.int64), np.eye(n, dtype=bool))
         for k in (1, 2, n, n + 3):
             got = _fixed_k_positive_sets(state, banks, k)

@@ -19,7 +19,10 @@ sha256 and its name. The generated dataset is one artifact, hashed over
 its files' names and bytes. ``--src`` names the ``src`` directory to
 import ``subtrack`` from (default: this tree's); running the command once
 per tree, e.g. on a checkout of an earlier commit, shows whether a change
-keeps every output byte-identical.
+keeps every output byte-identical. ``tests/fixtures/output_hashes.txt`` holds
+the 12 artifact lines of this tree, and a tier-1 test compares against it; a
+change that alters an artifact on purpose re-records it with
+``python3 tools/output_hashes.py | tail -n +2 > tests/fixtures/output_hashes.txt``.
 """
 
 import argparse
