@@ -17,16 +17,13 @@ def _unit_rows(features: np.ndarray) -> np.ndarray:
 
 
 def cosine_distance_matrix(features: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) cosine distances of L2-normalized rows, zero diagonal, in [0, 2]."""
-    features = _unit_rows(features)
-    d = features @ features.T  # C-ordered, so numpy takes syrk: exactly symmetric
-    np.subtract(1.0, d, out=d)
-    np.fill_diagonal(d, 0.0)
-    return np.clip(d, 0.0, 2.0, out=d)
+    """Symmetric (n, n) cosine distances of L2-normalized rows: ``_distances`` of all rows."""
+    return _distances(_unit_rows(features), slice(0, len(features)))
 
 
 def _distances(features: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of ``cosine_distance_matrix``, from one block product (see ``kernels``)."""
+    """Rows ``rows`` of the cosine distances, zero diagonal, in [0, 2], from one block product
+    (see ``kernels``). Of all rows, both operands share one buffer: syrk, exactly symmetric."""
     d = features[rows] @ features.T
     np.subtract(1.0, d, out=d)
     d[np.arange(len(d)), np.arange(rows.start, rows.stop)] = 0.0

@@ -1,8 +1,8 @@
 """Tracklet-consistency reachability graph and progressive positive sets.
 
 Sub-clusters that share sub-tracklets of one tracklet get an edge. The graph
-is one (n, n) bool adjacency over labels 1..n, the product of the
-tracklet-by-label incidence with itself; there is no per-edge witness map.
+goes out as the bare (n, n) bool adjacency over labels 1..n, the product of
+the tracklet-by-label incidence with itself; there is no per-edge witness map.
 Early in training only one-hop neighborhoods count as positives (no
 transitive chaining, so a wrong edge cannot propagate): the adjacency plus
 the identity. After the merge switch epoch the connected components become
@@ -11,7 +11,6 @@ the refined labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,23 +26,8 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ReachabilityGraph:
-    adjacency: np.ndarray  # (n, n) bool: [a - 1, b - 1] when one tracklet holds labels a and b
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """The labels some unit holds, ascending."""
-        return np.flatnonzero(np.diagonal(self.adjacency)) + 1
-
-    @property
-    def edges(self) -> np.ndarray:
-        """(m, 2) label pairs (a, b) with a < b, by rows."""
-        return np.argwhere(np.triu(self.adjacency, 1)) + 1
-
-
-def build_graph(labels: np.ndarray, parent: np.ndarray) -> ReachabilityGraph:
-    """Labels are adjacent when some tracklet holds units of both.
+def build_graph(labels: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """(n, n) bool: [a - 1, b - 1] when some tracklet holds units of labels a and b.
 
     Unit i has label ``labels[i]`` and tracklet index ``parent[i]``; OUTLIER
     units are left out. The diagonal marks the labels some unit holds.
@@ -51,25 +35,25 @@ def build_graph(labels: np.ndarray, parent: np.ndarray) -> ReachabilityGraph:
     keep = labels != OUTLIER
     incidence = np.zeros((int(parent.max(initial=-1)) + 1, int(labels.max(initial=0))))
     incidence[parent[keep], labels[keep] - 1] = 1.0  # float: the product goes to BLAS
-    return ReachabilityGraph(incidence.T @ incidence > 0)
+    return incidence.T @ incidence > 0
 
 
 def merged_state(
     units: Sequence[SubTracklet],
     labels: np.ndarray,
-    g: ReachabilityGraph,
+    adjacency: np.ndarray,
     mode: str,
 ) -> LabelState:
-    """Label state for one mode over the graph's labels 1..n, each held in ``labels``.
+    """Label state for one mode over the adjacency's labels 1..n, each held in ``labels``.
 
     DIRECT positives are each label plus its one-hop neighbors, with no
     transitive chaining; REACHABLE positives are connected components, whose
     1-based ids, in order of each one's smallest label, become the refined labels.
     """
-    n = len(g.adjacency)
+    n = len(adjacency)
     if mode == MODE_DIRECT:
-        return LabelState(units, labels, g.adjacency | np.eye(n, dtype=bool))
-    root = kernels.components(n, *np.nonzero(g.adjacency))
+        return LabelState(units, labels, adjacency | np.eye(n, dtype=bool))
+    root = kernels.components(n, *np.nonzero(adjacency))
     refined = np.cumsum(root == np.arange(n))[root]  # root: the component's smallest label
     return LabelState(units, labels, refined[:, None] == refined, refined)
 
@@ -77,7 +61,7 @@ def merged_state(
 def progressive_positive_sets(
     units: Sequence[SubTracklet],
     labels: np.ndarray,
-    g: ReachabilityGraph,
+    adjacency: np.ndarray,
     epoch: int,
     cfg: TrainConfig,
 ) -> LabelState:
@@ -85,4 +69,4 @@ def progressive_positive_sets(
     if epoch < 1:
         raise ValueError("epoch must be >= 1")
     mode = MODE_DIRECT if epoch < cfg.merge_switch_epoch else MODE_REACHABLE
-    return merged_state(units, labels, g, mode)
+    return merged_state(units, labels, adjacency, mode)

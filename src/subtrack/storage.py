@@ -94,6 +94,8 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
     """Every check, then one ``write_files`` call: the feature files and the manifest, and
     None for an earlier write's ``splices.json`` and feature files that are not rewritten."""
     out_dir = Path(out_dir)
+    if not tracklets:
+        raise StorageError("no tracklets to write")
     if len({t.id for t in tracklets}) != len(tracklets):
         raise StorageError("tracklet ids must be unique")
     d_raw = tracklets[0].frames.shape[1]

@@ -348,7 +348,7 @@ def reachable_positive_sets(nodes, edges):
     return psets, refined
 
 
-def positive_table_per_class(positive_sets, n, smoothing):
+def positive_weights_per_class(positive_sets, n, smoothing):
     """(weights, mask) of each class's positive set, filled in one class at a time.
 
     The anchor weighs 1 - smoothing + smoothing/K, each other positive
@@ -506,7 +506,7 @@ def _momentum_row(row, target, momentum):
     return row / np.linalg.norm(row)
 
 
-def update_memory_per_sample(centroid, batch, momentum):
+def update_centroid_per_sample(centroid, batch, momentum):
     """Centroid rows after moving each batch class toward its batch mean."""
     centroid = np.array(centroid, dtype=np.float64)
     for y, members in batch_by_label(batch).items():

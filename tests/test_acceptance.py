@@ -34,7 +34,7 @@ from subtrack.memory import (
     csc_loss,
     update_banks,
 )
-from subtrack.merging import ReachabilityGraph, merged_state
+from subtrack.merging import merged_state
 from subtrack.model import MODE_DIRECT, MODE_REACHABLE, default_config
 from subtrack.nftp import noise_filter, partition
 from subtrack.storage import load_json
@@ -81,7 +81,7 @@ def test_criterion_02_connectivity_oracle(capsys):
             a, b = rng.integers(1, n + 1, size=2)
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
-        g = ReachabilityGraph(adjacency(n, edges))
+        g = adjacency(n, edges)
         labels = np.arange(1, n + 1)  # one unit per label
         reach = merged_state([], labels, g, MODE_REACHABLE).positives
         if not np.array_equal(reach, component_mask(bfs_components(nodes, edges), n)):

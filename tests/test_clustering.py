@@ -1,5 +1,9 @@
 import hashlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -264,15 +268,26 @@ def _cluster_sizes_tool():
     return tool
 
 
-@pytest.mark.parametrize("n, digest", [
-    (600, "aba71e2af64c7ae6ea0c7e48c22aaefc981d0840a06008ee5b99f60359350812"),
-    (1000, "1d9f7d02beec1e1fdebffb4e214378b19752ff5331aae0193bf3654fb8bb0270"),
-])
+# "<labels sha256>  <n> units" lines: tools/cluster_sizes.py's labels at its two smallest sizes
+CLUSTER_SIZES = [(int(n), digest) for digest, n, _ in map(
+    str.split, (Path(__file__).parent / "fixtures" / "cluster_sizes.txt").read_text().splitlines())]
+
+
+@pytest.mark.parametrize("n, digest", CLUSTER_SIZES)
 def test_cluster_sizes_labels_are_pinned(n, digest):
     # tools/cluster_sizes.py's seeded features: a change that moves one label fails here
     labels = sub_cluster_generate(_cluster_sizes_tool().features(n), default_config())
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, digest", CLUSTER_SIZES)
+def test_cluster_sizes_tool_prints_the_pinned_labels(n, digest):
+    # the tool's own child run, in a fresh process with its one-BLAS-thread environment
+    tool = _cluster_sizes_tool()
+    out = subprocess.run([sys.executable, tool.__file__, "--one", str(n)], check=True,
+                         capture_output=True, text=True, env={**os.environ, **tool.SINGLE_THREAD})
+    assert json.loads(out.stdout.splitlines()[-1])["labels_sha256"] == digest
 
 
 def test_jaccard_degenerate_falls_back_to_cosine():

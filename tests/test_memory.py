@@ -8,11 +8,11 @@ from oracles import (
     class_means_by_class,
     csc_loss_per_sample,
     positive_mask,
-    positive_table_per_class,
+    positive_weights_per_class,
     relative_error,
     softmax_cross_entropy,
+    update_centroid_per_sample,
     update_hard_memory_per_sample,
-    update_memory_per_sample,
 )
 from subtrack.memory import (
     MemoryBanks,
@@ -283,7 +283,7 @@ def test_batch_weights_match_per_class_oracle():
         labels = np.concatenate((np.arange(1, n + 1), rng.integers(1, n + 1, size=min(n, 8))))
         rng.shuffle(labels)
         for smoothing in (0.0, 0.1, 1.0, 5e-324, float(rng.uniform(0.0, 1.0))):
-            weights, mask = positive_table_per_class(psets, n, smoothing)
+            weights, mask = positive_weights_per_class(psets, n, smoothing)
             s, pos = batch_weights(positive_mask(psets, n), labels, smoothing)
             assert s.shape == pos.shape == (labels.size, n)
             assert np.array_equal(pos, mask[labels - 1])
@@ -360,7 +360,7 @@ def test_batched_csc_matches_per_sample_oracle():
     assert worst <= 1e-12
 
 
-def test_update_memory_hand_example():
+def test_update_banks_hand_example():
     banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
     updated = update_banks(banks, np.array([[0.0, 1.0]]), np.array([1]), 0.1)
     expected = _unit([0.1, 0.9])
@@ -371,7 +371,7 @@ def test_update_memory_hand_example():
     assert np.array_equal(updated.hard, updated.centroid)
 
 
-def test_update_memory_fixed_point_and_alpha_one():
+def test_update_banks_fixed_point_and_alpha_one():
     rng = np.random.default_rng(10)
     banks = _random_banks(rng, 3, 4)
     same = update_banks(banks, banks.centroid[1:2].copy(), np.array([2]), 0.1)
@@ -382,7 +382,7 @@ def test_update_memory_fixed_point_and_alpha_one():
     assert np.array_equal(out.hard, banks.hard)
 
 
-def test_update_memory_batch_mean_and_untouched_rows():
+def test_update_banks_batch_mean_and_untouched_rows():
     rng = np.random.default_rng(11)
     banks = _random_banks(rng, 3, 4)
     a, b = rng.normal(size=4), rng.normal(size=4)
@@ -393,7 +393,7 @@ def test_update_memory_batch_mean_and_untouched_rows():
     assert np.array_equal(out.centroid[2], banks.centroid[2])
 
 
-def test_update_memory_rows_stay_unit_norm():
+def test_update_banks_rows_stay_unit_norm():
     rng = np.random.default_rng(12)
     banks = _random_banks(rng, 4, 6)
     for _ in range(20):
@@ -446,7 +446,7 @@ def test_batched_updates_match_per_sample_oracle():
             V[2, 0] = V[0, 0]
             labels[2] = labels[0]
         batch = list(zip(V, labels))
-        centroid = update_memory_per_sample(banks.centroid, batch, momentum)
+        centroid = update_centroid_per_sample(banks.centroid, batch, momentum)
         hard = update_hard_memory_per_sample(banks.hard, batch, momentum)
         both = update_banks(banks, V, labels, momentum)
         for got, want in ((both.centroid, centroid), (both.hard, hard)):

@@ -10,12 +10,7 @@ from oracles import (
     reachability_graph_by_tracklet,
     reachable_positive_sets,
 )
-from subtrack.merging import (
-    ReachabilityGraph,
-    build_graph,
-    merged_state,
-    progressive_positive_sets,
-)
+from subtrack.merging import build_graph, merged_state, progressive_positive_sets
 from subtrack.model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -45,6 +40,16 @@ def _graph(spread):
     return build_graph(*_assignment(spread))
 
 
+def _nodes(g):
+    """The labels some unit holds, ascending."""
+    return np.flatnonzero(np.diagonal(g)) + 1
+
+
+def _edges(g):
+    """(m, 2) label pairs (a, b) with a < b, by rows."""
+    return np.argwhere(np.triu(g, 1)) + 1
+
+
 def _merged(spread, mode):
     """The label state of one merge mode on a spread whose labels are 1..n."""
     labels, parent = _assignment(spread)
@@ -53,33 +58,34 @@ def _merged(spread, mode):
 
 def _states(g):
     """DIRECT and REACHABLE states of a graph on nodes 1..n, one unit per label."""
-    labels = np.arange(1, len(g.adjacency) + 1)
+    labels = np.arange(1, len(g) + 1)
     return merged_state([], labels, g, MODE_DIRECT), merged_state([], labels, g, MODE_REACHABLE)
 
 
 def test_build_graph_chain_not_transitive():
     g = _graph({"A": [1, 2], "B": [2, 3]})
-    assert g.edges.tolist() == [[1, 2], [2, 3]]
-    assert not g.adjacency[0, 2] and not g.adjacency[2, 0]
+    assert _edges(g).tolist() == [[1, 2], [2, 3]]
+    assert not g[0, 2] and not g[2, 0]
 
 
 def test_build_graph_single_cluster_tracklets_no_edges():
     g = _graph({"A": [1, 1], "B": [2], "C": [3, 3, 3]})
-    assert g.edges.shape == (0, 2)
-    assert g.nodes.tolist() == [1, 2, 3]
-    assert np.array_equal(g.adjacency, np.eye(3, dtype=bool))
+    assert _edges(g).shape == (0, 2)
+    assert _nodes(g).tolist() == [1, 2, 3]
+    assert isinstance(g, np.ndarray) and g.dtype == bool
+    assert np.array_equal(g, np.eye(3, dtype=bool))
 
 
 def test_build_graph_clique_rule():
     g = _graph({"A": [1, 2, 3]})
-    assert g.edges.tolist() == [[1, 2], [1, 3], [2, 3]]
-    assert g.adjacency.all()
+    assert _edges(g).tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert g.all()
 
 
 def test_build_graph_ignores_outliers():
     g = _graph({"A": [1, OUTLIER, 2]})
-    assert g.nodes.tolist() == [1, 2]
-    assert g.edges.tolist() == [[1, 2]]
+    assert _nodes(g).tolist() == [1, 2]
+    assert _edges(g).tolist() == [[1, 2]]
 
 
 def test_build_graph_order_invariant():
@@ -87,7 +93,7 @@ def test_build_graph_order_invariant():
     labels, parent = _assignment(spread)
     a = build_graph(labels, parent)
     b = build_graph(labels[::-1], parent[::-1])
-    assert np.array_equal(a.adjacency, b.adjacency)
+    assert np.array_equal(a, b)
 
 
 def test_build_graph_matches_per_tracklet_oracle_random_units():
@@ -103,8 +109,8 @@ def test_build_graph_matches_per_tracklet_oracle_random_units():
         g = build_graph(labels[order], parent[order])
         nodes, edges = reachability_graph_by_tracklet(
             (ids[t], y) for t, y in zip(parent.tolist(), labels.tolist()))
-        assert g.nodes.tolist() == sorted(nodes)
-        assert set(map(tuple, g.edges.tolist())) == edges
+        assert _nodes(g).tolist() == sorted(nodes)
+        assert set(map(tuple, _edges(g).tolist())) == edges
         n = int(labels.max(initial=0))
         every = range(1, n + 1)
         direct = merged_state([], labels, g, MODE_DIRECT)
@@ -164,7 +170,7 @@ def _random_graph(rng, max_nodes=500, sparse=False):
         a, b = rng.choice(linked, size=2).tolist()
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return ReachabilityGraph(adjacency(n, edges)), frozenset(ids.tolist()), frozenset(edges)
+    return adjacency(n, edges), frozenset(ids.tolist()), frozenset(edges)
 
 
 def test_reachable_matches_bfs_oracle_random_graphs():
@@ -201,7 +207,7 @@ def test_merged_state_matches_dict_oracles_random_graphs():
         nodes = frozenset(range(1, n + 1))
         # every label 1..n holds some units, and OUTLIER units are mixed in
         labels = rng.permutation(np.repeat(np.arange(n + 1), rng.integers(1, 4, size=n + 1)))
-        g = ReachabilityGraph(adjacency(n, edges))
+        g = adjacency(n, edges)
         direct = merged_state([], labels, g, MODE_DIRECT)
         reach = merged_state([], labels, g, MODE_REACHABLE)
         direct_sets = direct_positive_sets(nodes, edges)

@@ -214,7 +214,7 @@ def test_sample_frames_always_valid_indices():
         assert ((0 <= idx) & (idx < length)).all()
 
 
-def test_nftp_all_counts():
+def test_filter_and_partition_counts():
     # 64 identical frames: none filtered, two units at the default stride
     cfg = default_config()
     kept, _ = noise_filter(np.tile([1.0, 0.0], (64, 1)), cfg.filter_factor)
@@ -222,7 +222,7 @@ def test_nftp_all_counts():
     assert len(partition(kept.size, cfg.partition_stride)) == 2
 
 
-def test_nftp_all_one_subtracklet_per_exact_stride():
+def test_one_unit_per_exact_stride():
     # a tracklet of exactly one stride is one unit
     cfg = default_config()
     tracklets = [np.tile([0.0, 1.0], (32, 1)) for _ in range(5)]

@@ -94,6 +94,13 @@ def test_write_dataset_rejects_ids_that_are_not_file_names(tmp_path):
     assert not out.exists()
 
 
+def test_write_dataset_refuses_no_tracklets(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(StorageError, match="no tracklets to write"):
+        write_dataset([], out)
+    assert not out.exists()
+
+
 def test_write_dataset_checks_every_tracklet_before_it_writes(tmp_path):
     with pytest.raises(StorageError, match="dimension mismatch"):
         write_dataset([Tracklet("a", np.ones((2, 4))), Tracklet("b", np.ones((2, 5)))], tmp_path)

@@ -11,7 +11,9 @@ the unit count, the seconds, the process's peak RSS in MB, the cluster count
 and the sha256 of the labels. ``--src`` names the ``src`` directory to
 import ``subtrack`` from (default: this tree's); running the command once
 per tree, e.g. on a checkout of an earlier commit, compares the labels size
-by size.
+by size. ``tests/fixtures/cluster_sizes.txt`` holds the label hashes of the
+600- and 1000-unit runs, and a tier-1 test reruns ``--one`` at both sizes,
+with one BLAS/OpenMP thread, and compares against it.
 """
 
 import argparse
