@@ -18,12 +18,10 @@ from .evaluation import cluster_stats, map_cmc
 from .model import LabelState, TrainConfig, validate_config
 from .trainer import (
     Encoder,
-    PipelineToggles,
     cluster_epoch,
     inference_features,
     standard_ablation_rows,
     train,
-    train_with_toggles,
 )
 
 SWEEP_PARAMS = {
@@ -38,9 +36,13 @@ class CliError(Exception):
     pass
 
 
-def _load_config(path) -> TrainConfig:
+def _load_config(path, command: str = "") -> TrainConfig:
+    """The config file's TrainConfig; a named ``command`` scores trained runs: epochs >= 1."""
     overrides = storage.load_json(path) if path else {}
-    return _checked(storage.dataclass_from_json(TrainConfig, overrides, "config file"))
+    cfg = _checked(storage.dataclass_from_json(TrainConfig, overrides, "config file"))
+    if command and cfg.epochs < 1:
+        raise CliError(f"{command} needs epochs >= 1: it scores each run's final labels")
+    return cfg
 
 
 def _checked(cfg: TrainConfig) -> TrainConfig:
@@ -100,7 +102,7 @@ def _labels_payload(state: LabelState) -> dict:
         "assignment": items,
         "positive_sets": {str(y): (np.flatnonzero(row) + 1).tolist()
                           for y, row in enumerate(state.positives, start=1)},
-        "refined": {str(y): r for y, r in enumerate(refined, start=1)} if refined else None,
+        "refined": None if refined is None else {str(y): r for y, r in enumerate(refined, 1)},
     }
 
 
@@ -215,12 +217,12 @@ def cmd_ablate(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     _require_ground_truth(tracklets, "ablate")
     _require_cross_camera_match(tracklets, "ablate")
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "ablate")
     header = ["name", "filter", "partition", "merge", "loss",
               "map", "rank1", "pairwise_f1", "incorrect_clusters"]
     rows = []
     for toggles in standard_ablation_rows():
-        m = final_metrics(tracklets, train_with_toggles(tracklets, cfg, toggles))
+        m = final_metrics(tracklets, train(tracklets, cfg, toggles))
         rows.append([
             toggles.name, int(toggles.filter_frames), int(toggles.do_partition),
             toggles.merge, toggles.loss,
@@ -236,7 +238,7 @@ def cmd_sweep(args) -> None:
     tracklets, _ = _read_dataset(args.data)
     _require_ground_truth(tracklets, "sweep")
     _require_cross_camera_match(tracklets, "sweep")
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "sweep")
     runs = []  # every value is checked before the first run
     for raw_value in args.values.split(","):
         if args.param == "K":
@@ -251,7 +253,7 @@ def cmd_sweep(args) -> None:
     header = ["param", "value", "map", "rank1", "pairwise_f1", "filtered_frames_per_epoch"]
     rows = []
     for raw_value, run_cfg, k in runs:
-        result = train_with_toggles(tracklets, run_cfg, PipelineToggles(), fixed_k=k)
+        result = train(tracklets, run_cfg, fixed_k=k)
         m = final_metrics(tracklets, result)
         rows.append([
             args.param, raw_value,
@@ -292,7 +294,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):  # no warning lines: stderr holds one JSON error or nothing
+            args.func(args)
     except (CliError, ValueError, OSError, MemoryError, storage.StorageError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from .model import TrainConfig
 def _unit_rows(features: np.ndarray) -> np.ndarray:
     features = np.ascontiguousarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
-    if features.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-4:
+    if features.shape[0] and not np.max(np.abs(norms - 1.0)) <= 1e-4:  # NaN fails too
         raise ValueError("cosine_distance_matrix expects L2-normalized rows")
     return features
 

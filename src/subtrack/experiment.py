@@ -72,12 +72,12 @@ def reference_comparison_config(seed: int):
 def compare_full_vs_baseline(seed: int) -> dict:
     """Train both pipelines on one seed and return their metric margins."""
     from .synth import generate
-    from .trainer import BASELINE, train, train_with_toggles
+    from .trainer import BASELINE, train
 
     tracklets = generate(reference_comparison_spec(seed)).tracklets
     cfg = reference_comparison_config(seed)
     full = final_metrics(tracklets, train(tracklets, cfg))
-    base = final_metrics(tracklets, train_with_toggles(tracklets, cfg, BASELINE))
+    base = final_metrics(tracklets, train(tracklets, cfg, BASELINE))
     return {
         "seed": seed,
         "full": full,

@@ -21,10 +21,6 @@ class MemoryBanks:
     centroid: np.ndarray  # (n, dim), rows unit-norm
     hard: np.ndarray      # (n, dim), rows unit-norm
 
-    @property
-    def num_classes(self) -> int:
-        return self.centroid.shape[0]
-
 
 @dataclass(frozen=True)
 class LossOutput:

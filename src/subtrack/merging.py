@@ -1,29 +1,23 @@
-"""Tracklet-consistency reachability graph and progressive positive sets.
+"""Tracklet-consistency reachability graph and the positives of one merge mode.
 
 Sub-clusters that share sub-tracklets of one tracklet get an edge. The graph
 goes out as the bare (n, n) bool adjacency over labels 1..n, the product of
 the tracklet-by-label incidence with itself; there is no per-edge witness map.
-Early in training only one-hop neighborhoods count as positives (no
-transitive chaining, so a wrong edge cannot propagate): the adjacency plus
-the identity. After the merge switch epoch the connected components become
+``trainer.cluster_epoch`` picks the mode once per epoch and hands it here as a
+bool; merging returns bare arrays. DIRECT positives are one-hop neighborhoods
+(no transitive chaining, so a wrong edge cannot propagate): the adjacency plus
+the identity. REACHABLE positives are connected components, whose ids become
 the refined labels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .model import (
-    MODE_DIRECT,
-    MODE_REACHABLE,
-    OUTLIER,
-    LabelState,
-    SubTracklet,
-    TrainConfig,
-)
+from .model import OUTLIER
 
 
 def build_graph(labels: np.ndarray, parent: np.ndarray) -> np.ndarray:
@@ -38,35 +32,17 @@ def build_graph(labels: np.ndarray, parent: np.ndarray) -> np.ndarray:
     return incidence.T @ incidence > 0
 
 
-def merged_state(
-    units: Sequence[SubTracklet],
-    labels: np.ndarray,
-    adjacency: np.ndarray,
-    mode: str,
-) -> LabelState:
-    """Label state for one mode over the adjacency's labels 1..n, each held in ``labels``.
+def merge_positives(adjacency: np.ndarray,
+                    reachable: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(positives, refined) over the adjacency's labels 1..n.
 
-    DIRECT positives are each label plus its one-hop neighbors, with no
-    transitive chaining; REACHABLE positives are connected components, whose
-    1-based ids, in order of each one's smallest label, become the refined labels.
+    DIRECT (``reachable`` False) positives are each label plus its one-hop neighbors, with
+    no transitive chaining, and refined is None; REACHABLE positives are connected
+    components, whose 1-based ids, in order of each one's smallest label, are the refined labels.
     """
     n = len(adjacency)
-    if mode == MODE_DIRECT:
-        return LabelState(units, labels, adjacency | np.eye(n, dtype=bool))
+    if not reachable:
+        return adjacency | np.eye(n, dtype=bool), None
     root = kernels.components(n, *np.nonzero(adjacency))
     refined = np.cumsum(root == np.arange(n))[root]  # root: the component's smallest label
-    return LabelState(units, labels, refined[:, None] == refined, refined)
-
-
-def progressive_positive_sets(
-    units: Sequence[SubTracklet],
-    labels: np.ndarray,
-    adjacency: np.ndarray,
-    epoch: int,
-    cfg: TrainConfig,
-) -> LabelState:
-    """Direct neighborhoods before the merge switch epoch, components after."""
-    if epoch < 1:
-        raise ValueError("epoch must be >= 1")
-    mode = MODE_DIRECT if epoch < cfg.merge_switch_epoch else MODE_REACHABLE
-    return merged_state(units, labels, adjacency, mode)
+    return refined[:, None] == refined, refined

@@ -19,23 +19,13 @@ import numpy as np
 from . import nftp
 from .clustering import sub_cluster_generate
 from .memory import MemoryBanks, combined_loss, init_memory, update_banks
-from .merging import build_graph, merged_state, progressive_positive_sets
-from .model import (
-    MODE_DIRECT,
-    MODE_REACHABLE,
-    OUTLIER,
-    LabelState,
-    SubTracklet,
-    Tracklet,
-    TrainConfig,
-)
+from .merging import build_graph, merge_positives
+from .model import OUTLIER, LabelState, SubTracklet, Tracklet, TrainConfig
 
 MERGE_NONE = "none"
 MERGE_DIRECT = "direct"
 MERGE_REACHABLE = "reachable"
-MERGE_PROGRESSIVE = "progressive"
-# the label-state mode of each fixed merge; progressive switches between them
-MERGE_MODES = {MERGE_NONE: MODE_DIRECT, MERGE_DIRECT: MODE_DIRECT, MERGE_REACHABLE: MODE_REACHABLE}
+MERGE_PROGRESSIVE = "progressive"  # DIRECT before cfg.merge_switch_epoch, REACHABLE from it
 
 
 @dataclass
@@ -153,7 +143,7 @@ def cluster_epoch(
     epoch: int,
     toggles: PipelineToggles = PipelineToggles(),
 ):
-    """The frozen-encoder phase of one epoch: NFTP, embed, cluster, merge.
+    """The frozen-encoder phase of one epoch (1-based): NFTP, embed, cluster, merge.
 
     Returns (state, subtracklets, features, unit_frames, filtered-frame count):
     unit i is ``subtracklets[i]``, which is ``state.units[i]``, its label is
@@ -163,8 +153,12 @@ def cluster_epoch(
     surviving frames in them, a view into its tracklet's surviving indices.
     Tracklets are encoded, filtered and partitioned one at a time, so only one
     tracklet's frame encodings exist at once. All but a tracklet's last segment
-    have one length: one axis-1 reduce sums them, each in frame order.
+    have one length: one axis-1 reduce sums them, each in frame order. The merge
+    mode is decided here, once: REACHABLE for the ``reachable`` merge and for
+    ``progressive`` from ``cfg.merge_switch_epoch`` on, DIRECT otherwise.
     """
+    if epoch < 1:
+        raise ValueError("epoch must be >= 1")
     if len({t.id for t in tracklets}) != len(tracklets):
         raise ValueError("tracklet ids must be unique")
     subtracklets: list[SubTracklet] = []
@@ -190,30 +184,32 @@ def cluster_epoch(
     labels = sub_cluster_generate(features, cfg)
     if toggles.merge == MERGE_NONE:  # each unit its own tracklet: a graph with no edges
         parent = range(labels.size)
-    g = build_graph(labels, np.asarray(parent))
-    if toggles.merge == MERGE_PROGRESSIVE:
-        state = progressive_positive_sets(subtracklets, labels, g, epoch, cfg)
-    else:
-        state = merged_state(subtracklets, labels, g, MERGE_MODES[toggles.merge])
+    reachable = toggles.merge == MERGE_REACHABLE or (
+        toggles.merge == MERGE_PROGRESSIVE and epoch >= cfg.merge_switch_epoch)
+    positives, refined = merge_positives(build_graph(labels, np.asarray(parent)), reachable)
+    state = LabelState(subtracklets, labels, positives, refined)
     return state, subtracklets, features, unit_frames, filtered_frames
 
 
 def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> LabelState:
     """Replace positives with each class's k nearest bank centroids (self included,
     ties by index), every pick added in both directions."""
-    n = banks.num_classes
+    n = len(banks.centroid)
     nearest = np.argsort(-(banks.centroid @ banks.centroid.T), axis=1, kind="stable")[:, :k]
     positives = np.eye(n, dtype=bool)
     positives[np.arange(n)[:, None], nearest] = True
     return LabelState(state.units, state.labels, positives | positives.T)
 
 
-def train_with_toggles(
+def train(
     tracklets: Sequence[Tracklet],
     cfg: TrainConfig,
-    toggles: PipelineToggles,
+    toggles: PipelineToggles = PipelineToggles(),
     fixed_k: Optional[int] = None,
 ) -> TrainResult:
+    """Train one ablation row, by default the full pipeline: noise filter, partition,
+    progressive merging, CSC loss. ``fixed_k`` replaces the positives with each class's
+    k nearest bank centroids."""
     if not tracklets:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.rng_seed)
@@ -260,17 +256,14 @@ def train_with_toggles(
             enc.weights = opt.step(enc.weights, grad_w, lr)
             banks = update_banks(banks, V, y, cfg.momentum)
             losses.append(out.value)
+        if not np.isfinite(enc.weights).all():
+            raise ValueError("training diverged: non-finite encoder weights")
 
         result.reports.append(
             EpochReport(epoch, state.num_clusters, state.num_outliers, state.mode,
                         float(np.mean(np.concatenate(losses))), filtered, time.perf_counter() - t0)
         )
     return result
-
-
-def train(tracklets: Sequence[Tracklet], cfg: TrainConfig) -> TrainResult:
-    """Full pipeline: noise filter, partition, progressive merging, CSC loss."""
-    return train_with_toggles(tracklets, cfg, PipelineToggles())
 
 
 def standard_ablation_rows() -> list[PipelineToggles]:

@@ -34,8 +34,8 @@ from subtrack.memory import (
     csc_loss,
     update_banks,
 )
-from subtrack.merging import merged_state
-from subtrack.model import MODE_DIRECT, MODE_REACHABLE, default_config
+from subtrack.merging import merge_positives
+from subtrack.model import default_config
 from subtrack.nftp import noise_filter, partition
 from subtrack.storage import load_json
 from subtrack.trainer import Encoder, _backprop_batch, _embed_batch
@@ -82,12 +82,11 @@ def test_criterion_02_connectivity_oracle(capsys):
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
         g = adjacency(n, edges)
-        labels = np.arange(1, n + 1)  # one unit per label
-        reach = merged_state([], labels, g, MODE_REACHABLE).positives
+        reach = merge_positives(g, reachable=True)[0]
         if not np.array_equal(reach, component_mask(bfs_components(nodes, edges), n)):
             ok = False
             break
-        direct = merged_state([], labels, g, MODE_DIRECT).positives
+        direct = merge_positives(g, reachable=False)[0]
         if not np.all(direct <= reach):
             ok = False
             break

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,35 @@ def test_scoring_commands_need_ground_truth_before_they_run(tmp_path, capsys, ar
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("argv,out", [
+    pytest.param(_ablate_argv, "ablate.csv", id="ablate"),
+    pytest.param(_sweep_argv, "sweep.csv", id="sweep"),
+])
+def test_scoring_commands_need_an_epoch_before_they_run(tmp_path, capsys, argv, out):
+    _valid_run_inputs(tmp_path)
+    (tmp_path / "zero.json").write_text(json.dumps({"epochs": 0}), encoding="utf-8")
+    assert main(argv(tmp_path) + ["--config", str(tmp_path / "zero.json")]) == 1
+    err = _one_json_error(capsys)
+    assert err["error"] == "CliError"
+    assert err["message"].startswith(argv(tmp_path)[0] + " needs epochs >= 1")
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("change", [{"lr": 1e308}, {"lr": float("inf")}, {"epochs": 2, "lr": 1e308},
+                                    {"epochs": 2, "weight_decay": 1e308},
+                                    {"epochs": 2, "hard_weight": float("inf")}])
+def test_a_diverging_train_errors_as_json(tmp_path, capsys, dataset_dir, change):
+    # non-finite weights were written, or the next epoch's clustering died with an IndexError
+    config = {"dim": 8, "epochs": 1, "batch_size": 8, "k1": 6, "k2": 2, "partition_stride": 16,
+              **change}
+    (tmp_path / "diverge.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--data", str(dataset_dir), "--config", str(tmp_path / "diverge.json"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert _one_json_error(capsys) == {"error": "ValueError",
+                                       "message": "training diverged: non-finite encoder weights"}
+    assert not (tmp_path / "run").exists()
+
+
 def _cluster_argv(root):
     return ["cluster", "--data", str(root / "data"), "--weights", str(root / "weights.npy"),
             "--out", str(root / "cluster.json")]
@@ -461,6 +491,18 @@ def test_cluster_on_empty_manifest_errors_as_json(tmp_path, capsys):
     err = json.loads(lines[0])
     assert err["error"] == "CliError" and "tracklets" in err["message"]
     assert not (tmp_path / "cluster.json").exists()
+
+
+@pytest.mark.parametrize("switch,mode,refined", [(1, "REACHABLE", {}), (2, "DIRECT", None)])
+def test_cluster_without_clusters_writes_refined_by_mode(tmp_path, switch, mode, refined):
+    # a REACHABLE state with no clusters has empty refined labels, not the null of DIRECT
+    _valid_run_inputs(tmp_path)
+    config = {"epochs": 1, "merge_switch_epoch": switch, "min_samples": 1000}
+    (tmp_path / "none.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(_cluster_argv(tmp_path) + ["--config", str(tmp_path / "none.json")]) == 0
+    payload = load_json(tmp_path / "cluster.json")
+    assert payload["mode"] == mode and payload["num_clusters"] == 0
+    assert payload["positive_sets"] == {} and payload["refined"] == refined
 
 
 def _generate_argv(root):
@@ -797,3 +839,46 @@ def test_train_on_fuzzed_inputs_succeeds_or_errors_as_json(top, entry, record, s
             else:
                 assert code == 1 and len(lines) == 1
                 assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    spec = {"num_identities": 3, "num_cameras": 2, "tracklets_per_identity": 2,
+            "tracklet_length_range": [24, 40], "raw_dim": 8, "seed": 5}
+    (root / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+POSITIVE = st.sampled_from([1e-300, 1e-3, 1.0, 1e308, float("inf")])  # what validate_config takes
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(epochs=st.integers(1, 2), lr=POSITIVE, weight_decay=st.just(0.0) | POSITIVE,
+       hard_weight=st.just(0.0) | POSITIVE, centroid_weight=st.just(0.0) | POSITIVE,
+       temperature=POSITIVE)
+def test_train_with_extreme_accepted_values_gives_finite_weights_or_one_json_error(
+        tiny_dataset, epochs, lr, weight_decay, hard_weight, centroid_weight, temperature):
+    # a warning would be a stderr line of its own in a real process, so none may be raised
+    config = {"dim": 4, "k1": 4, "k2": 2, "batch_size": 4, "partition_stride": 8,
+              "epochs": epochs, "lr": lr, "weight_decay": weight_decay,
+              "hard_weight": hard_weight, "centroid_weight": centroid_weight,
+              "temperature": temperature}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(tiny_dataset), "--config",
+                         str(root / "config.json"), "--out", str(root / "run")])
+        assert caught == []
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            assert np.isfinite(np.load(root / "run" / "weights.npy")).all()
+        else:
+            assert code == 1 and len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not (root / "run").exists()

@@ -75,6 +75,18 @@ def test_cosine_distance_rejects_unnormalized():
         cosine_distance_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_row_is_refused(bad):
+    # on both sides of n = k1; a NaN row once gave NaN distances, and an IndexError later
+    rng = np.random.default_rng(5)
+    for n in (4, 40):
+        feats = _unit_rows(rng, n, 4)
+        feats[n // 2, 1] = bad
+        for call in (cosine_distance_matrix, lambda f: sub_cluster_generate(f, default_config())):
+            with pytest.raises(ValueError, match="L2-normalized"):
+                call(feats)
+
+
 def _path_distances(f):
     """The cosine distances the clustering path computes: its row blocks, stacked."""
     f = np.ascontiguousarray(f)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from oracles import (
     adjacency,
@@ -10,14 +9,8 @@ from oracles import (
     reachability_graph_by_tracklet,
     reachable_positive_sets,
 )
-from subtrack.merging import build_graph, merged_state, progressive_positive_sets
-from subtrack.model import (
-    MODE_DIRECT,
-    MODE_REACHABLE,
-    OUTLIER,
-    SubTracklet,
-    default_config,
-)
+from subtrack.merging import build_graph, merge_positives
+from subtrack.model import MODE_DIRECT, MODE_REACHABLE, OUTLIER, LabelState, default_config
 
 
 def _assignment(spread):
@@ -29,11 +22,6 @@ def _assignment(spread):
     pairs = [(t, y) for t, labels in enumerate(spread.values()) for y in labels]
     parent, labels = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return labels, parent
-
-
-def _units(spread):
-    return [SubTracklet(tid, i, (0, 0)) for tid, labels in spread.items()
-            for i in range(1, len(labels) + 1)]
 
 
 def _graph(spread):
@@ -50,16 +38,9 @@ def _edges(g):
     return np.argwhere(np.triu(g, 1)) + 1
 
 
-def _merged(spread, mode):
-    """The label state of one merge mode on a spread whose labels are 1..n."""
-    labels, parent = _assignment(spread)
-    return merged_state(_units(spread), labels, build_graph(labels, parent), mode)
-
-
-def _states(g):
-    """DIRECT and REACHABLE states of a graph on nodes 1..n, one unit per label."""
-    labels = np.arange(1, len(g) + 1)
-    return merged_state([], labels, g, MODE_DIRECT), merged_state([], labels, g, MODE_REACHABLE)
+def _merged(spread, reachable):
+    """(positives, refined) of one merge mode on a spread whose labels are 1..n."""
+    return merge_positives(_graph(spread), reachable)
 
 
 def test_build_graph_chain_not_transitive():
@@ -113,49 +94,40 @@ def test_build_graph_matches_per_tracklet_oracle_random_units():
         assert set(map(tuple, _edges(g).tolist())) == edges
         n = int(labels.max(initial=0))
         every = range(1, n + 1)
-        direct = merged_state([], labels, g, MODE_DIRECT)
-        reach = merged_state([], labels, g, MODE_REACHABLE)
-        assert np.array_equal(direct.positives, positive_mask(direct_positive_sets(every, edges), n))
-        assert np.array_equal(reach.positives,
-                              positive_mask(reachable_positive_sets(every, edges)[0], n))
+        direct, _ = merge_positives(g, False)
+        reach, _ = merge_positives(g, True)
+        assert np.array_equal(direct, positive_mask(direct_positive_sets(every, edges), n))
+        assert np.array_equal(reach, positive_mask(reachable_positive_sets(every, edges)[0], n))
 
 
 def test_direct_positive_sets_chain():
-    psets = _merged({"A": [1, 2], "B": [2, 3]}, MODE_DIRECT).positive_sets
-    assert psets[1] == frozenset({1, 2})
-    assert psets[2] == frozenset({1, 2, 3})
-    assert psets[3] == frozenset({2, 3})
+    positives, refined = _merged({"A": [1, 2], "B": [2, 3]}, reachable=False)
+    assert np.array_equal(positives, positive_mask({1: {1, 2}, 2: {1, 2, 3}, 3: {2, 3}}, 3))
+    assert refined is None
 
 
 def test_direct_positive_sets_isolated_and_symmetric():
-    state = _merged({"A": [1], "B": [2, 3]}, MODE_DIRECT)
-    psets = state.positive_sets
-    assert psets[1] == frozenset({1})
-    for a, pos in psets.items():
-        for b in pos:
-            assert a in psets[b]
-    assert np.array_equal(state.positives, state.positives.T)
+    positives, _ = _merged({"A": [1], "B": [2, 3]}, reachable=False)
+    assert np.flatnonzero(positives[0]).tolist() == [0]  # P(1) = {1}
+    assert np.array_equal(positives, positives.T)
 
 
 def test_reachable_positive_sets_chain_single_component():
-    state = _merged({"A": [1, 2], "B": [2, 3]}, MODE_REACHABLE)
-    psets, refined = state.positive_sets, state.refined
-    assert psets[1] == psets[2] == psets[3] == frozenset({1, 2, 3})
+    positives, refined = _merged({"A": [1, 2], "B": [2, 3]}, reachable=True)
+    assert positives.all()  # P(1) = P(2) = P(3) = {1, 2, 3}
     assert refined[0] == refined[1] == refined[2] == 1
 
 
 def test_reachable_positive_sets_disjoint_edges():
-    state = _merged({"A": [1, 2], "B": [3, 4]}, MODE_REACHABLE)
-    psets = state.positive_sets
-    assert psets[1] == frozenset({1, 2})
-    assert psets[3] == frozenset({3, 4})
-    assert state.refined.dtype == np.int64 and state.refined.tolist() == [1, 1, 2, 2]
+    positives, refined = _merged({"A": [1, 2], "B": [3, 4]}, reachable=True)
+    assert np.array_equal(positives, positive_mask({1: {1, 2}, 2: {1, 2}, 3: {3, 4}, 4: {3, 4}}, 4))
+    assert refined.dtype == np.int64 and refined.tolist() == [1, 1, 2, 2]
 
 
 def test_reachable_positive_sets_no_edges_singletons():
-    state = _merged({"A": [1], "B": [2], "C": [3]}, MODE_REACHABLE)
-    assert all(state.positive_sets[c] == frozenset({c}) for c in (1, 2, 3))
-    assert sorted(state.refined.tolist()) == [1, 2, 3]
+    positives, refined = _merged({"A": [1], "B": [2], "C": [3]}, reachable=True)
+    assert np.array_equal(positives, np.eye(3, dtype=bool))
+    assert sorted(refined.tolist()) == [1, 2, 3]
 
 
 def _random_graph(rng, max_nodes=500, sparse=False):
@@ -177,10 +149,10 @@ def test_reachable_matches_bfs_oracle_random_graphs():
     rng = np.random.default_rng(7)
     for sparse in [False] * 60 + [True] * 60:
         g, nodes, edges = _random_graph(rng, sparse=sparse)
-        _, state = _states(g)
+        positives, refined = merge_positives(g, True)
         expected = bfs_components(nodes, edges)
-        assert np.array_equal(state.positives, component_mask(expected, len(nodes)))
-        refined = state.refined.tolist()
+        assert np.array_equal(positives, component_mask(expected, len(nodes)))
+        refined = refined.tolist()
         # refined ids are exactly 1.. in order of each component's smallest member
         by_smallest = sorted(expected, key=min)
         assert dict(enumerate(refined, start=1)) == {
@@ -191,11 +163,10 @@ def test_direct_subset_of_reachable_random_graphs():
     rng = np.random.default_rng(13)
     for _ in range(60):
         g, _, _ = _random_graph(rng, max_nodes=120)
-        direct, reach = _states(g)
-        assert np.all(direct.positives <= reach.positives)
+        assert np.all(merge_positives(g, False)[0] <= merge_positives(g, True)[0])
 
 
-def test_merged_state_matches_dict_oracles_random_graphs():
+def test_merge_positives_matches_dict_oracles_random_graphs():
     # n = 0, graphs without edges and labels outside every edge all occur
     rng = np.random.default_rng(41)
     for trial in range(300):
@@ -208,8 +179,8 @@ def test_merged_state_matches_dict_oracles_random_graphs():
         # every label 1..n holds some units, and OUTLIER units are mixed in
         labels = rng.permutation(np.repeat(np.arange(n + 1), rng.integers(1, 4, size=n + 1)))
         g = adjacency(n, edges)
-        direct = merged_state([], labels, g, MODE_DIRECT)
-        reach = merged_state([], labels, g, MODE_REACHABLE)
+        direct = LabelState((), labels, *merge_positives(g, False))
+        reach = LabelState((), labels, *merge_positives(g, True))
         direct_sets = direct_positive_sets(nodes, edges)
         reach_sets, refined = reachable_positive_sets(nodes, edges)
         assert np.array_equal(direct.positives, positive_mask(direct_sets, n))
@@ -220,31 +191,21 @@ def test_merged_state_matches_dict_oracles_random_graphs():
 
 
 def test_progressive_switch():
-    cfg = default_config()
-    spread = {"A": [1, 2], "B": [2, 3]}
-    units, (labels, parent) = _units(spread), _assignment(spread)
+    # the chain A-B under the default schedule: DIRECT before the switch epoch, REACHABLE from it
+    switch = default_config().merge_switch_epoch
+    labels, parent = _assignment({"A": [1, 2], "B": [2, 3]})
     g = build_graph(labels, parent)
-    early = progressive_positive_sets(units, labels, g, epoch=1, cfg=cfg)
-    assert early.mode == MODE_DIRECT
-    assert early.refined is None
-    assert early.check() == []
-    at_switch = progressive_positive_sets(units, labels, g, epoch=51, cfg=cfg)
-    assert at_switch.mode == MODE_REACHABLE
-    assert at_switch.check() == []
-    late = progressive_positive_sets(units, labels, g, epoch=150, cfg=cfg)
+    early, at_switch, late = (LabelState((), labels, *merge_positives(g, epoch >= switch))
+                              for epoch in (1, switch, 3 * switch))
+    assert early.mode == MODE_DIRECT and early.refined is None and early.check() == []
+    assert early.positive_sets[1] == frozenset({1, 2})  # no chaining through label 2
+    assert at_switch.mode == MODE_REACHABLE and at_switch.check() == []
+    assert at_switch.positive_sets[1] == frozenset({1, 2, 3})
     assert late.mode == MODE_REACHABLE
-
-
-def test_progressive_rejects_bad_epoch():
-    cfg = default_config()
-    g = _graph({"A": [1]})
-    with pytest.raises(ValueError):
-        progressive_positive_sets([], [], g, epoch=0, cfg=cfg)
 
 
 def test_random_label_states_satisfy_invariants():
     rng = np.random.default_rng(29)
-    cfg = default_config(merge_switch_epoch=5)
     for _ in range(40):
         spread = {
             f"t{i}": [int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 5)))]
@@ -252,6 +213,6 @@ def test_random_label_states_satisfy_invariants():
         }
         labels, parent = _assignment(spread)
         g = build_graph(labels, parent)
-        epoch = int(rng.integers(1, 10))
-        state = progressive_positive_sets(_units(spread), labels, g, epoch, cfg)
+        epoch = int(rng.integers(1, 10))  # DIRECT before a switch at epoch 5, then REACHABLE
+        state = LabelState((), labels, *merge_positives(g, epoch >= 5))
         assert state.check() == []

@@ -48,7 +48,6 @@ from subtrack.trainer import (
     init_encoder,
     standard_ablation_rows,
     train,
-    train_with_toggles,
 )
 
 
@@ -128,7 +127,7 @@ def test_end_to_end_gradient_matches_finite_differences():
         weights, X, labels, psets, banks = _random_step(
             rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6)),
             int(rng.integers(2, 5)), int(rng.integers(1, 6)))
-        positives = positive_mask(psets, banks.num_classes)
+        positives = positive_mask(psets, len(banks.centroid))
 
         def loss_of(w):
             V, _ = _embed_batch(Encoder(w), X)
@@ -375,14 +374,38 @@ def test_duplicate_tracklet_ids_are_rejected():
 
 
 def test_cluster_epoch_progressive_mode_switch():
+    # the merge mode of each toggle around the switch epoch: only progressive switches
     tracklets = _small_dataset()
-    cfg = _small_cfg(merge_switch_epoch=2)
+    cfg = _small_cfg(merge_switch_epoch=3)
     enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
-    early, *_ = cluster_epoch(enc, tracklets, cfg, epoch=1)
-    late, *_ = cluster_epoch(enc, tracklets, cfg, epoch=2)
-    assert early.mode == MODE_DIRECT
-    assert late.mode == MODE_REACHABLE
-    assert early.check() == [] and late.check() == []
+    D, R = MODE_DIRECT, MODE_REACHABLE
+    table = {MERGE_NONE: (D, D, D), MERGE_DIRECT: (D, D, D), MERGE_REACHABLE: (R, R, R),
+             MERGE_PROGRESSIVE: (D, R, R)}
+    for merge, modes in table.items():
+        for epoch, mode in zip((2, 3, 4), modes):
+            state = cluster_epoch(enc, tracklets, cfg, epoch, PipelineToggles(merge=merge))[0]
+            assert state.mode == mode, (merge, epoch)
+            assert state.check() == []
+            if merge == MERGE_NONE:  # no merging: each label its own positive set
+                assert np.array_equal(state.positives, np.eye(state.num_clusters, dtype=bool))
+
+
+def test_cluster_epoch_rejects_epoch_below_one():
+    tracklets = _small_dataset()
+    cfg = _small_cfg()
+    enc = init_encoder(tracklets[0].frames.shape[1], cfg.dim, np.random.default_rng(0))
+    for merge in (MERGE_NONE, MERGE_DIRECT, MERGE_REACHABLE, MERGE_PROGRESSIVE):
+        for epoch in (0, -1):
+            with pytest.raises(ValueError, match="epoch must be >= 1"):
+                cluster_epoch(enc, tracklets, cfg, epoch, PipelineToggles(merge=merge))
+
+
+@pytest.mark.parametrize("change", [{"lr": np.inf}, {"lr": 1e308}, {"weight_decay": 1e308},
+                                    {"hard_weight": np.inf}, {"lr": 1e308, "epochs": 1}])
+def test_a_diverging_run_is_refused(change):
+    # non-finite weights never leave train, nor reach the next epoch's clustering
+    with pytest.raises(ValueError, match="training diverged: non-finite encoder weights"):
+        train(_small_dataset(), _small_cfg(**change))
 
 
 def test_cluster_epoch_without_partition_gives_one_unit_per_tracklet():
@@ -415,7 +438,7 @@ def test_train_baseline_runs_and_differs_from_full():
     tracklets = _small_dataset()
     cfg = _small_cfg()
     full = train(tracklets, cfg)
-    base = train_with_toggles(tracklets, cfg, BASELINE)
+    base = train(tracklets, cfg, BASELINE)
     assert len(base.reports) == cfg.epochs
     assert not np.array_equal(full.encoder.weights, base.encoder.weights)
 
@@ -425,11 +448,11 @@ def test_training_without_merging_runs_with_and_without_fixed_k():
     cfg = _small_cfg(epochs=1)
     toggles = PipelineToggles(name="nftp_infonce", merge=MERGE_NONE)
     assert toggles.loss == "infonce"
-    plain = train_with_toggles(tracklets, cfg, toggles)
+    plain = train(tracklets, cfg, toggles)
     assert plain.labels.check() == []
     assert all(pos == {y} for y, pos in plain.labels.positive_sets.items())
     assert np.isfinite(plain.reports[0].mean_loss)
-    result = train_with_toggles(tracklets, cfg, toggles, fixed_k=2)
+    result = train(tracklets, cfg, toggles, fixed_k=2)
     assert result.labels.check() == []
     assert result.labels.mode == MODE_DIRECT
 
@@ -478,7 +501,7 @@ def test_ablation_matrix_smoke():
     tracklets = _small_dataset(identities=3)
     cfg = _small_cfg(epochs=1, iters_per_epoch=1)
     for row in standard_ablation_rows():
-        result = train_with_toggles(tracklets, cfg, row)
+        result = train(tracklets, cfg, row)
         assert len(result.reports) == 1
         assert result.labels is not None
 
