@@ -7,7 +7,6 @@ from .model import (
     Tracklet,
     TrainConfig,
     default_config,
-    validate_config,
 )
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "Tracklet",
     "TrainConfig",
     "default_config",
-    "validate_config",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 from . import storage, synth
 from .experiment import final_metrics
 from .evaluation import cluster_stats, map_cmc
-from .model import LabelState, TrainConfig, validate_config
+from .model import LabelState, TrainConfig
 from .trainer import (
     Encoder,
     cluster_epoch,
@@ -39,17 +39,18 @@ class CliError(Exception):
 def _load_config(path, command: str = "") -> TrainConfig:
     """The config file's TrainConfig; a named ``command`` scores trained runs: epochs >= 1."""
     overrides = storage.load_json(path) if path else {}
-    cfg = _checked(storage.dataclass_from_json(TrainConfig, overrides, "config file"))
+    cfg = _checked(storage.dataclass_from_json, TrainConfig, overrides, "config file")
     if command and cfg.epochs < 1:
         raise CliError(f"{command} needs epochs >= 1: it scores each run's final labels")
     return cfg
 
 
-def _checked(cfg: TrainConfig) -> TrainConfig:
-    problems = validate_config(cfg)
-    if problems:
-        raise CliError("invalid config: " + "; ".join(problems))
-    return cfg
+def _checked(make, *args, **kwargs) -> TrainConfig:
+    """The TrainConfig that ``make`` builds; its refusal of an invalid value is a CliError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _read_dataset(path):
@@ -249,7 +250,7 @@ def cmd_sweep(args) -> None:
         else:
             field = SWEEP_PARAMS[args.param]
             value = int(raw_value) if field == "partition_stride" else float(raw_value)
-            runs.append((raw_value, _checked(cfg.replace(**{field: value})), None))
+            runs.append((raw_value, _checked(cfg.replace, **{field: value}), None))
     header = ["param", "value", "map", "rank1", "pairwise_f1", "filtered_frames_per_epoch"]
     rows = []
     for raw_value, run_cfg, k in runs:

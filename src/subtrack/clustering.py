@@ -1,4 +1,4 @@
-"""Pairwise distances and strict density clustering over sub-tracklet features."""
+"""Sub-tracklet features' eps-pairs, by cosine or k-reciprocal Jaccard distance, and DBSCAN."""
 
 from __future__ import annotations
 
@@ -12,13 +12,8 @@ def _unit_rows(features: np.ndarray) -> np.ndarray:
     features = np.ascontiguousarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
     if features.shape[0] and not np.max(np.abs(norms - 1.0)) <= 1e-4:  # NaN fails too
-        raise ValueError("cosine_distance_matrix expects L2-normalized rows")
+        raise ValueError("clustering expects L2-normalized rows")
     return features
-
-
-def cosine_distance_matrix(features: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) cosine distances of L2-normalized rows: ``_distances`` of all rows."""
-    return _distances(_unit_rows(features), slice(0, len(features)))
 
 
 def _distances(features: np.ndarray, rows: slice) -> np.ndarray:
@@ -120,29 +115,17 @@ def _weights(features: np.ndarray, k1: int, k2: int):
     return (*(np.concatenate(part) for part in zip(*nonzeros)), rowsum)
 
 
-def dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
-    """Density clustering over a symmetric distance matrix: labels 1.. in order of each
-    cluster's first core point index, OUTLIER (0) for unclustered samples."""
-    if eps <= 0 or min_samples < 2:
-        raise ValueError("need eps > 0 and min_samples >= 2")
-    src, dst = np.nonzero(np.asarray(dist, dtype=np.float64) <= eps)
-    return kernels.dbscan_pairs(len(dist), src, dst, min_samples)
-
-
 def sub_cluster_generate(features: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Each row's label, aligned with ``features``: 1..n, or OUTLIER for a row that sits
     out the epoch. Beyond k1 units the metric is the Jaccard distance between rows of W:
     each unit's k1 + 1 nearest by cosine distance give reciprocal sets, expanded by their
     members' half-k1 sets, weighted by a Gaussian of the distance and averaged over its k2
-    nearest rows. W stays per-row nonzeros, and DBSCAN runs on the pairs within eps that
-    ``kernels.jaccard_pairs`` keeps, so no n x n array is made. Up to k1 units, too few
-    for the metric, the small cosine matrix is clustered at the same eps."""
-    if not (cfg.k1 > cfg.k2 >= 1 and cfg.eps > 0 and cfg.min_samples >= 2):
-        raise ValueError("need k1 > k2 >= 1, eps > 0 and min_samples >= 2")
-    if (n := len(features)) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n <= cfg.k1:
-        return dbscan(cosine_distance_matrix(features), cfg.eps, cfg.min_samples)
-    a, b = kernels.jaccard_pairs(*_weights(_unit_rows(features), cfg.k1, cfg.k2), cfg.eps)
-    src, dst = np.concatenate([a, b, np.arange(n)]), np.concatenate([b, a, np.arange(n)])
-    return kernels.dbscan_pairs(n, src, dst, cfg.min_samples)
+    nearest rows. W stays per-row nonzeros, and ``kernels.jaccard_pairs`` keeps the pairs
+    within eps, so no n x n array is made. Up to k1 units, too few for the metric, the
+    small cosine matrix gives the pairs at the same eps. One DBSCAN call takes either."""
+    features, n = _unit_rows(features), len(features)
+    if n <= cfg.k1:  # all rows at once: syrk, exactly symmetric, so one triangle is every pair
+        a, b = np.nonzero(np.triu(_distances(features, slice(0, n)) <= cfg.eps, 1))
+    else:
+        a, b = kernels.jaccard_pairs(*_weights(features, cfg.k1, cfg.k2), cfg.eps)
+    return kernels.dbscan_pairs(n, a, b, cfg.min_samples)

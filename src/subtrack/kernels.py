@@ -2,7 +2,7 @@
 
 Both run in plain numpy on a single core and hold no n x n array: the Jaccard
 kernel takes W as its nonzeros by row and keeps only the pairs within eps,
-and DBSCAN works on those pairs. Block operations here and in ``clustering``
+and DBSCAN takes each pair once. Block operations here and in ``clustering``
 add in the order of a per-row, per-column or per-unit loop, so their bits are
 the loop's (``tests/oracles.py``): ``np.bincount`` and ``np.add.at`` add into
 each bin in input order from 0.0, a (k, L) ``.sum(axis=1)`` adds each row as
@@ -107,11 +107,12 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         root = low
 
 
-def dbscan_pairs(n: int, src: np.ndarray, dst: np.ndarray, min_samples: int) -> np.ndarray:
-    """DBSCAN over the eps-pairs src -> dst, in any order, both ways, self pairs included:
-    core points have >= min_samples of them; clusters are components of core points,
-    labeled 1.. by their first core index; a non-core point joins its lowest-index
-    core neighbour; the rest stay 0."""
+def dbscan_pairs(n: int, a: np.ndarray, b: np.ndarray, min_samples: int) -> np.ndarray:
+    """DBSCAN over the eps-pairs (a[i], b[i]) of distinct points, each unordered pair once,
+    in any order; each point is also its own neighbour: core points have >= min_samples
+    neighbours; clusters are components of core points, labeled 1.. by their first core
+    index; a non-core point joins its lowest-index core neighbour; the rest stay 0."""
+    src, dst = np.concatenate([a, b, np.arange(n)]), np.concatenate([b, a, np.arange(n)])
     core = np.bincount(src, minlength=n) >= int(min_samples)
     link = core[src] & core[dst]
     root = components(n, src[link], dst[link])

@@ -133,7 +133,7 @@ class LabelState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every knob of the pipeline, defaulting to the reference configuration."""
+    """Every knob of the pipeline, defaulting to the reference configuration; checked when built."""
 
     dim: int = 64                    # embedding dimension
     partition_stride: int = 32       # frames per sub-tracklet segment
@@ -159,6 +159,32 @@ class TrainConfig:
     merge_switch_epoch: int = 51     # first epoch merging all reachable sub-clusters
     rng_seed: int = 1
 
+    def __post_init__(self):
+        checks = [
+            (self.filter_factor > 0, "filter_factor > 0"),
+            (self.eps > 0, "eps > 0"),
+            (self.min_samples >= 2, "min_samples >= 2"),
+            (0.0 <= self.smoothing <= 1.0, "0 <= smoothing <= 1"),
+            (self.temperature > 0, "temperature > 0"),
+            (0.0 <= self.momentum <= 1.0, "0 <= momentum <= 1"),
+            (self.partition_stride >= 1, "partition_stride >= 1"),
+            (self.frames_per_sample >= 1, "frames_per_sample >= 1"),
+            (self.sample_stride >= 1, "sample_stride >= 1"),
+            (self.dim >= 1, "dim >= 1"),
+            (self.k1 > self.k2 >= 1, "k1 > k2 >= 1"),
+            (self.batch_size >= 1, "batch_size >= 1"),
+            (self.epochs >= 0, "epochs >= 0"),
+            (self.iters_per_epoch is None or self.iters_per_epoch >= 1, "iters_per_epoch >= 1"),
+            (self.lr > 0, "lr > 0"),
+            (0 < self.lr_decay_factor <= 1, "0 < lr_decay_factor <= 1"),
+            (self.lr_decay_period >= 1, "lr_decay_period >= 1"),
+            (self.weight_decay >= 0, "weight_decay >= 0"),
+            (self.merge_switch_epoch >= 1, "merge_switch_epoch >= 1"),
+            (self.hard_weight >= 0 and self.centroid_weight >= 0, "loss weights >= 0"),
+        ]
+        if problems := [rule for ok, rule in checks if not ok]:
+            raise ValueError("invalid config: " + "; ".join(problems))
+
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
 
@@ -168,30 +194,3 @@ class TrainConfig:
 
 def default_config(**overrides) -> TrainConfig:
     return TrainConfig(**overrides)
-
-
-def validate_config(cfg: TrainConfig) -> list[str]:
-    """Return every violated configuration invariant; empty list means ok."""
-    checks = [
-        (cfg.filter_factor > 0, "filter_factor > 0"),
-        (cfg.eps > 0, "eps > 0"),
-        (cfg.min_samples >= 2, "min_samples >= 2"),
-        (0.0 <= cfg.smoothing <= 1.0, "0 <= smoothing <= 1"),
-        (cfg.temperature > 0, "temperature > 0"),
-        (0.0 <= cfg.momentum <= 1.0, "0 <= momentum <= 1"),
-        (cfg.partition_stride >= 1, "partition_stride >= 1"),
-        (cfg.frames_per_sample >= 1, "frames_per_sample >= 1"),
-        (cfg.sample_stride >= 1, "sample_stride >= 1"),
-        (cfg.dim >= 1, "dim >= 1"),
-        (cfg.k1 > cfg.k2 >= 1, "k1 > k2 >= 1"),
-        (cfg.batch_size >= 1, "batch_size >= 1"),
-        (cfg.epochs >= 0, "epochs >= 0"),
-        (cfg.iters_per_epoch is None or cfg.iters_per_epoch >= 1, "iters_per_epoch >= 1"),
-        (cfg.lr > 0, "lr > 0"),
-        (0 < cfg.lr_decay_factor <= 1, "0 < lr_decay_factor <= 1"),
-        (cfg.lr_decay_period >= 1, "lr_decay_period >= 1"),
-        (cfg.weight_decay >= 0, "weight_decay >= 0"),
-        (cfg.merge_switch_epoch >= 1, "merge_switch_epoch >= 1"),
-        (cfg.hard_weight >= 0 and cfg.centroid_weight >= 0, "loss weights >= 0"),
-    ]
-    return [rule for ok, rule in checks if not ok]

@@ -39,26 +39,33 @@ def init_encoder(raw_dim: int, dim: int, rng: np.random.Generator) -> Encoder:
     return Encoder(rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim))
 
 
-def _encode(enc: Encoder, frames: np.ndarray):
-    """Normalized per-frame encodings of (..., raw_dim) frames, and their norms before it."""
+def _linear(enc: Encoder, frames: np.ndarray):
+    """Per-frame encodings of (..., raw_dim) frames before normalization, and their norms."""
     u = np.asarray(frames, dtype=np.float64) @ enc.weights
-    norms = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))  # np.linalg.norm's sum
-    if not norms.all():
-        raise ValueError("zero vector after the linear map")
-    return u / norms, norms
+    return u, np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))  # np.linalg.norm's sum
+
+
+def _encodes(norms: np.ndarray) -> bool:
+    """No encoding norm is zero, overflowed or NaN."""
+    return bool(np.all((norms > 0) & (norms < np.inf)))
 
 
 def encode_frames(enc: Encoder, raw_frames: np.ndarray) -> np.ndarray:
     """Per-frame linear map followed by L2 normalization."""
-    return _encode(enc, raw_frames)[0]
+    u, norms = _linear(enc, raw_frames)
+    if not _encodes(norms):
+        raise ValueError("the encoder weights map a frame to a zero or non-finite vector")
+    return u / norms
 
 
 def _embed_batch(enc: Encoder, X: np.ndarray):
     """Normalized means of the normalized frame encodings of a (B, F, raw_dim) batch.
 
-    Returns the (B, dim) embeddings and what the backward pass needs.
+    Returns the (B, dim) embeddings and what the backward pass needs; weights that
+    diverge give NaN, which ``train`` refuses at the epoch's end.
     """
-    G, u_norms = _encode(enc, X)
+    u, u_norms = _linear(enc, X)
+    G = u / u_norms
     mean = G.mean(axis=1)
     m_norm = np.linalg.norm(mean, axis=1, keepdims=True)
     V = mean / m_norm
@@ -258,6 +265,8 @@ def train(
             losses.append(out.value)
         if not np.isfinite(enc.weights).all():
             raise ValueError("training diverged: non-finite encoder weights")
+        if not _encodes(_linear(enc, X)[1]):
+            raise ValueError("training diverged: the last batch no longer encodes")
 
         result.reports.append(
             EpochReport(epoch, state.num_clusters, state.num_outliers, state.mode,

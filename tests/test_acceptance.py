@@ -23,8 +23,8 @@ from oracles import (
     relative_error,
     softmax_cross_entropy,
 )
+from subtrack import kernels
 from subtrack.cli import main as cli_main
-from subtrack.clustering import dbscan
 from subtrack.evaluation import map_cmc
 from subtrack.experiment import compare_full_vs_baseline
 from subtrack.memory import (
@@ -59,7 +59,7 @@ def test_criterion_01_dbscan_oracle(capsys):
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         eps = float(rng.uniform(0.02, 0.5))
         min_samples = int(rng.integers(2, 7))
-        labels = dbscan(d, eps, min_samples)
+        labels = kernels.dbscan_pairs(n, *np.nonzero(np.triu(d <= eps, 1)), min_samples)
         if partition_of(labels) != dbscan_closure(d, eps, min_samples):
             ok = False
             break

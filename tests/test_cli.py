@@ -266,15 +266,23 @@ def test_bad_config_field_errors(tmp_path, dataset_dir, capsys):
 
 
 def test_invalid_config_value_errors(tmp_path, dataset_dir, capsys):
+    # a config file's values, then a sweep value: each broken rule named, in rule order
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"temperature": -1.0}), encoding="utf-8")
+    bad.write_text(json.dumps({"temperature": -1.0, "momentum": 2.0}), encoding="utf-8")
     code = main([
         "train", "--data", str(dataset_dir), "--config", str(bad),
         "--out", str(tmp_path / "o"),
     ])
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert "temperature" in err["message"]
+    assert err == {"error": "CliError",
+                   "message": "invalid config: temperature > 0; 0 <= momentum <= 1"}
+    bad.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    assert main(["sweep", "--data", str(dataset_dir), "--config", str(bad), "--param", "delta",
+                 "--values", "0.5,-1", "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "CliError", "message": "invalid config: filter_factor > 0"}
+    assert not (tmp_path / "o").exists()
 
 
 def _drop_top(manifest, key):
@@ -474,6 +482,46 @@ def test_a_diverging_train_errors_as_json(tmp_path, capsys, dataset_dir, change)
     assert _one_json_error(capsys) == {"error": "ValueError",
                                        "message": "training diverged: non-finite encoder weights"}
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def six_identities(tmp_path_factory):
+    """A generated set of six identities with 16-dim frames, and a split of all of it."""
+    root = tmp_path_factory.mktemp("six")
+    (root / "spec.json").write_text(json.dumps({"num_identities": 6, "raw_dim": 16, "seed": 1}),
+                                    encoding="utf-8")
+    assert main(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
+    ids = [t.id for t in read_dataset(root / "data")[0]]
+    (root / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
+    return root
+
+
+def test_weights_that_overflow_end_training_as_json(tmp_path, capsys, six_identities):
+    # lr 1e308 leaves finite weights, up to 1.0003e308, under which frames encode to NaN or
+    # zero vectors: the run is refused, not written
+    config = {"dim": 8, "k1": 6, "k2": 2, "epochs": 1, "lr": 1e308}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--data", str(six_identities / "data"), "--config",
+                 str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]) == 1
+    err = _one_json_error(capsys)
+    assert err["error"] == "ValueError" and err["message"].startswith("training diverged")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("largest", [1e300, 1e308])
+@pytest.mark.parametrize("command", ["eval", "cluster"])
+def test_weights_that_overflow_the_encoding_are_refused(tmp_path, capsys, six_identities,
+                                                        command, largest):
+    # every frame's encoding overflows: no score from NaN or zero features, and the error
+    # names the weights, not the frames or the clustering
+    weights = np.random.default_rng(0).normal(size=(16, 8))
+    write_weights(weights * (largest / np.abs(weights).max()), tmp_path / "weights.npy")
+    data = ["--data", str(six_identities / "data"), "--weights", str(tmp_path / "weights.npy")]
+    extra = ["--split", str(six_identities / "split.json")] if command == "eval" else []
+    assert main([command, *data, *extra, "--out", str(tmp_path / "out.json")]) == 1
+    err = _one_json_error(capsys)
+    assert err["error"] == "ValueError" and "encoder weights" in err["message"]
+    assert not (tmp_path / "out.json").exists()
 
 
 def _cluster_argv(root):
@@ -851,7 +899,7 @@ def tiny_dataset(tmp_path_factory):
     return root / "data"
 
 
-POSITIVE = st.sampled_from([1e-300, 1e-3, 1.0, 1e308, float("inf")])  # what validate_config takes
+POSITIVE = st.sampled_from([1e-300, 1e-3, 1.0, 1e308, float("inf")])  # what TrainConfig takes
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)

@@ -26,29 +26,28 @@ from subtrack.clustering import (
     _distances,
     _expansion,
     _nearest,
+    _unit_rows,
     _weights,
-    cosine_distance_matrix,
-    dbscan,
     sub_cluster_generate,
 )
 from subtrack.model import OUTLIER, default_config
 
 
-def _unit_rows(rng, n, d):
+def _random_unit_rows(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def test_cosine_distance_identical_and_orthogonal():
     f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    d = cosine_distance_matrix(f)
+    d = _distances(_unit_rows(f), slice(0, len(f)))
     assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert d[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_distance_hand_value():
     f = np.array([[1.0, 0.0], [np.sqrt(2) / 2, np.sqrt(2) / 2]])
-    d = cosine_distance_matrix(f)
+    d = _distances(_unit_rows(f), slice(0, len(f)))
     assert d[0, 1] == pytest.approx(1 - np.sqrt(2) / 2, abs=1e-12)
 
 
@@ -57,7 +56,7 @@ def test_cosine_distance_hand_value():
 def test_cosine_distance_exactly_symmetric(n, layout):
     rng = np.random.default_rng(n)
     for d in (8, 33, 64):
-        f = _unit_rows(rng, n, d)
+        f = _random_unit_rows(rng, n, d)
         if layout == "F":
             f = np.asfortranarray(f)
         elif layout == "column-strided":
@@ -66,13 +65,19 @@ def test_cosine_distance_exactly_symmetric(n, layout):
             f = wide[:, ::2]
         elif layout == "reversed-rows":
             f = f[::-1]
-        values = cosine_distance_matrix(f)
+        values = _distances(_unit_rows(f), slice(0, len(f)))
         assert np.array_equal(values, values.T)
 
 
 def test_cosine_distance_rejects_unnormalized():
     with pytest.raises(ValueError):
-        cosine_distance_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        _unit_rows(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    rng = np.random.default_rng(5)
+    for n in (4, 40):  # on both sides of n = k1
+        feats = _random_unit_rows(rng, n, 4)
+        feats[n // 2] *= 2.0
+        with pytest.raises(ValueError, match="L2-normalized"):
+            sub_cluster_generate(feats, default_config())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -80,9 +85,9 @@ def test_a_non_finite_row_is_refused(bad):
     # on both sides of n = k1; a NaN row once gave NaN distances, and an IndexError later
     rng = np.random.default_rng(5)
     for n in (4, 40):
-        feats = _unit_rows(rng, n, 4)
+        feats = _random_unit_rows(rng, n, 4)
         feats[n // 2, 1] = bad
-        for call in (cosine_distance_matrix, lambda f: sub_cluster_generate(f, default_config())):
+        for call in (_unit_rows, lambda f: sub_cluster_generate(f, default_config())):
             with pytest.raises(ValueError, match="L2-normalized"):
                 call(feats)
 
@@ -135,9 +140,9 @@ def test_nearest_matches_stable_argsort_prefix_under_ties():
     for n, k in ((40, 31), (31, 31), (12, 5), (9, 9)):  # n == k is n == k1 + 1
         d = rng.integers(0, 4, size=(n, n)).astype(np.float64)  # integer values: many ties
         cases += [d, (d + d.T) / 2.0]
-        dup = _unit_rows(rng, n, 3)
+        dup = _random_unit_rows(rng, n, 3)
         dup[rng.integers(0, n, n // 2)] = dup[rng.integers(0, n, n // 2)]  # exact duplicate rows
-        cases.append(cosine_distance_matrix(dup))
+        cases.append(_distances(_unit_rows(dup), slice(0, n)))
     cases.append(np.zeros((8, 8)))  # every entry ties with self
     for d in cases:
         np.fill_diagonal(d, 0.0)
@@ -183,7 +188,8 @@ def test_k_reciprocal_weights_and_labels_match_set_oracle():
         jac = jaccard_pairwise(W)
         for eps in (0.25, 0.5, 0.7):
             labels = sub_cluster_generate(f, default_config(k1=k1, k2=k2, eps=eps, min_samples=2))
-            assert np.array_equal(labels, dbscan(jac, eps, 2))
+            want = kernels.dbscan_pairs(n, *np.nonzero(np.triu(jac <= eps, 1)), 2)
+            assert np.array_equal(labels, want)
 
 
 def _clustering_cases(rng):
@@ -228,7 +234,7 @@ def test_row_block_distances_are_the_cosine_matrix_to_round_off():
     cases += [_cluster_sizes_tool().features(n) for n in (377, 613)]
     for f in cases:
         dist = _path_distances(f)
-        assert np.abs(dist - cosine_distance_matrix(f)).max() <= 1e-15
+        assert np.abs(dist - _distances(_unit_rows(f), slice(0, len(f)))).max() <= 1e-15
         assert np.all(np.diag(dist) == 0.0) and dist.min() >= 0.0 and dist.max() <= 2.0
 
 
@@ -303,24 +309,25 @@ def test_cluster_sizes_tool_prints_the_pinned_labels(n, digest):
 
 
 def test_jaccard_degenerate_falls_back_to_cosine():
-    # up to k1 units, too few for the Jaccard metric, the cosine matrix is clustered
+    # up to k1 units, too few for the Jaccard metric, the cosine matrix's eps-pairs are
+    # clustered; none to two units included
     rng = np.random.default_rng(1)
-    for n in (5, 30):  # k1 is 30
-        feats = _unit_rows(rng, n, 4)
+    for n in (5, 30, 0, 1, 2):  # k1 is 30
+        feats = _random_unit_rows(rng, n, 4)
         for eps in (0.1, 0.25, 0.5):
             for min_samples in (2, 3):
                 cfg = default_config(k1=30, k2=6, eps=eps, min_samples=min_samples)
-                want = dbscan_row_scan(cosine_distance_matrix(feats), eps, min_samples)
+                want = dbscan_row_scan(_distances(_unit_rows(feats), slice(0, n)), eps, min_samples)
                 assert np.array_equal(sub_cluster_generate(feats, cfg), want)
 
 
 def test_jaccard_rejects_bad_k():
-    # checked before the branch on n: on both sides of n = k1
+    # the config refuses them when it is built: neither side of n = k1 sees them
     rng = np.random.default_rng(1)
     for n in (3, 4, 40):
-        feats = _unit_rows(rng, n, 4)
+        feats = _random_unit_rows(rng, n, 4)
         for k1, k2 in ((4, 6), (4, 4)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="k1 > k2 >= 1"):
                 sub_cluster_generate(feats, default_config(k1=k1, k2=k2))
 
 
@@ -332,21 +339,21 @@ def test_dbscan_three_point_example():
             [0.9, 0.9, 0.0],
         ]
     )
-    labels = dbscan(d, eps=0.25, min_samples=2)
+    labels = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.25, 1)), 2)
     assert labels[0] == labels[1] == 1
     assert labels[2] == OUTLIER
 
 
 def test_dbscan_identical_points_single_cluster():
     d = np.zeros((6, 6))
-    labels = dbscan(d, eps=0.25, min_samples=2)
+    labels = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.25, 1)), 2)
     assert (labels == 1).all()
 
 
 def test_dbscan_all_far_all_outliers():
     d = np.ones((5, 5))
     np.fill_diagonal(d, 0.0)
-    labels = dbscan(d, eps=0.25, min_samples=2)
+    labels = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.25, 1)), 2)
     assert (labels == OUTLIER).all()
 
 
@@ -363,7 +370,7 @@ def test_dbscan_matches_closure_oracle():
         d = _random_dist(rng, n)
         eps = float(rng.uniform(0.02, 0.4))
         min_samples = int(rng.integers(2, 6))
-        labels = dbscan(d, eps, min_samples)
+        labels = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= eps, 1)), min_samples)
         got = partition_of(labels)
         expected = dbscan_closure(d, eps, min_samples)
         assert got == expected
@@ -374,7 +381,7 @@ def test_dbscan_matches_closure_oracle():
 def test_dbscan_labels_contiguous_and_ordered():
     rng = np.random.default_rng(3)
     d = _random_dist(rng, 80)
-    labels = dbscan(d, eps=0.15, min_samples=2)
+    labels = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.15, 1)), 2)
     present = sorted(set(labels) - {OUTLIER})
     assert present == list(range(1, len(present) + 1))
     # label 1 belongs to the earliest core point
@@ -386,9 +393,10 @@ def test_dbscan_permutation_invariant_partition():
     rng = np.random.default_rng(11)
     for _ in range(10):
         d = _random_dist(rng, 50)
-        labels = dbscan(d, eps=0.2, min_samples=3)
+        labels = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.2, 1)), 3)
         perm = rng.permutation(50)
-        permuted = dbscan(d[np.ix_(perm, perm)], eps=0.2, min_samples=3)
+        moved = d[np.ix_(perm, perm)]
+        permuted = kernels.dbscan_pairs(50, *np.nonzero(np.triu(moved <= 0.2, 1)), 3)
         base_partition = partition_of(labels)
         mapped = partition_of(permuted)
         remapped = frozenset(
@@ -402,8 +410,8 @@ def test_dbscan_shrinking_eps_refines_partition():
     rng = np.random.default_rng(23)
     for _ in range(10):
         d = _random_dist(rng, 60)
-        small = dbscan(d, eps=0.1, min_samples=2)
-        large = dbscan(d, eps=0.3, min_samples=2)
+        small = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.1, 1)), 2)
+        large = kernels.dbscan_pairs(len(d), *np.nonzero(np.triu(d <= 0.3, 1)), 2)
         groups_small, _ = partition_of(small)
         groups_large, _ = partition_of(large)
         for g in groups_small:
@@ -414,7 +422,7 @@ def test_sub_cluster_generate_clean_data_matches_groups():
     # zero jitter, zero splice: one point per (identity, camera) position, so
     # clusters recover exactly the distinct feature groups
     rng = np.random.default_rng(5)
-    centers = _unit_rows(rng, 4, 8)
+    centers = _random_unit_rows(rng, 4, 8)
     feats = np.repeat(centers, 10, axis=0)
     cfg = default_config(k1=12, k2=3)
     labels = sub_cluster_generate(feats, cfg)

@@ -8,7 +8,6 @@ from oracles import (
     jaccard_pairwise,
 )
 from subtrack import kernels
-from subtrack.clustering import dbscan
 
 
 def _random_weights(rng, n):
@@ -101,15 +100,18 @@ def test_jaccard_pairs_keep_pairs_ulps_either_side_of_eps(eps):
 
 
 def test_dbscan_pairs_take_the_pairs_in_any_order():
-    rng = np.random.default_rng(19)
+    # each unordered pair once, shuffled and each either way round; no self pairs
+    rng, flips = np.random.default_rng(19), np.random.default_rng(20)
     for _ in range(30):
         n = int(rng.integers(1, 80))
         pts = rng.uniform(size=(n, 2))
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         eps, min_samples = float(rng.uniform(0.05, 0.3)), int(rng.integers(2, 5))
-        src, dst = np.nonzero(d <= eps)
-        order = rng.permutation(src.size)
-        labels = kernels.dbscan_pairs(n, src[order], dst[order], min_samples)
+        a, b = np.nonzero(np.triu(d <= eps, 1))
+        order = rng.permutation(a.size)
+        flip = flips.uniform(size=a.size) < 0.5
+        a, b = np.where(flip, b, a)[order], np.where(flip, a, b)[order]
+        labels = kernels.dbscan_pairs(n, a, b, min_samples)
         assert np.array_equal(labels, dbscan_row_scan(d, eps, min_samples))
 
 
@@ -123,7 +125,7 @@ def test_jaccard_numpy_zero_rows():
 
 
 def test_dispatch_empty_input():
-    out = dbscan(np.zeros((0, 0)), 0.3, 2)
+    out = kernels.dbscan_pairs(0, *np.nonzero(np.triu(np.zeros((0, 0)) <= 0.3, 1)), 2)
     assert out.shape == (0,)
     assert out.dtype == np.int64
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from subtrack.model import (
     LabelState,
     SubTracklet,
     Tracklet,
+    TrainConfig,
     default_config,
-    validate_config,
 )
 
 
@@ -36,7 +38,8 @@ def test_default_config_reference_values():
 
 
 def test_validate_config_defaults_ok():
-    assert validate_config(default_config()) == []
+    # the reference configuration passes every check, built directly or through replace
+    assert default_config().replace() == TrainConfig()
 
 
 @pytest.mark.parametrize(
@@ -49,11 +52,20 @@ def test_validate_config_defaults_ok():
         ("momentum", 1.2, "0 <= momentum <= 1"),
         ("partition_stride", 0, "partition_stride >= 1"),
         ("frames_per_sample", 0, "frames_per_sample >= 1"),
+        # a config built in Python is checked too: these reach no training run
+        ("momentum", 2.0, "0 <= momentum <= 1"),
+        ("lr", -1.0, "lr > 0"),
+        ("merge_switch_epoch", 0, "merge_switch_epoch >= 1"),
+        ("iters_per_epoch", 0, "iters_per_epoch >= 1"),
+        ("batch_size", 0, "batch_size >= 1"),
+        ("lr_decay_period", 0, "lr_decay_period >= 1"),
     ],
 )
 def test_validate_config_reports_violations(field, value, rule):
-    cfg = default_config(**{field: value})
-    assert rule in validate_config(cfg)
+    # a config is checked when it is built, and again when replace builds a new one
+    for build in (default_config, default_config().replace):
+        with pytest.raises(ValueError, match=r"^invalid config: (.*; )?" + re.escape(rule)):
+            build(**{field: value})
 
 
 def test_tracklet_rejects_empty_and_nonfinite():
