@@ -1,4 +1,4 @@
-"""Shared data model: tracklets, sub-tracklets, label state, and configuration."""
+"""Shared data model: tracklets, sub-tracklets, splice records, label state, configuration."""
 
 from __future__ import annotations
 
@@ -47,6 +47,15 @@ class Tracklet:
         return self.frames.shape[0]
 
 
+@dataclass(frozen=True)
+class SpliceRecord:
+    """A synthetic tracklet's spliced segment, one record of ``splices.json``."""
+
+    start: int  # inclusive frame index within the tracklet
+    end: int    # inclusive
+    source_identity: int
+
+
 @dataclass(frozen=True, order=True)
 class SubTracklet:
     """A contiguous segment of a noise-filtered tracklet.
@@ -65,9 +74,6 @@ class SubTracklet:
             raise ValueError("segment_index must be >= 1")
         if end < start or start < 0:
             raise ValueError(f"bad frame_range {self.frame_range}")
-
-    def __len__(self) -> int:
-        return self.frame_range[1] - self.frame_range[0] + 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,10 +4,10 @@ Per tracklet: average the frame features into a center, drop frames whose
 squared cosine deviation from the center exceeds an adaptive threshold, then
 split the survivors into fixed-stride segments (the trailing remainder is
 absorbed into the last full segment). ``noise_filter`` returns the kept
-frames' indices and the threshold, ``partition`` an (n, 2) array of
-inclusive segment bounds; ``trainer.cluster_epoch`` calls both once per
-tracklet. The training loop draws every sample of a batch with one
-``sample_frames`` call.
+frames' indices and the threshold, ``partition`` a list of inclusive
+(start, end) int pairs; ``trainer.cluster_epoch`` calls both once per
+tracklet and walks the pairs once. The training loop draws every sample of a
+batch with one ``sample_frames`` call.
 """
 
 from __future__ import annotations
@@ -41,21 +41,20 @@ def noise_filter(frames: np.ndarray, filter_factor: float) -> tuple[np.ndarray, 
     return (kept if kept.size else np.argmin(dist, keepdims=True)), threshold
 
 
-def partition(length: int, stride: int) -> np.ndarray:
-    """Inclusive (start, end) bounds, one row per segment, of ``length`` frames cut by ``stride``.
+def partition(length: int, stride: int) -> list[tuple[int, int]]:
+    """Inclusive (start, end) int pairs, one per segment, of ``length`` frames cut by ``stride``.
 
     The bounds index the surviving frames, i.e. the tracklet's frames at the
     indices ``noise_filter`` kept. A trailing remainder shorter than the
     stride is appended to the last full segment, so the final segment has
     length in [stride, 2*stride - 1]; fewer frames than the stride become a
-    single segment, and none give no rows.
+    single segment, and none give no pairs.
     """
     if stride < 1 or length < 0:
         raise ValueError("stride must be >= 1 and length >= 0")
-    if length == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    starts = stride * np.arange(max(length // stride, 1))
-    return np.stack([starts, np.append(starts[1:], length) - 1], axis=1)
+    segments = max(length // stride, 1) if length else 0
+    starts = range(0, segments * stride, stride)
+    return list(zip(starts, [*(a - 1 for a in starts[1:]), length - 1]))
 
 
 def sample_frames(segment_lengths, count: int, stride: int, rng: np.random.Generator) -> np.ndarray:

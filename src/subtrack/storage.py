@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Tracklet
-from .synth import SpliceRecord, SyntheticDataset
+from .model import SpliceRecord, Tracklet
 
 FORMAT_VERSION = 1
 
@@ -126,7 +125,8 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
     write_files(out_dir, files)
 
 
-def write_synthetic(ds: SyntheticDataset, out_dir) -> None:
+def write_synthetic(ds, out_dir) -> None:
+    """Write a ``synth.SyntheticDataset``'s tracklets and splice log."""
     write_dataset(ds.tracklets, out_dir, splice_log=ds.splice_log)
 
 

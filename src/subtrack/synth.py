@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Tracklet
+from .model import SpliceRecord, Tracklet
 
 _MAX_PROTO_TRIES = 20000
 
@@ -51,13 +51,6 @@ class SyntheticSpec:
         if self.splice_rate > 0 and shi >= lo:
             problems.append("splice_len_range max must be < tracklet_length_range min")
         return problems
-
-
-@dataclass(frozen=True)
-class SpliceRecord:
-    start: int  # inclusive frame index within the tracklet
-    end: int    # inclusive
-    source_identity: int
 
 
 @dataclass(frozen=True)

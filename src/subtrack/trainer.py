@@ -138,9 +138,17 @@ class PipelineToggles:
 BASELINE = PipelineToggles("baseline", filter_frames=False, do_partition=False, merge=MERGE_NONE)
 
 
-def _normalized_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row divided by its norm; the stacked product has ``row @ row``'s bits."""
-    return rows / np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0])
+def _normalized_rows(rows: np.ndarray, name) -> np.ndarray:
+    """Each row divided by its norm; the stacked product has ``row @ row``'s bits.
+
+    A zero or non-finite norm is refused, and ``name(i)`` says whose row i is.
+    """
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0])
+    ok = (norms > 0) & (norms < np.inf)
+    if not ok.all():
+        raise ValueError(f"{name(int(np.argmin(ok)))}: the mean frame encoding has a zero or "
+                         "non-finite norm")
+    return rows / norms
 
 
 def cluster_epoch(
@@ -159,8 +167,9 @@ def cluster_epoch(
     read-only (L, raw_dim) frames, not a copy, and the indices of the unit's
     surviving frames in them, a view into its tracklet's surviving indices.
     Tracklets are encoded, filtered and partitioned one at a time, so only one
-    tracklet's frame encodings exist at once. All but a tracklet's last segment
-    have one length: one axis-1 reduce sums them, each in frame order. The merge
+    tracklet's frame encodings exist at once. One walk over a tracklet's int
+    (start, end) bounds gives each unit's frame-order sum of its surviving
+    encodings; all sums are divided by their lengths in one step. The merge
     mode is decided here, once: REACHABLE for the ``reachable`` merge and for
     ``progressive`` from ``cfg.merge_switch_epoch`` on, DIRECT otherwise.
     """
@@ -169,25 +178,27 @@ def cluster_epoch(
     if len({t.id for t in tracklets}) != len(tracklets):
         raise ValueError("tracklet ids must be unique")
     subtracklets: list[SubTracklet] = []
-    means, unit_frames, parent, filtered_frames = [], [], [], 0
+    sums, lengths, unit_frames, parent, filtered_frames = [], [], [], [], 0
     for ti, t in enumerate(tracklets):
         encoded = encode_frames(enc, t.frames)
         keep = np.arange(len(encoded))
         if toggles.filter_frames:
-            keep = nftp.noise_filter(encoded, cfg.filter_factor)[0]
+            try:
+                keep = nftp.noise_filter(encoded, cfg.filter_factor)[0]
+            except ValueError as exc:
+                raise ValueError(f"tracklet {t.id!r}: {exc}") from None
             filtered_frames += len(encoded) - keep.size
-        bounds = nftp.partition(keep.size, cfg.partition_stride if toggles.do_partition
-                                else keep.size).tolist()
-        n, length, surviving = len(bounds), bounds[0][1] + 1, encoded[keep]
-        head = (n - 1) * length
-        body = surviving[:head].reshape(n - 1, length, surviving.shape[1])  # empty if n is 1
-        means += [np.add.reduce(body, axis=1) / length,
-                  np.add.reduce(surviving[head:], axis=0)[None] / (keep.size - head)]
-        unit_frames += [(t.frames, keep[a : b + 1]) for a, b in bounds]
-        subtracklets += [SubTracklet(t.id, s, (a, b)) for s, (a, b) in enumerate(bounds, 1)]
-        parent += [ti] * n
-    features = _normalized_rows(np.concatenate(means))
-    del means  # not held through clustering
+        surviving = encoded[keep]
+        stride = cfg.partition_stride if toggles.do_partition else keep.size
+        for s, (a, b) in enumerate(nftp.partition(keep.size, stride), 1):
+            sums.append(np.add.reduce(surviving[a : b + 1], axis=0))
+            lengths.append(b - a + 1)
+            unit_frames.append((t.frames, keep[a : b + 1]))
+            subtracklets.append(SubTracklet(t.id, s, (a, b)))
+            parent.append(ti)
+    features = _normalized_rows(np.stack(sums) / np.array(lengths)[:, None], lambda i: (
+        f"tracklet {subtracklets[i].parent_id!r} segment {subtracklets[i].segment_index}"))
+    del sums  # not held through clustering
     labels = sub_cluster_generate(features, cfg)
     if toggles.merge == MERGE_NONE:  # each unit its own tracklet: a graph with no edges
         parent = range(labels.size)
@@ -289,4 +300,4 @@ def standard_ablation_rows() -> list[PipelineToggles]:
 def inference_features(enc: Encoder, tracklets: Sequence[Tracklet]) -> np.ndarray:
     """Whole-tracklet features for retrieval: normalized mean over all frames."""
     means = [encode_frames(enc, t.frames).mean(axis=0) for t in tracklets]
-    return _normalized_rows(np.array(means))
+    return _normalized_rows(np.array(means), lambda i: f"tracklet {tracklets[i].id!r}")

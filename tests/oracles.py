@@ -232,6 +232,26 @@ def unit_features_by_unit(encoded_by_tracklet, unit_frames):
     return np.asarray(features)
 
 
+def partition_array(length, stride):
+    """A tracklet's inclusive (start, end) segment bounds as an (n, 2) int array: segments of
+    ``stride`` frames, the remainder in the last one, one segment below one stride, and no
+    rows for no frames."""
+    if length == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    starts = stride * np.arange(max(length // stride, 1))
+    return np.stack([starts, np.append(starts[1:], length) - 1], axis=1)
+
+
+def unit_means_by_reshape(surviving, stride):
+    """One tracklet's unit means: every segment but the last has ``stride`` frames, so one
+    reduce over a (segments - 1, stride, dim) view sums them; the last is summed on its own."""
+    n = len(partition_array(len(surviving), stride))
+    head = (n - 1) * stride
+    body = surviving[:head].reshape(n - 1, stride, surviving.shape[1])  # empty if n is 1
+    return np.concatenate([np.add.reduce(body, axis=1) / stride,
+                           np.add.reduce(surviving[head:], axis=0)[None] / (len(surviving) - head)])
+
+
 def sample_frames_per_segment(segment_length, count, stride, rng):
     """One segment's ``count`` strided frame indices from one scalar start draw,
     wrapped modulo the length when the span does not fit."""

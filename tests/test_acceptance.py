@@ -219,7 +219,7 @@ def test_criterion_06_partition_reconstruction(capsys):
         length = int(rng.integers(1, 300))
         stride = int(rng.integers(1, 80))
         covered = []
-        for a, b in partition(length, stride).tolist():
+        for a, b in partition(length, stride):
             covered.extend(range(a, b + 1))
         if covered != list(range(length)):
             ok = False

@@ -524,6 +524,41 @@ def test_weights_that_overflow_the_encoding_are_refused(tmp_path, capsys, six_id
     assert not (tmp_path / "out.json").exists()
 
 
+def _cancelling_inputs(root):
+    """Three tracklets, t0's frames alternating x and -x, so that the mean of its encoded
+    frames is zero; weights, a split of all three and a small config."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=4)
+    frames = [np.tile([x, -x], (6, 1)), rng.normal(size=(12, 4)), rng.normal(size=(12, 4))]
+    write_dataset([Tracklet(f"t{i}", f, identity=i // 2, camera=i % 2)
+                   for i, f in enumerate(frames)], root / "data")
+    write_weights(rng.normal(size=(4, 4)), root / "weights.npy")
+    ids = ["t0", "t1", "t2"]
+    (root / "split.json").write_text(json.dumps({"query": ids, "gallery": ids}), encoding="utf-8")
+    config = {"dim": 4, "epochs": 1, "batch_size": 4, "k1": 4, "k2": 2, "partition_stride": 4}
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,message", [
+    # eval ranked t0's NaN feature and exited 0; the others named no tracklet
+    ("eval", "tracklet 't0': the mean frame encoding has a zero or non-finite norm"),
+    ("train", "tracklet 't0': frame distance is undefined for zero-norm vectors"),
+    ("cluster", "tracklet 't0': frame distance is undefined for zero-norm vectors"),
+    # ablate's first row, the baseline, neither filters nor partitions
+    ("ablate", "tracklet 't0' segment 1: the mean frame encoding has a zero or non-finite norm"),
+], ids=["eval", "train", "cluster", "ablate"])
+def test_a_tracklet_whose_frames_cancel_is_named_in_the_error(tmp_path, capsys, command, message):
+    _cancelling_inputs(tmp_path)
+    weights = ["--weights", str(tmp_path / "weights.npy")]
+    config = ["--config", str(tmp_path / "config.json")]
+    extra = {"eval": [*weights, "--split", str(tmp_path / "split.json")],
+             "cluster": [*weights, *config]}.get(command, config)
+    assert main([command, "--data", str(tmp_path / "data"), *extra,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert _one_json_error(capsys) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 def _cluster_argv(root):
     return ["cluster", "--data", str(root / "data"), "--weights", str(root / "weights.npy"),
             "--out", str(root / "cluster.json")]

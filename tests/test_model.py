@@ -83,7 +83,7 @@ def test_tracklet_frames_are_immutable():
 
 def test_subtracklet_invariants():
     st = SubTracklet("a", 1, (0, 9))
-    assert len(st) == 10
+    assert st.frame_range == (0, 9)  # inclusive: ten frames
     with pytest.raises(ValueError):
         SubTracklet("a", 0, (0, 9))
     with pytest.raises(ValueError):

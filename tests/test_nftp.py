@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import sample_frames_per_segment
+from oracles import partition_array, sample_frames_per_segment
 from subtrack.model import default_config
 from subtrack.nftp import noise_filter, partition, sample_frames
 from subtrack.synth import SyntheticSpec, generate, oracle_noise_indices
@@ -157,13 +157,27 @@ def test_noise_filter_permutation_covariant():
 )
 def test_partition_lengths(length, stride, expected_lengths):
     bounds = partition(length, stride)
-    assert bounds.shape == (len(expected_lengths), 2) and bounds.dtype.kind == "i"
-    assert (bounds[:, 1] - bounds[:, 0] + 1).tolist() == expected_lengths
+    assert type(bounds) is list and all(type(pair) is tuple and len(pair) == 2 for pair in bounds)
+    assert all(type(v) is int for pair in bounds for v in pair)
+    assert [b - a + 1 for a, b in bounds] == expected_lengths
 
 
 def test_partition_of_no_frames_is_empty():
-    bounds = partition(0, 32)
-    assert bounds.shape == (0, 2) and bounds.dtype.kind == "i"
+    assert partition(0, 32) == []
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 7, 16, 32, 64, 301])
+def test_partition_equals_the_array_oracle(stride):
+    for length in range(301):
+        bounds = partition(length, stride)
+        assert bounds == [tuple(row) for row in partition_array(length, stride).tolist()]
+        assert all(type(v) is int for pair in bounds for v in pair)
+
+
+@pytest.mark.parametrize("length,stride", [(-1, 4), (5, 0)])
+def test_partition_rejects_a_negative_length_or_a_stride_below_one(length, stride):
+    with pytest.raises(ValueError, match="stride must be >= 1 and length >= 0"):
+        partition(length, stride)
 
 
 def test_partition_reconstruction_random():
@@ -173,12 +187,12 @@ def test_partition_reconstruction_random():
         stride = int(rng.integers(1, 50))
         bounds = partition(length, stride)
         covered = []
-        for a, b in bounds.tolist():
+        for a, b in bounds:
             covered.extend(range(a, b + 1))
         assert covered == list(range(length))
         if length >= stride:
-            lengths = bounds[:, 1] - bounds[:, 0] + 1
-            assert (lengths >= stride).all()
+            lengths = [b - a + 1 for a, b in bounds]
+            assert min(lengths) >= stride
             assert lengths[-1] <= 2 * stride - 1
 
 

@@ -15,6 +15,7 @@ from oracles import (
     relative_error,
     sample_frames_per_segment,
     unit_features_by_unit,
+    unit_means_by_reshape,
 )
 from subtrack import nftp, trainer
 from subtrack.memory import MemoryBanks, combined_loss, init_memory
@@ -282,10 +283,10 @@ def test_cluster_epoch_units_align_with_their_frames(filter_frames, do_partition
                  else np.arange(len(e)) for tid, e in encoded.items()}
     # without partitioning, the survivor count is the stride: one unit spans them all
     stride = cfg.partition_stride if do_partition else None
-    # each tracklet's segments in order, numbered from 1, one per row of its bounds
+    # each tracklet's segments in order, numbered from 1, one per pair of its bounds
     assert subtracklets == [
         SubTracklet(tid, s, (a, b)) for tid, keep in surviving.items()
-        for s, (a, b) in enumerate(nftp.partition(keep.size, stride or keep.size).tolist(), 1)]
+        for s, (a, b) in enumerate(nftp.partition(keep.size, stride or keep.size), 1)]
     assert all(type(v) is int for st in subtracklets for v in st.frame_range)
     kept = sum(keep.size for keep in surviving.values())
     assert filtered == sum(len(t.frames) for t in tracklets) - kept
@@ -319,6 +320,44 @@ def test_unit_features_match_per_unit_oracle(stride):
         units = [(which[id(raw)], idx) for raw, idx in unit_frames]
         assert stride > 1 or all(idx.size == 1 for _, idx in units)
         assert features.tobytes() == unit_features_by_unit(encoded, units).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 32, 64])
+def test_unit_means_equal_the_reshape_oracle(dim, monkeypatch):
+    # The frames stand in for their encodings, so each unit sums unnormalized values, whose
+    # bits depend on the order of the additions; at dim 1 the sum runs along contiguous
+    # memory. 40 tracklets per dim: the odd ones leave a remainder past their last full
+    # segment, or have less than one stride, the even ones do not.
+    rng = np.random.default_rng(dim)
+    stride = int(rng.integers(2, 12))
+    full, rest = rng.integers(1, 6, size=40), rng.integers(1, stride, size=40)
+    lengths = np.where(np.arange(40) % 2, stride * (full - 1) + rest, stride * full)
+    tracklets = [Tracklet(f"t{i}", rng.normal(size=(n, dim))) for i, n in enumerate(lengths)]
+    monkeypatch.setattr(trainer, "encode_frames", lambda enc, frames: frames)
+    rows, normalized = [], trainer._normalized_rows
+    monkeypatch.setattr(trainer, "_normalized_rows",
+                        lambda means, name: rows.append(means) or normalized(means, name))
+    toggles = PipelineToggles("t", filter_frames=False, merge=MERGE_NONE)
+    cluster_epoch(None, tracklets, _small_cfg(partition_stride=stride), 1, toggles)
+    oracle = np.concatenate([unit_means_by_reshape(t.frames, stride) for t in tracklets])
+    assert rows[0].tobytes() == oracle.tobytes()
+
+
+def test_a_unit_whose_frames_cancel_is_named():
+    # segment 2 of t1 holds x, -x, x, -x, and t2 only x, -x pairs: their mean encodings
+    # are exactly zero
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=4)
+    frames = np.concatenate([rng.normal(size=(4, 4)), np.tile([x, -x], (2, 1))])
+    tracklets = [Tracklet("t0", rng.normal(size=(8, 4))), Tracklet("t1", frames)]
+    cfg = _small_cfg(dim=4, k1=4, k2=2, partition_stride=4)
+    enc = init_encoder(4, 4, rng)
+    toggles = PipelineToggles("t", filter_frames=False, merge=MERGE_NONE)
+    with pytest.raises(ValueError, match="^tracklet 't1' segment 2: the mean frame encoding "
+                                         "has a zero or non-finite norm$"):
+        cluster_epoch(enc, tracklets, cfg, 1, toggles)
+    with pytest.raises(ValueError, match="^tracklet 't2': the mean frame encoding"):
+        inference_features(enc, [tracklets[0], Tracklet("t2", np.tile([x, -x], (3, 1)))])
 
 
 def _report_rows(result):
