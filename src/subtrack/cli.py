@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import storage, synth
+from . import storage
 from .experiment import final_metrics
 from .evaluation import cluster_stats, map_cmc
 from .model import LabelState, TrainConfig
@@ -108,9 +108,10 @@ def _labels_payload(state: LabelState) -> dict:
 
 
 def cmd_generate(args) -> None:
+    from . import synth  # here only: every other command runs without the generator
     spec = storage.load_json(args.spec)
-    ds = synth.generate(storage.dataclass_from_json(synth.SyntheticSpec, spec, "spec file"))
-    storage.write_synthetic(ds, args.out)
+    dataset = synth.generate(storage.dataclass_from_json(synth.SyntheticSpec, spec, "spec file"))
+    storage.write_synthetic(dataset, args.out)
 
 
 def cmd_train(args) -> None:

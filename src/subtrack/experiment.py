@@ -74,7 +74,7 @@ def compare_full_vs_baseline(seed: int) -> dict:
     from .synth import generate
     from .trainer import BASELINE, train
 
-    tracklets = generate(reference_comparison_spec(seed)).tracklets
+    tracklets, _ = generate(reference_comparison_spec(seed))
     cfg = reference_comparison_config(seed)
     full = final_metrics(tracklets, train(tracklets, cfg))
     base = final_metrics(tracklets, train(tracklets, cfg, BASELINE))

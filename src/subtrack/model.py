@@ -22,7 +22,8 @@ class Tracklet:
     """A temporally ordered sequence of per-frame feature vectors.
 
     ``identity`` and ``camera`` are ground truth used only for evaluation and
-    statistics; no training-path function reads them.
+    statistics; no training-path function reads them. A tracklet is refused when
+    it is built if a frame is all zeros or has a non-finite entry.
     """
 
     id: str
@@ -38,6 +39,8 @@ class Tracklet:
             frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"tracklet {self.id!r}: frames must be a non-empty (L, dim) array")
+        if not (nonzero := frames.any(axis=1)).all():
+            raise ValueError(f"tracklet {self.id!r}: frame {np.argmin(nonzero)} is all zeros")
         if not np.all(np.isfinite(frames)):
             raise ValueError(f"tracklet {self.id!r}: frames contain non-finite entries")
         frames.setflags(write=False)

@@ -97,6 +97,7 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
         raise StorageError("no tracklets to write")
     if len({t.id for t in tracklets}) != len(tracklets):
         raise StorageError("tracklet ids must be unique")
+    _check_splices(splice_log or {}, {t.id: len(t) for t in tracklets})
     d_raw = tracklets[0].frames.shape[1]
     files, entries = {}, []
     for t in tracklets:
@@ -125,9 +126,19 @@ def write_dataset(tracklets: list[Tracklet], out_dir, splice_log: Optional[dict]
     write_files(out_dir, files)
 
 
-def write_synthetic(ds, out_dir) -> None:
-    """Write a ``synth.SyntheticDataset``'s tracklets and splice log."""
-    write_dataset(ds.tracklets, out_dir, splice_log=ds.splice_log)
+def write_synthetic(dataset, out_dir) -> None:
+    """Write the ``(tracklets, splice_log)`` pair that ``synth.generate`` returns."""
+    write_dataset(dataset[0], out_dir, splice_log=dataset[1])
+
+
+def _check_splices(splice_log: dict, frame_counts: dict[str, int]) -> None:
+    """Each splice record names a tracklet of the dataset and lies inside its frames."""
+    for tid, records in splice_log.items():
+        if tid not in frame_counts:
+            raise StorageError(f"splices.json names tracklet {tid!r}, which is not in the dataset")
+        for i, r in enumerate(records):
+            if not 0 <= r.start <= r.end < frame_counts[tid]:
+                raise StorageError(f"splices.json record {i} of {tid!r} lies outside its frames")
 
 
 def _field(obj, key: str, where: str, kind: Optional[type] = None):
@@ -182,11 +193,12 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
                 f"{where}: feature file is {actual} bytes, manifest implies {expected}"
             )
         frames = np.fromfile(path, dtype="<f4").reshape(frame_count, d_raw)
-        if not frames.any(axis=1).all():
-            raise StorageError(f"{where}: frame {np.argmin(frames.any(axis=1))} is all zeros")
         identity, camera = (None if entry.get(k) is None else _field(entry, k, where, int)
                             for k in ("identity", "camera"))
-        tracklets.append(Tracklet(tid, frames, identity=identity, camera=camera))
+        try:
+            tracklets.append(Tracklet(tid, frames, identity=identity, camera=camera))
+        except ValueError as exc:  # an all-zero or non-finite frame
+            raise StorageError(str(exc)) from None
     splice_log: dict[str, list[SpliceRecord]] = {}
     splice_path = in_dir / "splices.json"
     if splice_path.exists():
@@ -199,6 +211,7 @@ def read_dataset(in_dir) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]
                                for k in ("start", "end", "source_identity")))
                 for i, r in enumerate(_field(splices, tid, "splices.json", list))
             ]
+    _check_splices(splice_log, {t.id: len(t) for t in tracklets})
     return tracklets, splice_log
 
 

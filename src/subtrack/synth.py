@@ -3,13 +3,14 @@
 Each identity gets a latent unit-vector prototype; tracklet frames are the
 prototype plus a per-camera bias plus isotropic jitter. A fraction of
 tracklets receives a contiguous spliced segment drawn from a different
-identity's prototype, emulating identity-swap tracking errors. The splice
-log is the oracle for scoring the noise filter.
+identity's prototype, emulating identity-swap tracking errors. ``generate``
+returns the ``(tracklets, splice_log)`` pair that ``storage.read_dataset``
+returns; the splice log is the oracle for scoring the noise filter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class SyntheticSpec:
     jitter_scale: float = 0.05
     seed: int = 0
 
-    def check(self) -> list[str]:
+    def __post_init__(self):
         lo, hi = self.tracklet_length_range
         slo, shi = self.splice_len_range
         checks = [
@@ -46,25 +47,12 @@ class SyntheticSpec:
             (self.identity_separation >= 0.0, "identity_separation >= 0"),
             (self.jitter_scale >= 0.0, "jitter_scale >= 0"),
             (self.camera_shift_scale >= 0.0, "camera_shift_scale >= 0"),
+            (self.seed >= 0, "seed >= 0"),
+            (not (self.splice_rate > 0 and shi >= lo),
+             "splice_len_range max must be < tracklet_length_range min"),
         ]
-        problems = [rule for ok, rule in checks if not ok]
-        if self.splice_rate > 0 and shi >= lo:
-            problems.append("splice_len_range max must be < tracklet_length_range min")
-        return problems
-
-
-@dataclass(frozen=True)
-class SyntheticDataset:
-    spec: SyntheticSpec
-    tracklets: list[Tracklet]
-    splice_log: dict[str, list[SpliceRecord]]
-    prototypes: np.ndarray = field(repr=False, default=None)
-
-    def tracklet(self, tracklet_id: str) -> Tracklet:
-        for t in self.tracklets:
-            if t.id == tracklet_id:
-                return t
-        raise KeyError(tracklet_id)
+        if problems := [rule for ok, rule in checks if not ok]:
+            raise ValueError("invalid synthetic spec: " + "; ".join(problems))
 
 
 def _sample_prototypes(rng: np.random.Generator, count: int, dim: int, separation: float) -> np.ndarray:
@@ -99,10 +87,8 @@ def _sample_prototypes(rng: np.random.Generator, count: int, dim: int, separatio
     return protos
 
 
-def generate(spec: SyntheticSpec) -> SyntheticDataset:
-    problems = spec.check()
-    if problems:
-        raise ValueError("invalid synthetic spec: " + "; ".join(problems))
+def generate(spec: SyntheticSpec) -> tuple[list[Tracklet], dict[str, list[SpliceRecord]]]:
+    """The spec's tracklets and its splice log: each spliced tracklet's id maps to its record."""
     rng = np.random.default_rng(spec.seed)
     protos = _sample_prototypes(rng, spec.num_identities, spec.raw_dim, spec.identity_separation)
     camera_bias = rng.normal(size=(spec.num_cameras, spec.raw_dim)) * spec.camera_shift_scale
@@ -134,13 +120,9 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                 )
                 splice_log[tid] = [SpliceRecord(start, start + slen - 1, source)]
             tracklets.append(Tracklet(tid, frames, identity=ident, camera=camera))
-    return SyntheticDataset(spec=spec, tracklets=tracklets, splice_log=splice_log, prototypes=protos)
+    return tracklets, splice_log
 
 
-def oracle_noise_indices(ds: SyntheticDataset, tracklet_id: str) -> set[int]:
-    """Ground-truth spliced frame indices of one tracklet."""
-    ds.tracklet(tracklet_id)  # raises KeyError for unknown ids
-    indices: set[int] = set()
-    for rec in ds.splice_log.get(tracklet_id, []):
-        indices.update(range(rec.start, rec.end + 1))
-    return indices
+def oracle_noise_indices(splice_log: dict[str, list[SpliceRecord]], tracklet_id: str) -> set[int]:
+    """Ground-truth spliced frame indices of one tracklet: none for one the log does not name."""
+    return {i for rec in splice_log.get(tracklet_id, []) for i in range(rec.start, rec.end + 1)}

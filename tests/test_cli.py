@@ -311,6 +311,10 @@ def _zero_frame(manifest, key):
     manifest["tracklets"][0]["feature_file"] = "zero.f32"  # its frame 1 is all zeros
 
 
+def _nan_frame(manifest, key):
+    manifest["tracklets"][0]["feature_file"] = "nan.f32"  # its frame 1 holds a NaN
+
+
 @pytest.mark.parametrize("edit,key,splices", [
     pytest.param(_drop_top, "d_raw", None, id="no-d_raw"),
     pytest.param(_drop_top, "tracklets", None, id="no-tracklets"),
@@ -329,13 +333,23 @@ def _zero_frame(manifest, key):
                  id="splice-no-end"),
     pytest.param(_keep, "splices", [{"start": 0, "end": 1, "source_identity": 1}],
                  id="splices-list"),
+    pytest.param(_keep, "'ghost'", {"ghost": [{"start": 0, "end": 10**6, "source_identity": 1}]},
+                 id="splice-ghost-tracklet"),
+    pytest.param(_keep, "of 't0' lies outside",
+                 {"t0": [{"start": 0, "end": 10**6, "source_identity": 1}]}, id="splice-past-end"),
+    pytest.param(_keep, "of 't0' lies outside",
+                 {"t0": [{"start": -1, "end": 0, "source_identity": 1}]}, id="splice-negative-start"),
+    pytest.param(_keep, "of 't0' lies outside",
+                 {"t0": [{"start": 1, "end": 0, "source_identity": 1}]}, id="splice-reversed"),
     pytest.param(_zero_frame, "'t0': frame 1 ", None, id="zero-frame"),
+    pytest.param(_nan_frame, "'t0': frames contain non-finite entries", None, id="nan-frame"),
 ])
 def test_malformed_manifest_errors_as_json(tmp_path, capsys, edit, key, splices):
     data = tmp_path / "bad"
     (tmp_path / "x.f32").write_bytes(np.ones((2, 3), dtype="<f4").tobytes())
     write_dataset([Tracklet("t0", np.ones((2, 3)))], data)
     (data / "zero.f32").write_bytes(np.array([[1, 2, 3], [0, 0, 0]], dtype="<f4").tobytes())
+    (data / "nan.f32").write_bytes(np.array([[1, 2, 3], [0, np.nan, 3]], dtype="<f4").tobytes())
     manifest = load_json(data / "manifest.json")
     edit(manifest, key)
     (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
@@ -922,6 +936,49 @@ def test_train_on_fuzzed_inputs_succeeds_or_errors_as_json(top, entry, record, s
             else:
                 assert code == 1 and len(lines) == 1
                 assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+NAN, INF = float("nan"), float("inf")
+# each spec field's (values inside its rule, values just outside it); an infinite jitter
+# keeps the rule but makes non-finite frames, and splicing into a one-frame tracklet
+# breaks the rule that joins the two ranges
+SPEC_FIELDS = {
+    "num_identities": ([1, 2], [0, -1]),
+    "num_cameras": ([1, 3], [0]),
+    "tracklets_per_identity": ([1, 2], [0]),
+    "tracklet_length_range": ([[1, 1], [6, 9]], [[0, 4], [5, 4]]),
+    "raw_dim": ([2, 5], [1, 0]),
+    "identity_separation": ([0.0, 0.6], [-0.1, NAN]),
+    "camera_shift_scale": ([0.0, 0.1], [-0.1, NAN]),
+    "splice_rate": ([0.0, 0.5, 1.0], [-0.1, 1.1, NAN]),
+    "splice_len_range": ([[1, 2], [1, 5]], [[0, 2], [3, 2]]),
+    "jitter_scale": ([0.0, 0.05, INF], [-0.01, NAN]),
+    "seed": ([0, 3], [-1]),
+}
+BROKEN_FIELD = st.sampled_from(sorted(SPEC_FIELDS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(SPEC_FIELDS[key][1])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(spec=st.fixed_dictionaries({k: st.sampled_from(v[0]) for k, v in SPEC_FIELDS.items()}),
+       broken=st.lists(BROKEN_FIELD, max_size=2))
+def test_generate_on_drawn_specs_writes_a_readable_dataset_or_one_json_error(spec, broken):
+    spec.update(broken)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            tracklets, _ = read_dataset(root / "data")
+            assert len(tracklets) == spec["num_identities"] * spec["tracklets_per_identity"]
+        else:
+            assert code == 1 and len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not (root / "data").exists()
 
 
 @pytest.fixture(scope="module")

@@ -117,8 +117,10 @@ def test_the_benchmark_finds_every_wrapped_name_but_the_known_absent():
 
 
 def test_reading_a_dataset_does_not_import_the_generator():
+    # only `subtrack generate` loads synth; every other command reads a dataset from disk
     env = {**os.environ, "PYTHONPATH": str(Path(subtrack.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", "import sys, subtrack.storage; "
-                          "print(sorted(m for m in sys.modules if m.startswith('subtrack')))"],
-                         capture_output=True, text=True, check=True, env=env).stdout
-    assert "subtrack.storage" in out and "subtrack.synth" not in out
+    for module in ("storage", "cli"):
+        out = subprocess.run([sys.executable, "-c", f"import sys, subtrack.{module}; "
+                              "print(sorted(m for m in sys.modules if m.startswith('subtrack')))"],
+                             capture_output=True, text=True, check=True, env=env).stdout
+        assert f"subtrack.{module}" in out and "subtrack.synth" not in out

@@ -75,6 +75,15 @@ def test_tracklet_rejects_empty_and_nonfinite():
         Tracklet("a", np.array([[np.nan, 0.0]]))
 
 
+def test_tracklet_refuses_an_all_zero_frame_by_name_and_index():
+    # refused when built, so no command meets it later as an anonymous zero-norm encoding
+    frames = np.ones((4, 3))
+    frames[2] = 0.0
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(ValueError, match=r"^tracklet 'dark': frame 2 is all zeros$"):
+            Tracklet("dark", frames.astype(dtype))
+
+
 def test_tracklet_frames_are_immutable():
     t = Tracklet("a", np.ones((3, 4)))
     with pytest.raises(ValueError):

@@ -278,11 +278,11 @@ def test_nftp_filter_recall_on_spliced_data():
         identity_separation=1.2,
         seed=21,
     )
-    ds = generate(spec)
+    tracklets, splice_log = generate(spec)
     cfg = default_config()
     caught = total = 0
-    for t in ds.tracklets:
-        truth = oracle_noise_indices(ds, t.id)
+    for t in tracklets:
+        truth = oracle_noise_indices(splice_log, t.id)
         if not truth:
             continue
         unit = t.frames / np.linalg.norm(t.frames, axis=1, keepdims=True)

@@ -39,13 +39,13 @@ def test_round_trip_bitwise(tmp_path):
 
 
 def test_feature_file_size(tmp_path):
-    frames = np.zeros((10, 64), dtype=np.float32)
+    frames = np.ones((10, 64), dtype=np.float32)
     write_dataset([Tracklet("x", frames)], tmp_path)
     assert (tmp_path / "x.f32").stat().st_size == 2560
 
 
 def test_size_mismatch_names_tracklet(tmp_path):
-    write_dataset([Tracklet("broken", np.zeros((3, 4)))], tmp_path)
+    write_dataset([Tracklet("broken", np.ones((3, 4)))], tmp_path)
     manifest = load_json(tmp_path / "manifest.json")
     manifest["tracklets"][0]["frame_count"] = 99
     dump_json(manifest, tmp_path / "manifest.json")
@@ -54,10 +54,12 @@ def test_size_mismatch_names_tracklet(tmp_path):
 
 
 def test_all_zero_frame_names_tracklet_and_frame(tmp_path):
-    frames = np.ones((4, 3))
+    # Tracklet refuses the frame when read_dataset builds it; the reader re-raises its message
+    write_dataset([Tracklet("dark", np.ones((4, 3)))], tmp_path)
+    frames = np.ones((4, 3), dtype="<f4")
     frames[2] = 0.0
-    write_dataset([Tracklet("dark", frames)], tmp_path)
-    with pytest.raises(StorageError, match="'dark': frame 2 is all zeros"):
+    (tmp_path / "dark.f32").write_bytes(frames.tobytes())
+    with pytest.raises(StorageError, match="^tracklet 'dark': frame 2 is all zeros$"):
         read_dataset(tmp_path)
 
 
@@ -73,14 +75,14 @@ def test_malformed_manifest(tmp_path):
 
 
 def test_missing_feature_file(tmp_path):
-    write_dataset([Tracklet("gone", np.zeros((2, 3)))], tmp_path)
+    write_dataset([Tracklet("gone", np.ones((2, 3)))], tmp_path)
     (tmp_path / "gone.f32").unlink()
     with pytest.raises(StorageError, match="gone"):
         read_dataset(tmp_path)
 
 
 def test_duplicate_ids_rejected(tmp_path):
-    dup = [Tracklet("d", np.zeros((1, 2))), Tracklet("d", np.zeros((1, 2)))]
+    dup = [Tracklet("d", np.ones((1, 2))), Tracklet("d", np.ones((1, 2)))]
     with pytest.raises(StorageError, match="unique"):
         write_dataset(dup, tmp_path)
 
@@ -88,7 +90,7 @@ def test_duplicate_ids_rejected(tmp_path):
 def test_write_dataset_rejects_ids_that_are_not_file_names(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(StorageError, match="not a file name"):
-        write_dataset([Tracklet("ok", np.zeros((1, 2))), Tracklet("../escaped", np.zeros((1, 2)))],
+        write_dataset([Tracklet("ok", np.ones((1, 2))), Tracklet("../escaped", np.ones((1, 2)))],
                       out)
     assert not (tmp_path / "escaped.f32").exists()
     assert not out.exists()
@@ -125,13 +127,36 @@ def test_synthetic_round_trip_with_splices(tmp_path):
         splice_len_range=(8, 12),
         seed=5,
     )
-    ds = generate(spec)
-    assert ds.splice_log  # the rate makes at least one splice overwhelmingly likely
-    write_synthetic(ds, tmp_path)
+    generated, splice_log = generate(spec)
+    assert splice_log  # the rate makes at least one splice overwhelmingly likely
+    write_synthetic((generated, splice_log), tmp_path)
     tracklets, splices = read_dataset(tmp_path)
-    assert len(tracklets) == len(ds.tracklets)
-    assert splices == ds.splice_log
+    assert [(t.id, t.identity, t.camera) for t in tracklets] == \
+        [(t.id, t.identity, t.camera) for t in generated]
+    for got, made in zip(tracklets, generated):
+        assert got.frames.dtype == np.float32
+        assert np.array_equal(got.frames, made.frames.astype(np.float32))
+    assert splices == splice_log
     assert all(isinstance(r, SpliceRecord) for recs in splices.values() for r in recs)
+
+
+@pytest.mark.parametrize("splice_log,message", [
+    pytest.param({"ghost": [SpliceRecord(0, 1, 1)]}, "names tracklet 'ghost'", id="ghost"),
+    pytest.param({"t0": [SpliceRecord(-1, 1, 1)]}, "record 0 of 't0' lies outside",
+                 id="negative-start"),
+    pytest.param({"t0": [SpliceRecord(2, 1, 1)]}, "record 0 of 't0' lies outside", id="reversed"),
+    pytest.param({"t0": [SpliceRecord(0, 1, 1), SpliceRecord(3, 4, 1)]},
+                 "record 1 of 't0' lies outside", id="end-at-frame-count"),
+    pytest.param({"t0": [SpliceRecord(0, 10**6, 1)]}, "record 0 of 't0' lies outside",
+                 id="past-end"),
+])
+def test_write_dataset_refuses_a_splice_record_outside_its_tracklet(tmp_path, splice_log, message):
+    out = tmp_path / "out"
+    with pytest.raises(StorageError, match=message):
+        write_dataset([Tracklet("t0", np.ones((4, 3)))], out, splice_log=splice_log)
+    assert not out.exists()
+    write_dataset([Tracklet("t0", np.ones((4, 3)))], out, splice_log={"t0": [SpliceRecord(0, 3, 1)]})
+    assert read_dataset(out)[1] == {"t0": [SpliceRecord(0, 3, 1)]}
 
 
 def test_rewrite_without_splices_drops_the_old_splice_log(tmp_path):
@@ -199,7 +224,7 @@ def _failing_replace(src, dst):
 
 
 def test_manifest_shape(tmp_path):
-    write_dataset([Tracklet("t0", np.zeros((2, 3)), identity=7, camera=1)], tmp_path)
+    write_dataset([Tracklet("t0", np.ones((2, 3)), identity=7, camera=1)], tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["format_version"] == 1
     assert manifest["d_raw"] == 3

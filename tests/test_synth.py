@@ -1,7 +1,10 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from subtrack.synth import SyntheticSpec, generate, oracle_noise_indices
+from subtrack.synth import SyntheticSpec, _sample_prototypes, generate, oracle_noise_indices
 
 
 def _spec(**kw):
@@ -19,47 +22,46 @@ def _spec(**kw):
 
 
 def test_determinism_bitwise():
-    a = generate(_spec(splice_rate=0.5))
-    b = generate(_spec(splice_rate=0.5))
-    assert len(a.tracklets) == len(b.tracklets)
-    for ta, tb in zip(a.tracklets, b.tracklets):
+    a_tracklets, a_log = generate(_spec(splice_rate=0.5))
+    b_tracklets, b_log = generate(_spec(splice_rate=0.5))
+    assert len(a_tracklets) == len(b_tracklets)
+    for ta, tb in zip(a_tracklets, b_tracklets):
         assert ta.id == tb.id
         assert np.array_equal(ta.frames, tb.frames)
-    assert a.splice_log == b.splice_log
+    assert a_log == b_log
 
 
 def test_zero_splice_rate_empty_log():
-    ds = generate(_spec(splice_rate=0.0))
-    assert ds.splice_log == {}
+    assert generate(_spec(splice_rate=0.0))[1] == {}
 
 
 def test_full_splice_rate_every_tracklet_spliced():
-    ds = generate(_spec(num_identities=2, splice_rate=1.0))
-    gt = {t.id: t.identity for t in ds.tracklets}
-    assert set(ds.splice_log) == set(gt)
-    for tid, recs in ds.splice_log.items():
+    tracklets, splice_log = generate(_spec(num_identities=2, splice_rate=1.0))
+    gt = {t.id: t.identity for t in tracklets}
+    assert set(splice_log) == set(gt)
+    for tid, recs in splice_log.items():
         assert len(recs) == 1
         assert recs[0].source_identity != gt[tid]
 
 
 def test_splice_ranges_inside_tracklet():
-    ds = generate(_spec(splice_rate=1.0, num_identities=6, seed=11))
-    for t in ds.tracklets:
-        for rec in ds.splice_log[t.id]:
+    tracklets, splice_log = generate(_spec(splice_rate=1.0, num_identities=6, seed=11))
+    for t in tracklets:
+        for rec in splice_log[t.id]:
             assert 0 <= rec.start <= rec.end < len(t)
 
 
 def test_all_tracklets_have_identity_and_camera():
-    ds = generate(_spec())
-    assert all(t.identity is not None and t.camera is not None for t in ds.tracklets)
+    tracklets, _ = generate(_spec())
+    assert all(t.identity is not None and t.camera is not None for t in tracklets)
 
 
 def test_oracle_noise_indices():
-    ds = generate(_spec(splice_rate=0.7, seed=13))
+    tracklets, splice_log = generate(_spec(splice_rate=0.7, seed=13))
     total = 0
-    for t in ds.tracklets:
-        idx = oracle_noise_indices(ds, t.id)
-        recs = ds.splice_log.get(t.id, [])
+    for t in tracklets:
+        idx = oracle_noise_indices(splice_log, t.id)
+        recs = splice_log.get(t.id, [])
         expected = set()
         for r in recs:
             expected |= set(range(r.start, r.end + 1))
@@ -67,16 +69,16 @@ def test_oracle_noise_indices():
         total += len(idx)
     # union cardinality equals the summed splice lengths (re-counted)
     assert total == sum(
-        r.end - r.start + 1 for recs in ds.splice_log.values() for r in recs
+        r.end - r.start + 1 for recs in splice_log.values() for r in recs
     )
-    with pytest.raises(KeyError):
-        oracle_noise_indices(ds, "nope")
+    # the log names spliced tracklets only; storage refuses a record for an unknown id
+    assert oracle_noise_indices(splice_log, "nope") == set()
 
 
 def test_noise_free_frames_identical_per_identity_camera():
-    ds = generate(_spec(jitter_scale=0.0, splice_rate=0.0))
+    tracklets, _ = generate(_spec(jitter_scale=0.0, splice_rate=0.0))
     seen = {}
-    for t in ds.tracklets:
+    for t in tracklets:
         key = (t.identity, t.camera)
         probe = t.frames[0]
         assert np.array_equal(t.frames, np.tile(probe, (len(t), 1)))
@@ -88,8 +90,8 @@ def test_noise_free_frames_identical_per_identity_camera():
 
 def test_identity_separation_raises_mean_angle():
     def mean_angle(sep, seed):
-        ds = generate(_spec(num_identities=6, identity_separation=sep, seed=seed))
-        protos = ds.prototypes
+        # generate draws its prototypes first from the spec's seeded generator
+        protos = _sample_prototypes(np.random.default_rng(seed), 6, 24, sep)
         cos = protos @ protos.T
         iu = np.triu_indices(len(protos), k=1)
         return np.arccos(np.clip(cos[iu], -1, 1)).mean()
@@ -100,13 +102,28 @@ def test_identity_separation_raises_mean_angle():
 
 
 def test_rejects_dominating_splice():
-    spec = _spec(splice_rate=0.5, tracklet_length_range=(10, 20), splice_len_range=(10, 12))
     with pytest.raises(ValueError, match="splice_len_range"):
-        generate(spec)
+        _spec(splice_rate=0.5, tracklet_length_range=(10, 20), splice_len_range=(10, 12))
 
 
 def test_rejects_bad_counts():
     with pytest.raises(ValueError):
-        generate(_spec(num_identities=0))
+        _spec(num_identities=0)
     with pytest.raises(ValueError):
-        generate(_spec(splice_rate=1.5))
+        _spec(splice_rate=1.5)
+
+
+def test_a_spec_is_checked_when_it_is_built():
+    # every broken rule is named, in Python as from a spec file, replace included
+    rules = "invalid synthetic spec: num_identities >= 1; splice_rate in [0, 1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(rules)}$"):
+        _spec(num_identities=0, splice_rate=1.5)
+    with pytest.raises(ValueError, match=re.escape("raw_dim >= 2")):
+        dataclasses.replace(_spec(), raw_dim=1)
+
+
+def test_generate_uses_the_prototypes_that_its_seed_draws():
+    spec = _spec(jitter_scale=0.0, camera_shift_scale=0.0, splice_rate=0.0)
+    protos = _sample_prototypes(np.random.default_rng(spec.seed), 4, 24, spec.identity_separation)
+    for t in generate(spec)[0]:
+        assert np.allclose(t.frames, protos[t.identity], rtol=0, atol=1e-15)

@@ -63,7 +63,7 @@ def _small_dataset(seed=0, identities=4, length=(40, 70)):
         jitter_scale=0.05,
         seed=seed,
     )
-    return generate(spec).tracklets
+    return generate(spec)[0]
 
 
 def _small_cfg(**kw):
