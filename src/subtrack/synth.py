@@ -61,7 +61,7 @@ def _sample_prototypes(rng: np.random.Generator, count: int, dim: int, separatio
     Each prototype blends a shared direction with its own random direction
     (small separation pulls all identities together, making the clustering
     problem hard); candidates are resampled until every pairwise cosine
-    similarity stays <= cos(separation).
+    similarity stays <= cos(separation). Separation 0 bounds nothing: all are accepted.
     """
     max_cos = np.cos(separation)
     blend = min(separation, np.pi / 2)
@@ -76,7 +76,7 @@ def _sample_prototypes(rng: np.random.Generator, count: int, dim: int, separatio
         r /= np.linalg.norm(r)
         v = np.cos(blend) * shared + np.sin(blend) * r
         v /= np.linalg.norm(v)
-        if accepted == 0 or np.max(protos[:accepted] @ v) <= max_cos:
+        if accepted == 0 or separation == 0.0 or np.max(protos[:accepted] @ v) <= max_cos:
             protos[accepted] = v
             accepted += 1
         tries += 1

@@ -2,10 +2,10 @@
 
 Each epoch: freeze the encoder, filter and partition every tracklet, embed
 the sub-tracklets (full surviving-frame mean for clustering), cluster, build
-positive sets, initialize the memory banks, then run one batched step per
-mini-batch: one forward pass over its (B, F, raw_dim) frames, the O(B n) loss,
-one backward pass, the optimizer step, then the bank updates. The clustering
-phase always sees a single frozen weight snapshot.
+positive sets, initialize the (2, n, dim) memory banks, then run one batched
+step per mini-batch: one forward pass over its (B, F, raw_dim) frames, one
+O(B n) loss pass over both banks, one backward pass, the optimizer step, then
+one momentum step over both banks. The clustering phase sees one frozen weight snapshot.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nftp
 from .clustering import sub_cluster_generate
-from .memory import MemoryBanks, combined_loss, init_memory, update_banks
+from .memory import combined_loss, init_memory, update_banks
 from .merging import build_graph, merge_positives
 from .model import OUTLIER, LabelState, SubTracklet, Tracklet, TrainConfig
 
@@ -209,13 +209,12 @@ def cluster_epoch(
     return state, subtracklets, features, unit_frames, filtered_frames
 
 
-def _fixed_k_positive_sets(state: LabelState, banks: MemoryBanks, k: int) -> LabelState:
+def _fixed_k_positive_sets(state: LabelState, banks: np.ndarray, k: int) -> LabelState:
     """Replace positives with each class's k nearest bank centroids (self included,
     ties by index), every pick added in both directions."""
-    n = len(banks.centroid)
-    nearest = np.argsort(-(banks.centroid @ banks.centroid.T), axis=1, kind="stable")[:, :k]
-    positives = np.eye(n, dtype=bool)
-    positives[np.arange(n)[:, None], nearest] = True
+    nearest = np.argsort(-(banks[0] @ banks[0].T), axis=1, kind="stable")[:, :k]
+    positives = np.eye(banks.shape[1], dtype=bool)
+    np.put_along_axis(positives, nearest, True, axis=1)
     return LabelState(state.units, state.labels, positives | positives.T)
 
 
@@ -261,23 +260,25 @@ def train(
         X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
         sizes = np.array([idx.size for _, idx in unit_frames])
         losses = []
-        for _ in range(iters):
-            units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
-            picks = nftp.sample_frames(sizes[units], cfg.frames_per_sample, cfg.sample_stride, rng)
-            for b, i in enumerate(units):
-                frames, idx = unit_frames[i]
-                X[b] = frames[idx[picks[b]]]
-            y = state.labels[units]
-            V, cache = _embed_batch(enc, X)
-            out = combined_loss(V, y, state.positives, banks, cfg)
-            grad_w = _backprop_batch(out.grad / cfg.batch_size, cache)
-            enc.weights = opt.step(enc.weights, grad_w, lr)
-            banks = update_banks(banks, V, y, cfg.momentum)
-            losses.append(out.value)
-        if not np.isfinite(enc.weights).all():
-            raise ValueError("training diverged: non-finite encoder weights")
-        if not _encodes(_linear(enc, X)[1]):
-            raise ValueError("training diverged: the last batch no longer encodes")
+        with np.errstate(all="ignore"):  # diverging weights warn nothing: they are refused below
+            for _ in range(iters):
+                units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
+                picks = nftp.sample_frames(sizes[units], cfg.frames_per_sample,
+                                           cfg.sample_stride, rng)
+                for b, i in enumerate(units):
+                    frames, idx = unit_frames[i]
+                    X[b] = frames[idx[picks[b]]]
+                y = state.labels[units]
+                V, cache = _embed_batch(enc, X)
+                value, grad = combined_loss(V, y, state.positives, banks, cfg)
+                grad_w = _backprop_batch(grad / cfg.batch_size, cache)
+                enc.weights = opt.step(enc.weights, grad_w, lr)
+                banks = update_banks(banks, V, y, cfg.momentum)
+                losses.append(value)
+            if not np.isfinite(enc.weights).all():
+                raise ValueError("training diverged: non-finite encoder weights")
+            if not _encodes(_linear(enc, X)[1]):
+                raise ValueError("training diverged: the last batch no longer encodes")
 
         result.reports.append(
             EpochReport(epoch, state.num_clusters, state.num_outliers, state.mode,

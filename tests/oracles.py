@@ -9,7 +9,8 @@ at a time, DBSCAN labels come from a row-scanning frontier search, AP and
 Jaccard distances are computed by direct enumeration, gradients come from
 central finite differences, and the training step's loss, embedding and
 bank updates run one sample at a time, each sample's frames from its own
-scalar draw.
+scalar draw. The batched loss and bank update are also kept as they ran
+before the two banks were stacked: one call per bank.
 """
 
 from itertools import combinations
@@ -485,11 +486,60 @@ def csc_loss_per_sample(v, label, positives, rows, temperature, smoothing):
 
 def combined_loss_per_sample(v, label, positives, banks, cfg):
     """Weighted sum of the per-sample losses against the hard and centroid banks."""
-    hard = csc_loss_per_sample(v, label, positives, banks.hard, cfg.temperature, cfg.smoothing)
-    cent = csc_loss_per_sample(v, label, positives, banks.centroid, cfg.temperature,
-                               cfg.smoothing)
+    hard = csc_loss_per_sample(v, label, positives, banks[1], cfg.temperature, cfg.smoothing)
+    cent = csc_loss_per_sample(v, label, positives, banks[0], cfg.temperature, cfg.smoothing)
     return (cfg.hard_weight * hard[0] + cfg.centroid_weight * cent[0],
             cfg.hard_weight * hard[1] + cfg.centroid_weight * cent[1])
+
+
+def csc_loss_one_bank(V, s, pos, rows, temperature):
+    """The batched loss of every row of V against one (n, dim) bank: (value, grad).
+
+    ``s`` and ``pos`` are the batch's (B, n) weights and positive mask.
+    """
+    z = V @ rows.T / temperature
+    z_neg = np.where(pos, -np.inf, z)
+    m = z_neg.max(axis=1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0  # a row without negatives
+    e_neg = np.exp(z_neg - m)
+    total = e_neg.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        d = m + np.log(total) - z
+    log1p_e = np.logaddexp(0.0, d)
+    c = s * np.exp(d - log1p_e)
+    soft_neg = np.divide(e_neg, total, out=np.zeros_like(e_neg), where=total > 0.0)
+    grad_z = soft_neg * c.sum(axis=1, keepdims=True) - c
+    return (s * log1p_e).sum(axis=1), grad_z @ rows / temperature
+
+
+def combined_loss_two_calls(V, s, pos, banks, cfg):
+    """The hard-bank loss, then the centroid-bank loss, summed with the loss weights."""
+    hard = csc_loss_one_bank(V, s, pos, banks[1], cfg.temperature)
+    cent = csc_loss_one_bank(V, s, pos, banks[0], cfg.temperature)
+    return (cfg.hard_weight * hard[0] + cfg.centroid_weight * cent[0],
+            cfg.hard_weight * hard[1] + cfg.centroid_weight * cent[1])
+
+
+def update_banks_two_moved(banks, V, labels, momentum):
+    """(centroid, hard) after one momentum step per bank: each batch class's centroid row
+    toward its batch mean, its hard row toward its least similar sample."""
+    if momentum == 1.0:
+        return banks[0], banks[1]
+
+    def moved(rows, classes, targets):
+        out = rows.copy()
+        new = momentum * rows[classes - 1] + (1.0 - momentum) * targets
+        out[classes - 1] = new / np.linalg.norm(new, axis=1, keepdims=True)
+        return out
+
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = np.zeros((classes.size, V.shape[1]))
+    np.add.at(sums, inverse, V)
+    sims = np.einsum("ij,ij->i", V, banks[1][labels - 1]) / np.linalg.norm(V, axis=1)
+    order = np.lexsort((np.arange(labels.size), sims, labels))
+    hardest = order[np.concatenate(([True], np.diff(labels[order]) != 0))]
+    return (moved(banks[0], classes, sums / counts[:, None]),
+            moved(banks[1], labels[hardest], V[hardest]))
 
 
 def embed_with_cache(weights, raw_frames):

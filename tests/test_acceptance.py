@@ -28,7 +28,6 @@ from subtrack.cli import main as cli_main
 from subtrack.evaluation import map_cmc
 from subtrack.experiment import compare_full_vs_baseline
 from subtrack.memory import (
-    MemoryBanks,
     batch_weights,
     combined_loss,
     csc_loss,
@@ -121,23 +120,23 @@ def test_criterion_03_gradient_suite(capsys):
         dim = int(rng.integers(2, 7))
         rows = _unit_rows(rng, n, dim)
         t = float(rng.uniform(0.05, 0.5))
-        banks, step_cfg = MemoryBanks(rows, np.flipud(rows).copy()), cfg.replace(temperature=t)
+        banks, step_cfg = np.stack((rows, np.flipud(rows))), cfg.replace(temperature=t)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
         single = positive_mask({y: {y} for y in range(1, n + 1)}, n)
         multi = positive_mask(_multi_label_sets(rng, n), n)
         smoothed = positive_mask(_multi_label_sets(rng, n), n)
-        for out, fn in (
+        for (_, grad), fn in (
             (combined_loss(V, labels, single, banks, step_cfg),
-             lambda x: combined_loss(x, labels, single, banks, step_cfg).value.sum()),
-            (_csc(V, labels, smoothed, 0.1, banks.hard, t),
-             lambda x: _csc(x, labels, smoothed, 0.1, banks.hard, t).value.sum()),
+             lambda x: combined_loss(x, labels, single, banks, step_cfg)[0].sum()),
+            (_csc(V, labels, smoothed, 0.1, banks[1], t),
+             lambda x: _csc(x, labels, smoothed, 0.1, banks[1], t)[0].sum()),
             (combined_loss(V, labels, multi, banks, step_cfg),
-             lambda x: combined_loss(x, labels, multi, banks, step_cfg).value.sum()),
+             lambda x: combined_loss(x, labels, multi, banks, step_cfg)[0].sum()),
         ):
-            if np.linalg.norm(out.grad) < 1e-3:
+            if np.linalg.norm(grad) < 1e-3:
                 continue
-            worst_loss = max(worst_loss, relative_error(out.grad, central_difference_grad(fn, V.copy())))
+            worst_loss = max(worst_loss, relative_error(grad, central_difference_grad(fn, V.copy())))
         checked_loss += 1
     while checked_e2e < 100:
         # weights -> batched embed -> batched loss -> batch mean, as in one training step
@@ -146,18 +145,18 @@ def test_criterion_03_gradient_suite(capsys):
         X = rng.normal(size=(int(rng.integers(2, 5)), int(rng.integers(1, 6)), raw_dim))
         n = int(rng.integers(2, 6))
         rows = _unit_rows(rng, n, dim)
-        banks, step_cfg = MemoryBanks(rows, np.flipud(rows).copy()), cfg.replace(temperature=0.2)
+        banks, step_cfg = np.stack((rows, np.flipud(rows))), cfg.replace(temperature=0.2)
         labels = rng.integers(1, n + 1, size=X.shape[0])
         positives = positive_mask(_multi_label_sets(rng, n), n)
         weights = rng.normal(size=(raw_dim, dim)) / np.sqrt(raw_dim)
 
         def loss_of(w):
             Ve, _ = _embed_batch(Encoder(w), X)
-            return combined_loss(Ve, labels, positives, banks, step_cfg).value.mean()
+            return combined_loss(Ve, labels, positives, banks, step_cfg)[0].mean()
 
         Ve, cache = _embed_batch(Encoder(weights), X)
-        out = combined_loss(Ve, labels, positives, banks, step_cfg)
-        grad_w = _backprop_batch(out.grad / X.shape[0], cache)
+        _, grad = combined_loss(Ve, labels, positives, banks, step_cfg)
+        grad_w = _backprop_batch(grad / X.shape[0], cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
         worst_e2e = max(worst_e2e, relative_error(grad_w, central_difference_grad(loss_of, weights.copy())))
@@ -179,11 +178,11 @@ def test_criterion_04_csc_reduction(capsys):
         V = rng.normal(size=(4, dim))
         labels = rng.integers(1, n + 1, size=4)
         smoothing = float(rng.uniform(0.0, 0.5))
-        out = _csc(V, labels, positive_mask({y: {y} for y in range(1, n + 1)}, n), smoothing, rows,
-                   temperature)
+        values, grads = _csc(V, labels, positive_mask({y: {y} for y in range(1, n + 1)}, n),
+                             smoothing, rows, temperature)
         for b in range(4):
             value, grad = softmax_cross_entropy(V[b], labels[b], rows, temperature)
-            worst = max(worst, abs(out.value[b] - value), float(np.abs(out.grad[b] - grad).max()))
+            worst = max(worst, abs(values[b] - value), float(np.abs(grads[b] - grad).max()))
     ok = worst <= 1e-12
     _verdict(capsys, 4,
              f"singleton-positive smoothed loss equals plain contrastive loss ({worst:.2e} <= 1e-12)",
@@ -230,18 +229,18 @@ def test_criterion_06_partition_reconstruction(capsys):
 
 
 def test_criterion_07_memory_update_arithmetic(capsys):
-    banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    banks = np.stack((np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])))
     updated = update_banks(banks, np.array([[0.0, 1.0]]), np.array([1]), 0.1)
     expected = np.array([0.1, 0.9]) / np.linalg.norm([0.1, 0.9])  # oracle by direct substitution
-    ok = bool(np.abs(updated.centroid[0] - expected).max() <= 1e-4)
+    ok = bool(np.abs(updated[0, 0] - expected).max() <= 1e-4)
     rng = np.random.default_rng(107)
     rows = rng.normal(size=(3, 4))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    frozen = MemoryBanks(rows, rows.copy())
+    frozen = np.stack((rows, rows))
     out = update_banks(frozen, rng.normal(size=(1, 4)), np.array([2]), 1.0)
-    ok = ok and np.array_equal(out.centroid, frozen.centroid)
+    ok = ok and np.array_equal(out[0], frozen[0])
     _verdict(capsys, 7,
-             f"momentum update reproduces ({updated.centroid[0][0]:.4f}, {updated.centroid[0][1]:.4f}) "
+             f"momentum update reproduces ({updated[0, 0, 0]:.4f}, {updated[0, 0, 1]:.4f}) "
              "within 1e-4; momentum 1 is an exact fixed point", ok)
 
 

@@ -6,16 +6,17 @@ import pytest
 from oracles import (
     central_difference_grad,
     class_means_by_class,
+    combined_loss_two_calls,
     csc_loss_per_sample,
     positive_mask,
     positive_weights_per_class,
     relative_error,
     softmax_cross_entropy,
+    update_banks_two_moved,
     update_centroid_per_sample,
     update_hard_memory_per_sample,
 )
 from subtrack.memory import (
-    MemoryBanks,
     batch_weights,
     combined_loss,
     csc_loss,
@@ -33,7 +34,7 @@ def _unit(v):
 def _random_banks(rng, n, dim):
     rows = rng.normal(size=(n, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return MemoryBanks(rows, np.flipud(rows).copy())
+    return np.stack((rows, np.flipud(rows)))
 
 
 def _positives(n, **sets):
@@ -50,18 +51,18 @@ def _csc(V, labels, positives, smoothing, rows, temperature):
 
 def _one(fn, v, label, *args):
     """A batched loss on the one-row batch holding v."""
-    out = fn(np.asarray(v, dtype=np.float64)[None, :], np.array([label]), *args)
-    return float(out.value[0]), out.grad[0]
+    value, grad = fn(np.asarray(v, dtype=np.float64)[None, :], np.array([label]), *args)
+    return float(value[0]), grad[0]
 
 
 def test_init_memory_class_means_unit_norm():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
     labels = np.array([1, 2, 2])
     banks = init_memory(feats, labels)
-    assert np.allclose(banks.centroid[0], [1.0, 0.0])
-    assert np.allclose(banks.centroid[1], [0.0, 1.0])
-    assert np.allclose(banks.hard, banks.centroid)
-    assert banks.hard is not banks.centroid
+    assert np.allclose(banks[0, 0], [1.0, 0.0])
+    assert np.allclose(banks[0, 1], [0.0, 1.0])
+    assert np.allclose(banks[1], banks[0])
+    assert banks.shape == (2, 2, 2) and not np.shares_memory(banks[0], banks[1])
 
 
 def test_init_memory_rejects_empty_class():
@@ -80,7 +81,7 @@ def test_init_memory_matches_per_class_oracle():
         feats = rng.normal(size=(rows, dim))
         feats[rng.integers(0, rows, rows // 3)] = feats[rng.integers(0, rows, rows // 3)]
         banks = init_memory(feats, labels)
-        assert banks.centroid.tobytes() == class_means_by_class(feats, labels).tobytes()
+        assert banks[0].tobytes() == class_means_by_class(feats, labels).tobytes()
     with pytest.raises(ValueError, match="class 2 has no members"):
         init_memory(np.eye(4), np.array([1, 3, 0, 4]))
 
@@ -90,7 +91,7 @@ def test_infonce_softmax_probabilities_sum_to_one():
     banks = _random_banks(rng, 7, 5)
     v = _unit(rng.normal(size=5))
     cfg = default_config(hard_weight=0.0, centroid_weight=1.0)
-    z = banks.centroid @ v / cfg.temperature
+    z = banks[0] @ v / cfg.temperature
     p = np.exp(z - z.max())
     p /= p.sum()
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -138,13 +139,13 @@ def test_csc_gradient_matches_finite_differences():
         positives = positive_mask(_random_psets(rng, n, n), n)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
-        out = _csc(V, labels, positives, 0.1, banks.centroid, temperature)
-        if not _checkable(out.grad):
+        _, grad = _csc(V, labels, positives, 0.1, banks[0], temperature)
+        if not _checkable(grad):
             continue
         fd = central_difference_grad(
-            lambda x: _csc(x, labels, positives, 0.1, banks.centroid, temperature).value.sum(), V
+            lambda x: _csc(x, labels, positives, 0.1, banks[0], temperature)[0].sum(), V
         )
-        assert relative_error(out.grad, fd) <= 1e-5
+        assert relative_error(grad, fd) <= 1e-5
         checked += 1
 
 
@@ -160,13 +161,13 @@ def test_combined_gradient_matches_finite_differences():
         positives = positive_mask(_random_psets(rng, n, int(rng.integers(1, 3))), n)
         V = rng.normal(size=(int(rng.integers(1, 4)), dim))
         labels = rng.integers(1, n + 1, size=V.shape[0])
-        out = combined_loss(V, labels, positives, banks, cfg)
-        if not _checkable(out.grad):
+        _, grad = combined_loss(V, labels, positives, banks, cfg)
+        if not _checkable(grad):
             continue
         fd = central_difference_grad(
-            lambda x: combined_loss(x, labels, positives, banks, cfg).value.sum(), V
+            lambda x: combined_loss(x, labels, positives, banks, cfg)[0].sum(), V
         )
-        assert relative_error(out.grad, fd) <= 1e-5
+        assert relative_error(grad, fd) <= 1e-5
         checked += 1
 
 
@@ -180,11 +181,11 @@ def test_csc_singleton_positive_set_reduces_to_infonce():
         V = rng.normal(size=(4, dim))
         labels = rng.integers(1, n + 1, size=4)
         smoothing = float(rng.uniform(0.0, 0.5))
-        out = _csc(V, labels, _positives(n), smoothing, banks.centroid, temperature)
+        values, grads = _csc(V, labels, _positives(n), smoothing, banks[0], temperature)
         for b in range(4):
-            value, grad = softmax_cross_entropy(V[b], labels[b], banks.centroid, temperature)
-            assert abs(out.value[b] - value) <= 1e-12
-            assert np.abs(out.grad[b] - grad).max() <= 1e-12
+            value, grad = softmax_cross_entropy(V[b], labels[b], banks[0], temperature)
+            assert abs(values[b] - value) <= 1e-12
+            assert np.abs(grads[b] - grad).max() <= 1e-12
 
 
 def test_combined_loss_over_singleton_ignores_smoothing_bit_for_bit():
@@ -204,8 +205,8 @@ def test_combined_loss_over_singleton_ignores_smoothing_bit_for_bit():
                               default_config(smoothing=0.0, temperature=temperature))
         smoothed = combined_loss(V, labels, _positives(n), banks,
                                  default_config(smoothing=float(s), temperature=temperature))
-        assert np.array_equal(smoothed.value, plain.value)
-        assert np.array_equal(smoothed.grad, plain.grad)
+        assert np.array_equal(smoothed[0], plain[0])
+        assert np.array_equal(smoothed[1], plain[1])
 
 
 def test_csc_positive_exclusion_property():
@@ -228,8 +229,8 @@ def test_csc_positive_exclusion_property():
         other_term = -s_other * (logits[0] - m - np.log(np.exp(logits - m).sum()))
         return full - other_term
 
-    base = anchor_term(banks.centroid)
-    rows = banks.centroid.copy()
+    base = anchor_term(banks[0])
+    rows = banks[0].copy()
     rows[other - 1] = _unit(rng.normal(size=4))
     assert anchor_term(rows) == pytest.approx(base, abs=1e-12)
 
@@ -300,8 +301,8 @@ def test_combined_loss_linearity_in_weights():
     full = combined_loss(V, labels, positives, banks, cfg)
     hard_only = combined_loss(V, labels, positives, banks, cfg.replace(centroid_weight=0.0))
     cent_only = combined_loss(V, labels, positives, banks, cfg.replace(hard_weight=0.0))
-    assert np.allclose(full.value, hard_only.value + cent_only.value, atol=1e-12)
-    assert np.allclose(full.grad, hard_only.grad + cent_only.grad, atol=1e-12)
+    for got, hard, cent in zip(full, hard_only, cent_only):  # the values, then the gradients
+        assert np.allclose(got, hard + cent, atol=1e-12)
 
 
 def test_combined_loss_holds_no_square_float_array():
@@ -316,11 +317,11 @@ def test_combined_loss_holds_no_square_float_array():
     labels = rng.integers(1, n + 1, size=batch_size)
     tracemalloc.start()
     try:
-        out = combined_loss(V, labels, positives, banks, default_config())
+        value, _ = combined_loss(V, labels, positives, banks, default_config())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.value.shape == (batch_size,) and np.isfinite(out.value).all()
+    assert value.shape == (batch_size,) and np.isfinite(value).all()
     assert peak <= 0.25 * 8 * n * n
 
 
@@ -348,38 +349,39 @@ def test_batched_csc_matches_per_sample_oracle():
         labels[0] = full
         V = rng.normal(size=(batch_size, dim))
         for smoothing in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
-            out = _csc(V, labels, positive_mask(psets, n), smoothing, banks.hard, temperature)
-            assert out.value.shape == (batch_size,) and out.grad.shape == (batch_size, dim)
-            assert out.value[0] == 0.0 and not out.grad[0].any()
+            values, grads = _csc(V, labels, positive_mask(psets, n), smoothing, banks[1],
+                                 temperature)
+            assert values.shape == (batch_size,) and grads.shape == (batch_size, dim)
+            assert values[0] == 0.0 and not grads[0].any()
             for b in range(batch_size):
-                value, grad = csc_loss_per_sample(V[b], labels[b], psets[labels[b]], banks.hard,
+                value, grad = csc_loss_per_sample(V[b], labels[b], psets[labels[b]], banks[1],
                                                   temperature, smoothing)
                 scale = 1.0 / temperature
-                worst = max(worst, _row_error(out.value[b], value, scale),
-                            _row_error(out.grad[b], grad, scale))
+                worst = max(worst, _row_error(values[b], value, scale),
+                            _row_error(grads[b], grad, scale))
     assert worst <= 1e-12
 
 
 def test_update_banks_hand_example():
-    banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    banks = np.stack((np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])))
     updated = update_banks(banks, np.array([[0.0, 1.0]]), np.array([1]), 0.1)
     expected = _unit([0.1, 0.9])
-    assert updated.centroid[0] == pytest.approx(expected, abs=1e-4)
-    assert updated.centroid[0][0] == pytest.approx(0.1104, abs=1e-4)
-    assert updated.centroid[0][1] == pytest.approx(0.9939, abs=1e-4)
+    assert updated[0, 0] == pytest.approx(expected, abs=1e-4)
+    assert updated[0, 0, 0] == pytest.approx(0.1104, abs=1e-4)
+    assert updated[0, 0, 1] == pytest.approx(0.9939, abs=1e-4)
     # one sample is both the class's batch mean and its hardest sample
-    assert np.array_equal(updated.hard, updated.centroid)
+    assert np.array_equal(updated[1], updated[0])
 
 
 def test_update_banks_fixed_point_and_alpha_one():
     rng = np.random.default_rng(10)
     banks = _random_banks(rng, 3, 4)
-    same = update_banks(banks, banks.centroid[1:2].copy(), np.array([2]), 0.1)
-    assert np.allclose(same.centroid[1], banks.centroid[1], atol=1e-12)
+    same = update_banks(banks, banks[0, 1:2].copy(), np.array([2]), 0.1)
+    assert np.allclose(same[0, 1], banks[0, 1], atol=1e-12)
 
     out = update_banks(banks, rng.normal(size=(2, 4)), np.array([1, 3]), 1.0)
-    assert np.array_equal(out.centroid, banks.centroid)
-    assert np.array_equal(out.hard, banks.hard)
+    assert np.array_equal(out[0], banks[0])
+    assert np.array_equal(out[1], banks[1])
 
 
 def test_update_banks_batch_mean_and_untouched_rows():
@@ -387,10 +389,10 @@ def test_update_banks_batch_mean_and_untouched_rows():
     banks = _random_banks(rng, 3, 4)
     a, b = rng.normal(size=4), rng.normal(size=4)
     out = update_banks(banks, np.array([a, b]), np.array([2, 2]), 0.3)
-    row = 0.3 * banks.centroid[1] + 0.7 * (a + b) / 2
-    assert np.allclose(out.centroid[1], row / np.linalg.norm(row), atol=1e-12)
-    assert np.array_equal(out.centroid[0], banks.centroid[0])
-    assert np.array_equal(out.centroid[2], banks.centroid[2])
+    row = 0.3 * banks[0, 1] + 0.7 * (a + b) / 2
+    assert np.allclose(out[0, 1], row / np.linalg.norm(row), atol=1e-12)
+    assert np.array_equal(out[0, 0], banks[0, 0])
+    assert np.array_equal(out[0, 2], banks[0, 2])
 
 
 def test_update_banks_rows_stay_unit_norm():
@@ -400,30 +402,30 @@ def test_update_banks_rows_stay_unit_norm():
         batch = [(rng.normal(size=6), int(rng.integers(1, 5))) for _ in range(8)]
         banks = update_banks(banks, np.array([v for v, _ in batch]), np.array([y for _, y in batch]),
                              0.1)
-        assert np.allclose(np.linalg.norm(banks.centroid, axis=1), 1.0, atol=1e-12)
-        assert np.allclose(np.linalg.norm(banks.hard, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(banks[0], axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(banks[1], axis=1), 1.0, atol=1e-12)
 
 
 def test_update_hard_memory_selects_least_similar():
-    banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    banks = np.stack((np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])))
     close = np.array([0.9, 0.1])
     far = np.array([-0.2, 1.0])
     out = update_banks(banks, np.array([close, far]), np.array([1, 1]), 0.5)
     row = 0.5 * np.array([1.0, 0.0]) + 0.5 * far
-    assert np.allclose(out.hard[0], row / np.linalg.norm(row), atol=1e-12)
+    assert np.allclose(out[1, 0], row / np.linalg.norm(row), atol=1e-12)
     # the centroid row moves toward the batch mean instead
     row = 0.5 * np.array([1.0, 0.0]) + 0.5 * (close + far) / 2
-    assert np.allclose(out.centroid[0], row / np.linalg.norm(row), atol=1e-12)
+    assert np.allclose(out[0, 0], row / np.linalg.norm(row), atol=1e-12)
 
 
 def test_update_hard_memory_tie_breaks_to_earliest():
-    banks = MemoryBanks(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    banks = np.stack((np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])))
     a = np.array([0.6, 0.8])
     b = np.array([0.6, -0.8])  # the same cosine similarity (0.6) as a, exactly
     for batch, first in ((np.array([a, b]), a), (np.array([b, a]), b)):
         out = update_banks(banks, batch, np.array([1, 1]), 0.5)
         row = 0.5 * np.array([1.0, 0.0]) + 0.5 * first
-        assert np.allclose(out.hard[0], row / np.linalg.norm(row), atol=1e-12)
+        assert np.allclose(out[1, 0], row / np.linalg.norm(row), atol=1e-12)
 
 
 def test_batched_updates_match_per_sample_oracle():
@@ -439,18 +441,46 @@ def test_batched_updates_match_per_sample_oracle():
         if size >= 3:
             # an exact hard-bank tie: with an axis as the class's hard row,
             # flipping a sample's other coordinates keeps its cosine bit for bit
-            hard_rows = banks.hard.copy()
-            hard_rows[labels[0] - 1] = np.eye(dim)[0]
-            banks = MemoryBanks(banks.centroid, hard_rows)
+            banks[1, labels[0] - 1] = np.eye(dim)[0]
             V[2] = -V[0]
             V[2, 0] = V[0, 0]
             labels[2] = labels[0]
         batch = list(zip(V, labels))
-        centroid = update_centroid_per_sample(banks.centroid, batch, momentum)
-        hard = update_hard_memory_per_sample(banks.hard, batch, momentum)
+        centroid = update_centroid_per_sample(banks[0], batch, momentum)
+        hard = update_hard_memory_per_sample(banks[1], batch, momentum)
         both = update_banks(banks, V, labels, momentum)
-        for got, want in ((both.centroid, centroid), (both.hard, hard)):
+        for got, want in ((both[0], centroid), (both[1], hard)):
             assert np.abs(got - want).max() <= 1e-15
+
+
+def test_one_pass_banks_match_two_call_oracle_byte_for_byte():
+    # one stacked loss pass and one momentum step give the bits of one call per bank
+    rng = np.random.default_rng(20)
+    for trial in range(300):
+        n, dim = int(rng.integers(1, 12)), int(rng.integers(2, 7))
+        banks = _random_banks(rng, n, dim)
+        psets = _random_psets(rng, n, n)
+        full = int(rng.integers(1, n + 1))
+        psets[full] = set(range(1, n + 1))  # rows of this class have no negatives
+        positives = positive_mask(psets, n)
+        size = int(rng.integers(1, 33))
+        V = rng.normal(size=(size, dim))
+        labels = rng.integers(1, n + 1, size=size)
+        labels[0] = full
+        weights = ((1.0, 1.0), (0.0, 0.25), (0.75, 0.0), tuple(rng.uniform(0.0, 2.0, size=2)))
+        hard_weight, centroid_weight = weights[trial % 4]
+        smoothing = (0.0, 0.1, 1.0, float(rng.uniform(0.0, 1.0)))[trial // 4 % 4]
+        cfg = default_config(temperature=float(rng.uniform(0.05, 0.5)), smoothing=smoothing,
+                             hard_weight=hard_weight, centroid_weight=centroid_weight)
+        got = combined_loss(V, labels, positives, banks, cfg)
+        want = combined_loss_two_calls(V, *batch_weights(positives, labels, smoothing), banks,
+                                       cfg)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        momentum = (0.0, 1.0, 0.1, float(rng.uniform(0.0, 1.0)))[trial % 4]
+        moved = update_banks(banks, V, labels, momentum)
+        assert moved.shape == banks.shape
+        assert [b.tobytes() for b in moved] == [
+            b.tobytes() for b in update_banks_two_moved(banks, V, labels, momentum)]
 
 
 def test_update_rejects_empty_batch():

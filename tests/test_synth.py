@@ -101,6 +101,17 @@ def test_identity_separation_raises_mean_angle():
         assert angles[0] < angles[1] < angles[2]
 
 
+def test_zero_separation_places_every_prototype():
+    # cos(0) = 1 bounds no pair, though two re-normalized copies of the shared direction
+    # can dot to 1.0000000000000002
+    for seed in range(6):
+        for raw_dim in (2, 5, 48):
+            spec = SyntheticSpec(num_identities=2, raw_dim=raw_dim, identity_separation=0.0,
+                                 seed=seed)
+            tracklets, _ = generate(spec)
+            assert len(tracklets) == 2 * spec.tracklets_per_identity
+
+
 def test_rejects_dominating_splice():
     with pytest.raises(ValueError, match="splice_len_range"):
         _spec(splice_rate=0.5, tracklet_length_range=(10, 20), splice_len_range=(10, 12))

@@ -18,7 +18,7 @@ from oracles import (
     unit_means_by_reshape,
 )
 from subtrack import nftp, trainer
-from subtrack.memory import MemoryBanks, combined_loss, init_memory
+from subtrack.memory import combined_loss, init_memory
 from subtrack.model import (
     MODE_DIRECT,
     MODE_REACHABLE,
@@ -115,7 +115,7 @@ def _random_step(rng, raw_dim, dim, n, batch_size, frames):
              for y in range(1, n + 1)}
     rows = rng.normal(size=(n, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    banks = MemoryBanks(rows, np.flipud(rows).copy())
+    banks = np.stack((rows, np.flipud(rows)))
     return weights, X, labels, psets, banks
 
 
@@ -128,15 +128,15 @@ def test_end_to_end_gradient_matches_finite_differences():
         weights, X, labels, psets, banks = _random_step(
             rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6)),
             int(rng.integers(2, 5)), int(rng.integers(1, 6)))
-        positives = positive_mask(psets, len(banks.centroid))
+        positives = positive_mask(psets, len(banks[0]))
 
         def loss_of(w):
             V, _ = _embed_batch(Encoder(w), X)
-            return combined_loss(V, labels, positives, banks, cfg).value.mean()
+            return combined_loss(V, labels, positives, banks, cfg)[0].mean()
 
         V, cache = _embed_batch(Encoder(weights), X)
-        out = combined_loss(V, labels, positives, banks, cfg)
-        grad_w = _backprop_batch(out.grad / len(labels), cache)
+        _, grad = combined_loss(V, labels, positives, banks, cfg)
+        grad_w = _backprop_batch(grad / len(labels), cache)
         if np.linalg.norm(grad_w) < 1e-3:
             continue
         fd = central_difference_grad(loss_of, weights.copy())
@@ -150,8 +150,8 @@ def test_batched_gradient_is_mean_of_per_sample_oracle():
     for _ in range(50):
         weights, X, labels, psets, banks = _random_step(rng, 16, 8, 7, 32, 4)
         V, cache = _embed_batch(Encoder(weights), X)
-        out = combined_loss(V, labels, positive_mask(psets, 7), banks, cfg)
-        grad_w = _backprop_batch(out.grad / len(labels), cache)
+        _, grad = combined_loss(V, labels, positive_mask(psets, 7), banks, cfg)
+        grad_w = _backprop_batch(grad / len(labels), cache)
         expected = np.zeros_like(weights)
         for b, y in enumerate(labels):
             v, sample_cache = embed_with_cache(weights, X[b])
@@ -439,10 +439,12 @@ def test_cluster_epoch_rejects_epoch_below_one():
                 cluster_epoch(enc, tracklets, cfg, epoch, PipelineToggles(merge=merge))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("change", [{"lr": np.inf}, {"lr": 1e308}, {"weight_decay": 1e308},
                                     {"hard_weight": np.inf}, {"lr": 1e308, "epochs": 1}])
 def test_a_diverging_run_is_refused(change):
-    # non-finite weights never leave train, nor reach the next epoch's clustering
+    # non-finite weights never leave train, nor reach the next epoch's clustering, and
+    # the run ends in its one ValueError without a RuntimeWarning on the way
     with pytest.raises(ValueError, match="training diverged: non-finite encoder weights"):
         train(_small_dataset(), _small_cfg(**change))
 
@@ -503,7 +505,7 @@ def test_fixed_k_positive_sets_match_per_class_oracle():
         rows = rng.normal(size=(n, 4))
         rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n, size=n // 2)]  # duplicates
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        banks = MemoryBanks(rows, rows.copy())
+        banks = np.stack((rows, rows))
         state = LabelState([], np.zeros(0, dtype=np.int64), np.eye(n, dtype=bool))
         for k in (1, 2, n, n + 3):
             got = _fixed_k_positive_sets(state, banks, k)
