@@ -160,19 +160,9 @@ def cmd_eval(args) -> None:
     enc = _read_encoder(args.weights, tracklets)
     q = inference_features(enc, query)
     g = inference_features(enc, gallery)
-    res = map_cmc(
-        q, [(t.identity, t.camera) for t in query],
-        g, [(t.identity, t.camera) for t in gallery],
-        k_max=args.k_max,
-    )
-    storage.dump_json(
-        {
-            "mAP": res.map,
-            "cmc": [float(x) for x in res.cmc],
-            "skipped_queries": res.skipped_queries,
-        },
-        args.out,
-    )
+    storage.dump_json(map_cmc(q, [(t.identity, t.camera) for t in query],
+                              g, [(t.identity, t.camera) for t in gallery],
+                              k_max=args.k_max), args.out)
 
 
 def cmd_stats(args) -> None:
@@ -193,17 +183,8 @@ def cmd_stats(args) -> None:
         pseudo.append(label)
         parents.append(by_id[tid])
     _require_ground_truth(parents, "stats")
-    stats = cluster_stats(pseudo, [t.identity for t in parents], [t.camera for t in parents])
-    storage.dump_json(
-        {
-            "correct": stats.correct,
-            "cross_camera": stats.cross_camera,
-            "incorrect": stats.incorrect,
-            "total_clusters": stats.total_clusters,
-            "total_identities": stats.total_identities,
-        },
-        args.out,
-    )
+    storage.dump_json(cluster_stats(pseudo, [t.identity for t in parents],
+                                    [t.camera for t in parents]), args.out)
 
 
 def _write_csv(path, header, rows) -> None:

@@ -1,32 +1,17 @@
-"""Retrieval metrics and clustering-quality statistics."""
+"""Retrieval metrics and clustering-quality statistics.
+
+`map_cmc` and `cluster_stats` return the records that the CLI's `eval` and
+`stats` write as `eval.json` and `stats.json`: dicts of Python ints, floats
+and float lists, ready for `storage.dump_json`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import OUTLIER
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    map: float
-    cmc: np.ndarray  # rank-1..K_max accuracies, non-decreasing
-    skipped_queries: int  # queries with no valid cross-camera match
-
-
-@dataclass(frozen=True)
-class ClusterStats:
-    correct: int        # clusters whose members all share one identity
-    cross_camera: int   # correct clusters spanning >= 2 cameras
-    incorrect: int
-    total_identities: int
-
-    @property
-    def total_clusters(self) -> int:
-        return self.correct + self.incorrect
 
 
 def map_cmc(
@@ -35,12 +20,13 @@ def map_cmc(
     gallery_feats: np.ndarray,
     gallery_meta: Sequence[tuple[int, int]],
     k_max: int = 10,
-) -> RetrievalResult:
+) -> dict:
     """Cross-camera retrieval: rank by cosine distance, score AP and CMC.
 
     Gallery entries sharing both identity and camera with the query are
     excluded from its ranking (the standard junk rule); queries left without
-    any valid match are skipped and counted.
+    any valid match are skipped and counted. Returns `{"mAP", "cmc",
+    "skipped_queries"}`, with `cmc` the rank-1..k_max accuracies.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, not {k_max}")
@@ -72,7 +58,8 @@ def map_cmc(
     if not aps:
         raise ValueError("no query has a valid cross-camera match")
     n_valid = len(aps)
-    return RetrievalResult(float(np.mean(aps)), cmc_hits / n_valid, skipped)
+    return {"mAP": float(np.mean(aps)), "cmc": (cmc_hits / n_valid).tolist(),
+            "skipped_queries": skipped}
 
 
 def _contingency(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -90,14 +77,13 @@ def pairwise_prf(
 ) -> tuple[float, float, float]:
     """Pairwise precision/recall/F1 of pseudo labels against identities.
 
-    OUTLIER samples contribute no pairs. Degenerate denominators yield 0.
+    OUTLIER samples contribute no pairs. Degenerate denominators yield 0, so
+    fewer than two labeled samples score (0.0, 0.0, 0.0).
     """
     pseudo = np.asarray(pseudo_labels)
     gt = np.asarray(gt_identities)
     keep = pseudo != OUTLIER
     pseudo, gt = pseudo[keep], gt[keep]
-    if pseudo.size < 2:
-        raise ValueError("need at least two labeled samples")
 
     def pair_count(counts: np.ndarray) -> float:
         return float((counts * (counts - 1) // 2).sum())
@@ -116,7 +102,10 @@ def cluster_stats(
     pseudo_labels: Sequence[int],
     gt_identities: Sequence[int],
     cameras: Sequence[int],
-) -> ClusterStats:
+) -> dict:
+    """Counts of correct (one identity), cross-camera (correct and two or more
+    cameras) and incorrect clusters, OUTLIER excluded; `total_identities`
+    counts every identity, outliers' included."""
     pseudo = np.asarray(pseudo_labels)
     gt = np.asarray(gt_identities)
     cams = np.asarray(cameras)
@@ -125,5 +114,6 @@ def cluster_stats(
     # one entry per label: correct with one identity, cross-camera if also two or more cameras
     correct = np.count_nonzero(_contingency(pseudo, gt), axis=1) == 1
     cross = correct & (np.count_nonzero(_contingency(pseudo, cams), axis=1) >= 2)
-    return ClusterStats(int(correct.sum()), int(cross.sum()), int((~correct).sum()),
-                        int(np.unique(np.asarray(gt_identities)).size))
+    return {"correct": int(correct.sum()), "cross_camera": int(cross.sum()),
+            "incorrect": int((~correct).sum()), "total_clusters": int(correct.size),
+            "total_identities": int(np.unique(np.asarray(gt_identities)).size)}

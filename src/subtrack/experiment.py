@@ -4,36 +4,28 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .evaluation import cluster_stats, map_cmc, pairwise_prf
 from .model import Tracklet
 from .trainer import TrainResult, inference_features
 
 
-def result_label_arrays(tracklets: Sequence[Tracklet], result: TrainResult):
-    """Per-unit (pseudo label, gt identity, camera) from a run's final state."""
-    by_id = {t.id: t for t in tracklets}
-    parents = [by_id[st.parent_id] for st in result.labels.units]
-    return (result.labels.labels, np.asarray([t.identity for t in parents]),
-            np.asarray([t.camera for t in parents]))
-
-
-def final_metrics(tracklets: Sequence[Tracklet], result: TrainResult, k_max: int = 10) -> dict:
+def final_metrics(tracklets: Sequence[Tracklet], result: TrainResult) -> dict:
     """Retrieval mAP/Rank-1 plus pseudo-label pairwise F1 and cluster counts."""
     feats = inference_features(result.encoder, tracklets)
     meta = [(t.identity, t.camera) for t in tracklets]
-    retrieval = map_cmc(feats, meta, feats, meta, k_max=k_max)
-    pseudo, gt, cams = result_label_arrays(tracklets, result)
+    retrieval = map_cmc(feats, meta, feats, meta)
+    by_id = {t.id: t for t in tracklets}
+    parents = [by_id[st.parent_id] for st in result.labels.units]
+    pseudo, gt = result.labels.labels, [t.identity for t in parents]
     _, _, f1 = pairwise_prf(pseudo, gt)
-    stats = cluster_stats(pseudo, gt, cams)
+    stats = cluster_stats(pseudo, gt, [t.camera for t in parents])
     return {
-        "map": retrieval.map,
-        "rank1": float(retrieval.cmc[0]),
+        "map": retrieval["mAP"],
+        "rank1": retrieval["cmc"][0],
         "pairwise_f1": f1,
-        "correct_clusters": stats.correct,
-        "cross_camera_clusters": stats.cross_camera,
-        "incorrect_clusters": stats.incorrect,
+        "correct_clusters": stats["correct"],
+        "cross_camera_clusters": stats["cross_camera"],
+        "incorrect_clusters": stats["incorrect"],
     }
 
 

@@ -291,7 +291,7 @@ def test_criterion_10_map_oracle(capsys):
     cosines = np.array([0.99, 0.9, 0.8, 0.5])
     gallery = np.stack([cosines, np.sqrt(1 - cosines**2)], axis=1)
     out = map_cmc(query, [(1, 0)], gallery, [(1, 1), (2, 0), (1, 2), (3, 0)], k_max=4)
-    ok = out.map == (1.0 + 2.0 / 3.0) / 2.0  # matches enumerated 5/6 exactly
+    ok = out["mAP"] == (1.0 + 2.0 / 3.0) / 2.0  # matches enumerated 5/6 exactly
 
     rng = np.random.default_rng(110)
     worst = 0.0
@@ -311,7 +311,7 @@ def test_criterion_10_map_oracle(capsys):
         if not aps:
             continue
         res = map_cmc(feats, meta, feats, meta, k_max=10)
-        worst = max(worst, abs(res.map - sum(aps) / len(aps)))
+        worst = max(worst, abs(res["mAP"] - sum(aps) / len(aps)))
         done += 1
     ok = ok and worst <= 1e-12
     _verdict(capsys, 10,

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import itertools
@@ -215,6 +216,26 @@ def test_sweep_subcommand(tmp_path, dataset_dir, config_file, param, values):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert all(line.startswith(f"{param},") for line in lines[1:])
+
+
+def test_rows_without_clusters_score_zero_f1(tmp_path):
+    # min_samples above the unit count: every run ends with all units OUTLIER
+    spec = {"num_identities": 6, "num_cameras": 3, "tracklets_per_identity": 2,
+            "raw_dim": 16, "seed": 3}
+    cfg = {"dim": 8, "k1": 6, "k2": 2, "partition_stride": 16, "epochs": 2,
+           "min_samples": 1000}
+    for name, obj in (("spec.json", spec), ("cfg.json", cfg)):
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    data, cfg_path = str(tmp_path / "data"), str(tmp_path / "cfg.json")
+    assert main(["generate", "--spec", str(tmp_path / "spec.json"), "--out", data]) == 0
+    assert main(["ablate", "--data", data, "--config", cfg_path,
+                 "--out", str(tmp_path / "ablate.csv")]) == 0
+    assert main(["sweep", "--data", data, "--config", cfg_path, "--param", "K",
+                 "--values", "1,2", "--out", str(tmp_path / "sweep.csv")]) == 0
+    ablate, sweep = (list(csv.DictReader(io.StringIO((tmp_path / name).read_text())))
+                     for name in ("ablate.csv", "sweep.csv"))
+    assert [row["pairwise_f1"] for row in ablate + sweep] == ["0"] * 7
+    assert [row["incorrect_clusters"] for row in ablate] == ["0"] * 5
 
 
 def test_unknown_sweep_param_errors(tmp_path, dataset_dir, config_file, capsys):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import average_precision_enum, cluster_stats_per_label
-from subtrack.evaluation import ClusterStats, cluster_stats, map_cmc, pairwise_prf
+from subtrack import storage
+from subtrack.evaluation import cluster_stats, map_cmc, pairwise_prf
 from subtrack.model import OUTLIER
 
 
@@ -17,10 +20,10 @@ def test_map_textbook_five_sixths():
     gallery = _on_circle([0.99, 0.9, 0.8, 0.5])
     g_meta = [(1, 1), (2, 0), (1, 2), (3, 0)]
     out = map_cmc(query, [(1, 0)], gallery, g_meta, k_max=4)
-    assert out.map == (1.0 + 2.0 / 3.0) / 2.0  # bit-exact against the enumeration
-    assert out.map == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert out.cmc[0] == 1.0
-    assert out.skipped_queries == 0
+    assert out["mAP"] == (1.0 + 2.0 / 3.0) / 2.0  # bit-exact against the enumeration
+    assert out["mAP"] == pytest.approx(5.0 / 6.0, abs=1e-15)
+    assert out["cmc"][0] == 1.0
+    assert out["skipped_queries"] == 0
 
 
 def test_map_junk_rule_excludes_same_id_same_camera():
@@ -28,8 +31,8 @@ def test_map_junk_rule_excludes_same_id_same_camera():
     gallery = _on_circle([0.99, 0.8])
     # the nearest gallery item shares id and camera with the query -> junk
     out = map_cmc(query, [(1, 0)], gallery, [(1, 0), (1, 1)], k_max=2)
-    assert out.map == 1.0
-    assert out.cmc[0] == 1.0
+    assert out["mAP"] == 1.0
+    assert out["cmc"][0] == 1.0
 
 
 def test_map_skips_query_without_valid_match():
@@ -37,8 +40,8 @@ def test_map_skips_query_without_valid_match():
     gallery = _on_circle([0.95, 0.5])
     # query 1's only same-id item sits in its own camera -> skipped
     out = map_cmc(query, [(1, 0), (2, 0)], gallery, [(1, 1), (2, 0)], k_max=2)
-    assert out.skipped_queries == 1
-    assert out.map == 1.0  # only query 0 counts
+    assert out["skipped_queries"] == 1
+    assert out["mAP"] == 1.0  # only query 0 counts
 
 
 def test_map_raises_when_no_query_valid():
@@ -59,7 +62,7 @@ def test_map_tie_break_by_gallery_index():
     gallery = _on_circle([0.9, 0.9])  # exact distance tie
     out = map_cmc(query, [(1, 0)], gallery, [(2, 0), (1, 1)], k_max=2)
     # the tied non-match at index 0 must rank first, so AP = 1/2
-    assert out.map == 0.5
+    assert out["mAP"] == 0.5
 
 
 def test_cmc_non_decreasing_random():
@@ -73,9 +76,10 @@ def test_cmc_non_decreasing_random():
             out = map_cmc(feats, meta, feats, meta, k_max=10)
         except ValueError:
             continue
-        assert (np.diff(out.cmc) >= -1e-15).all()
-        assert 0.0 <= out.map <= 1.0
-        assert out.cmc[-1] <= 1.0
+        assert len(out["cmc"]) == 10
+        assert (np.diff(out["cmc"]) >= -1e-15).all()
+        assert 0.0 <= out["mAP"] <= 1.0
+        assert out["cmc"][-1] <= 1.0
 
 
 def _oracle_map(feats, meta, k_max):
@@ -105,7 +109,7 @@ def test_map_matches_enumeration_oracle():
         if expected is None:
             continue
         out = map_cmc(feats, meta, feats, meta, k_max=10)
-        assert abs(out.map - expected) <= 1e-12
+        assert abs(out["mAP"] - expected) <= 1e-12
         done += 1
 
 
@@ -131,9 +135,10 @@ def test_pairwise_prf_outliers_excluded():
     assert with_noise == without
 
 
-def test_pairwise_prf_rejects_too_few_labeled():
-    with pytest.raises(ValueError):
-        pairwise_prf([1, OUTLIER], [3, 4])
+@pytest.mark.parametrize("pseudo, gt", [([1, OUTLIER], [3, 4]), ([], [])])
+def test_pairwise_prf_scores_zero_below_two_labeled(pseudo, gt):
+    # no labeled pair: every denominator is 0, so the triple is zero, not an error
+    assert pairwise_prf(pseudo, gt) == (0.0, 0.0, 0.0)
 
 
 def test_pairwise_prf_label_renaming_invariant():
@@ -187,14 +192,14 @@ def test_cluster_stats_hand_example():
     stats = cluster_stats(pseudo, gt, cams)
     # cluster 1: pure id 0 across two cameras; cluster 2 mixes ids; cluster 3
     # pure id 3 in one camera
-    assert stats == ClusterStats(correct=2, cross_camera=1, incorrect=1, total_identities=5)
-    assert stats.total_clusters == 3
+    assert stats == {"correct": 2, "cross_camera": 1, "incorrect": 1,
+                     "total_clusters": 3, "total_identities": 5}
 
 
 def test_cluster_stats_all_outliers():
     stats = cluster_stats([OUTLIER, OUTLIER], [1, 2], [0, 0])
-    assert stats.total_clusters == 0
-    assert stats.total_identities == 2
+    assert stats["total_clusters"] == 0
+    assert stats["total_identities"] == 2
 
 
 def test_cluster_stats_matches_per_label_oracle():
@@ -213,6 +218,36 @@ def test_cluster_stats_matches_per_label_oracle():
         gt = rng.choice(identities[: int(rng.integers(1, 7))], size=n)
         cams = rng.choice(cameras[: int(rng.integers(1, 5))], size=n)
         expected = cluster_stats_per_label(pseudo, gt, cams)
-        assert cluster_stats(pseudo, gt, cams) == ClusterStats(*expected)
+        stats = cluster_stats(pseudo, gt, cams)
+        assert stats["total_clusters"] == stats["correct"] + stats["incorrect"]
+        assert stats["total_clusters"] == len(set(pseudo.tolist()) - {OUTLIER})
+        del stats["total_clusters"]
+        assert stats == dict(zip(["correct", "cross_camera", "incorrect", "total_identities"],
+                                 expected))
         seen += np.array(expected) > 0
     assert seen[:3].min() > 20  # correct, cross-camera and incorrect clusters all occur
+
+
+def _json_leaf_types(record):
+    """The type of each value, with a list read as its items' types."""
+    return {k: {type(x) for x in v} if isinstance(v, list) else {type(v)}
+            for k, v in record.items()}
+
+
+def test_records_hold_only_json_types():
+    # storage.json_bytes writes the records as they are: no numpy scalar or array inside
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(12, 4))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    meta = [(i % 3, i % 2) for i in range(12)]
+    retrieval = map_cmc(feats, meta, feats, meta, k_max=5)
+    assert _json_leaf_types(retrieval) == {
+        "mAP": {float}, "cmc": {float}, "skipped_queries": {int}}
+    pseudo = np.array([1, 1, 2, OUTLIER, 3, 3], dtype=np.int64)
+    gt = np.array([0, 0, 1, 1, 2, 3], dtype=np.int64)
+    stats = cluster_stats(pseudo, gt, np.array([0, 1, 0, 0, 1, 1]))
+    assert _json_leaf_types(stats) == {k: {int} for k in stats}
+    assert list(stats) == ["correct", "cross_camera", "incorrect", "total_clusters",
+                           "total_identities"]
+    for record in (retrieval, stats):
+        assert json.loads(storage.json_bytes(record)) == record
