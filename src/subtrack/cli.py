@@ -24,12 +24,8 @@ from .trainer import (
     train,
 )
 
-SWEEP_PARAMS = {
-    "delta": "filter_factor",
-    "lambda": "smoothing",
-    "l": "partition_stride",
-    "K": None,  # handled as a fixed positive-set size
-}
+# sweep --param: the config field that each value sets; K fixes the positive-set size instead
+SWEEP_FIELDS = {"delta": "filter_factor", "lambda": "smoothing", "l": "partition_stride"}
 
 
 class CliError(Exception):
@@ -196,54 +192,53 @@ def _write_csv(path, header, rows) -> None:
     storage.write_files(path.parent, {path.name: buf.getvalue().encode("utf-8")})
 
 
-def cmd_ablate(args) -> None:
+def _scored_inputs(args, command: str):
+    """The tracklets and config of ``command``, which trains runs and scores them."""
     tracklets, _ = _read_dataset(args.data)
-    _require_ground_truth(tracklets, "ablate")
-    _require_cross_camera_match(tracklets, "ablate")
-    cfg = _load_config(args.config, "ablate")
+    _require_ground_truth(tracklets, command)
+    _require_cross_camera_match(tracklets, command)
+    return tracklets, _load_config(args.config, command)
+
+
+def _score_cells(m: dict) -> list[str]:
+    """A run's mAP, rank-1 and pairwise F1 in ``.17g``, which round-trips each float."""
+    return [format(m[key], ".17g") for key in ("map", "rank1", "pairwise_f1")]
+
+
+def cmd_ablate(args) -> None:
+    tracklets, cfg = _scored_inputs(args, "ablate")
     header = ["name", "filter", "partition", "merge", "loss",
               "map", "rank1", "pairwise_f1", "incorrect_clusters"]
     rows = []
     for toggles in standard_ablation_rows():
         m = final_metrics(tracklets, train(tracklets, cfg, toggles))
-        rows.append([
-            toggles.name, int(toggles.filter_frames), int(toggles.do_partition),
-            toggles.merge, toggles.loss,
-            format(m["map"], ".17g"), format(m["rank1"], ".17g"),
-            format(m["pairwise_f1"], ".17g"), m["incorrect_clusters"],
-        ])
+        rows.append([toggles.name, int(toggles.filter_frames), int(toggles.do_partition),
+                     toggles.merge, toggles.loss, *_score_cells(m), m["incorrect_clusters"]])
     _write_csv(args.out, header, rows)
 
 
 def cmd_sweep(args) -> None:
-    if args.param not in SWEEP_PARAMS:
-        raise CliError(f"unknown sweep param {args.param!r}; choose from {sorted(SWEEP_PARAMS)}")
-    tracklets, _ = _read_dataset(args.data)
-    _require_ground_truth(tracklets, "sweep")
-    _require_cross_camera_match(tracklets, "sweep")
-    cfg = _load_config(args.config, "sweep")
+    field = SWEEP_FIELDS.get(args.param)
+    if field is None and args.param != "K":
+        raise CliError(f"unknown sweep param {args.param!r}; "
+                       f"choose from {sorted([*SWEEP_FIELDS, 'K'])}")
+    tracklets, cfg = _scored_inputs(args, "sweep")
     runs = []  # every value is checked before the first run
     for raw_value in args.values.split(","):
-        if args.param == "K":
+        if field is None:  # K: train's fixed_k, not a config field
             k = int(raw_value)
             if k < 1:
                 raise CliError(f"sweep K must be >= 1, not {k}")
             runs.append((raw_value, cfg, k))
-        else:
-            field = SWEEP_PARAMS[args.param]
-            value = int(raw_value) if field == "partition_stride" else float(raw_value)
+        else:  # typed as the field's default, as a config file's value is
+            value = type(getattr(TrainConfig, field))(raw_value)
             runs.append((raw_value, _checked(cfg.replace, **{field: value}), None))
     header = ["param", "value", "map", "rank1", "pairwise_f1", "filtered_frames_per_epoch"]
     rows = []
     for raw_value, run_cfg, k in runs:
         result = train(tracklets, run_cfg, fixed_k=k)
-        m = final_metrics(tracklets, result)
-        rows.append([
-            args.param, raw_value,
-            format(m["map"], ".17g"), format(m["rank1"], ".17g"),
-            format(m["pairwise_f1"], ".17g"),
-            ";".join(str(r.filtered_frames) for r in result.reports),
-        ])
+        rows.append([args.param, raw_value, *_score_cells(final_metrics(tracklets, result)),
+                     ";".join(str(r.filtered_frames) for r in result.reports)])
     _write_csv(args.out, header, rows)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .evaluation import cluster_stats, map_cmc, pairwise_prf
-from .model import Tracklet
+from .model import Tracklet, TrainConfig
 from .trainer import TrainResult, inference_features
 
 
@@ -50,9 +50,7 @@ def reference_comparison_spec(seed: int):
 
 def reference_comparison_config(seed: int):
     """Training configuration scaled down to 30 epochs for the comparison."""
-    from .model import default_config
-
-    return default_config(
+    return TrainConfig(
         dim=32,
         epochs=30,
         merge_switch_epoch=11,

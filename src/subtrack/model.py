@@ -190,6 +190,7 @@ class TrainConfig:
             (self.weight_decay >= 0, "weight_decay >= 0"),
             (self.merge_switch_epoch >= 1, "merge_switch_epoch >= 1"),
             (self.hard_weight >= 0 and self.centroid_weight >= 0, "loss weights >= 0"),
+            (self.rng_seed >= 0, "rng_seed >= 0"),
         ]
         if problems := [rule for ok, rule in checks if not ok]:
             raise ValueError("invalid config: " + "; ".join(problems))
@@ -199,7 +200,3 @@ class TrainConfig:
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay_factor ** ((epoch - 1) // self.lr_decay_period)
-
-
-def default_config(**overrides) -> TrainConfig:
-    return TrainConfig(**overrides)

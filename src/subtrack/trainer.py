@@ -241,48 +241,42 @@ def train(
             enc, tracklets, cfg, epoch, toggles
         )
         labeled = np.flatnonzero(state.labels != OUTLIER)
+        mean_loss = float("nan")  # an epoch that labels no unit trains nothing
+        if labeled.size:
+            banks = init_memory(features, state.labels)  # skips outliers
+            if fixed_k is not None:
+                state = _fixed_k_positive_sets(state, banks, fixed_k)
+
+            iters = cfg.iters_per_epoch or -(-labeled.size // cfg.batch_size)
+            lr = cfg.lr_at(epoch)
+            X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
+            sizes = np.array([idx.size for _, idx in unit_frames])
+            losses = []
+            with np.errstate(all="ignore"):  # diverging weights warn nothing: refused below
+                for _ in range(iters):
+                    units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
+                    picks = nftp.sample_frames(sizes[units], cfg.frames_per_sample,
+                                               cfg.sample_stride, rng)
+                    for b, i in enumerate(units):
+                        frames, idx = unit_frames[i]
+                        X[b] = frames[idx[picks[b]]]
+                    y = state.labels[units]
+                    V, cache = _embed_batch(enc, X)
+                    value, grad = combined_loss(V, y, state.positives, banks, cfg)
+                    grad_w = _backprop_batch(grad / cfg.batch_size, cache)
+                    enc.weights = opt.step(enc.weights, grad_w, lr)
+                    banks = update_banks(banks, V, y, cfg.momentum)
+                    losses.append(value)
+                if not np.isfinite(enc.weights).all():
+                    raise ValueError("training diverged: non-finite encoder weights")
+                if not _encodes(_linear(enc, X)[1]):
+                    raise ValueError("training diverged: the last batch no longer encodes")
+            mean_loss = float(np.mean(np.concatenate(losses)))
+
         result.labels, result.subtracklets, result.features = state, subtracklets, features
-
-        if not labeled.size:
-            result.reports.append(
-                EpochReport(epoch, 0, state.num_outliers, state.mode, float("nan"), filtered,
-                            time.perf_counter() - t0)
-            )
-            continue
-
-        banks = init_memory(features, state.labels)  # skips outliers
-        if fixed_k is not None:
-            state = _fixed_k_positive_sets(state, banks, fixed_k)
-            result.labels = state
-
-        iters = cfg.iters_per_epoch or -(-labeled.size // cfg.batch_size)
-        lr = cfg.lr_at(epoch)
-        X = np.empty((cfg.batch_size, cfg.frames_per_sample, raw_dim))
-        sizes = np.array([idx.size for _, idx in unit_frames])
-        losses = []
-        with np.errstate(all="ignore"):  # diverging weights warn nothing: they are refused below
-            for _ in range(iters):
-                units = labeled[rng.integers(0, labeled.size, size=cfg.batch_size)]
-                picks = nftp.sample_frames(sizes[units], cfg.frames_per_sample,
-                                           cfg.sample_stride, rng)
-                for b, i in enumerate(units):
-                    frames, idx = unit_frames[i]
-                    X[b] = frames[idx[picks[b]]]
-                y = state.labels[units]
-                V, cache = _embed_batch(enc, X)
-                value, grad = combined_loss(V, y, state.positives, banks, cfg)
-                grad_w = _backprop_batch(grad / cfg.batch_size, cache)
-                enc.weights = opt.step(enc.weights, grad_w, lr)
-                banks = update_banks(banks, V, y, cfg.momentum)
-                losses.append(value)
-            if not np.isfinite(enc.weights).all():
-                raise ValueError("training diverged: non-finite encoder weights")
-            if not _encodes(_linear(enc, X)[1]):
-                raise ValueError("training diverged: the last batch no longer encodes")
-
         result.reports.append(
-            EpochReport(epoch, state.num_clusters, state.num_outliers, state.mode,
-                        float(np.mean(np.concatenate(losses))), filtered, time.perf_counter() - t0)
+            EpochReport(epoch, state.num_clusters, state.num_outliers, state.mode, mean_loss,
+                        filtered, time.perf_counter() - t0)
         )
     return result
 

@@ -34,7 +34,7 @@ from subtrack.memory import (
     update_banks,
 )
 from subtrack.merging import merge_positives
-from subtrack.model import default_config
+from subtrack.model import TrainConfig
 from subtrack.nftp import noise_filter, partition
 from subtrack.storage import load_json
 from subtrack.trainer import Encoder, _backprop_batch, _embed_batch
@@ -111,7 +111,7 @@ def test_criterion_03_gradient_suite(capsys):
     # each batched loss is checked on a batch of several rows; row b's value
     # depends on V[b] only, so the gradient of the summed values stacks the rows'
     rng = np.random.default_rng(103)
-    cfg = default_config()
+    cfg = TrainConfig()
     worst_loss = 0.0
     worst_e2e = 0.0
     checked_loss = checked_e2e = 0

@@ -267,6 +267,19 @@ def test_invalid_sweep_value_errors(tmp_path, dataset_dir, config_file, capsys, 
     assert not out.exists()
 
 
+def test_sweep_values_take_the_type_of_the_field_they_set(tmp_path, dataset_dir, config_file,
+                                                          capsys):
+    # partition_stride is an int, so 2.5 is refused; filter_factor is a float, so 1 is 1.0
+    argv = ["sweep", "--data", str(dataset_dir), "--config", str(config_file)]
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--param", "l", "--values", "2.5", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "invalid literal for int() with base 10: '2.5'"}
+    assert not out.exists()
+    assert main([*argv, "--param", "delta", "--values", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("delta,1,")
+
+
 def test_missing_dataset_errors_as_json(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert code == 1

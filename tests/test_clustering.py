@@ -30,7 +30,7 @@ from subtrack.clustering import (
     _weights,
     sub_cluster_generate,
 )
-from subtrack.model import OUTLIER, default_config
+from subtrack.model import OUTLIER, TrainConfig
 
 
 def _random_unit_rows(rng, n, d):
@@ -77,7 +77,7 @@ def test_cosine_distance_rejects_unnormalized():
         feats = _random_unit_rows(rng, n, 4)
         feats[n // 2] *= 2.0
         with pytest.raises(ValueError, match="L2-normalized"):
-            sub_cluster_generate(feats, default_config())
+            sub_cluster_generate(feats, TrainConfig())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -87,7 +87,7 @@ def test_a_non_finite_row_is_refused(bad):
     for n in (4, 40):
         feats = _random_unit_rows(rng, n, 4)
         feats[n // 2, 1] = bad
-        for call in (_unit_rows, lambda f: sub_cluster_generate(f, default_config())):
+        for call in (_unit_rows, lambda f: sub_cluster_generate(f, TrainConfig())):
             with pytest.raises(ValueError, match="L2-normalized"):
                 call(feats)
 
@@ -187,7 +187,7 @@ def test_k_reciprocal_weights_and_labels_match_set_oracle():
         assert np.array_equal(W, k_reciprocal_weights(_path_distances(f), k1, k2))
         jac = jaccard_pairwise(W)
         for eps in (0.25, 0.5, 0.7):
-            labels = sub_cluster_generate(f, default_config(k1=k1, k2=k2, eps=eps, min_samples=2))
+            labels = sub_cluster_generate(f, TrainConfig(k1=k1, k2=k2, eps=eps, min_samples=2))
             want = kernels.dbscan_pairs(n, *np.nonzero(np.triu(jac <= eps, 1)), 2)
             assert np.array_equal(labels, want)
 
@@ -259,7 +259,7 @@ def test_sub_cluster_generate_matches_the_dense_row_scan(eps):
         jac = jaccard_by_column(weights_by_row(dist, expansion_by_2d_index(rank, k1), rank, k2))
         np.fill_diagonal(jac, 0.0)
         for min_samples in (2, 4):
-            cfg = default_config(k1=k1, k2=k2, eps=eps, min_samples=min_samples)
+            cfg = TrainConfig(k1=k1, k2=k2, eps=eps, min_samples=min_samples)
             labels = sub_cluster_generate(f, cfg)
             assert np.array_equal(labels, dbscan_row_scan(jac, eps, min_samples))
 
@@ -271,7 +271,7 @@ def test_sub_cluster_generate_holds_no_square_array(n, bound):
     f = _cluster_sizes_tool().features(n)
     tracemalloc.start()
     try:
-        sub_cluster_generate(f, default_config())
+        sub_cluster_generate(f, TrainConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -294,7 +294,7 @@ CLUSTER_SIZES = [(int(n), digest) for digest, n, _ in map(
 @pytest.mark.parametrize("n, digest", CLUSTER_SIZES)
 def test_cluster_sizes_labels_are_pinned(n, digest):
     # tools/cluster_sizes.py's seeded features: a change that moves one label fails here
-    labels = sub_cluster_generate(_cluster_sizes_tool().features(n), default_config())
+    labels = sub_cluster_generate(_cluster_sizes_tool().features(n), TrainConfig())
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
@@ -316,7 +316,7 @@ def test_jaccard_degenerate_falls_back_to_cosine():
         feats = _random_unit_rows(rng, n, 4)
         for eps in (0.1, 0.25, 0.5):
             for min_samples in (2, 3):
-                cfg = default_config(k1=30, k2=6, eps=eps, min_samples=min_samples)
+                cfg = TrainConfig(k1=30, k2=6, eps=eps, min_samples=min_samples)
                 want = dbscan_row_scan(_distances(_unit_rows(feats), slice(0, n)), eps, min_samples)
                 assert np.array_equal(sub_cluster_generate(feats, cfg), want)
 
@@ -328,7 +328,7 @@ def test_jaccard_rejects_bad_k():
         feats = _random_unit_rows(rng, n, 4)
         for k1, k2 in ((4, 6), (4, 4)):
             with pytest.raises(ValueError, match="k1 > k2 >= 1"):
-                sub_cluster_generate(feats, default_config(k1=k1, k2=k2))
+                sub_cluster_generate(feats, TrainConfig(k1=k1, k2=k2))
 
 
 def test_dbscan_three_point_example():
@@ -424,7 +424,7 @@ def test_sub_cluster_generate_clean_data_matches_groups():
     rng = np.random.default_rng(5)
     centers = _random_unit_rows(rng, 4, 8)
     feats = np.repeat(centers, 10, axis=0)
-    cfg = default_config(k1=12, k2=3)
+    cfg = TrainConfig(k1=12, k2=3)
     labels = sub_cluster_generate(feats, cfg)
     assert labels.shape == (40,)
     groups, outliers = partition_of(labels)
@@ -433,14 +433,14 @@ def test_sub_cluster_generate_clean_data_matches_groups():
 
 
 def test_sub_cluster_generate_empty():
-    labels = sub_cluster_generate(np.zeros((0, 4)), default_config())
+    labels = sub_cluster_generate(np.zeros((0, 4)), TrainConfig())
     assert labels.shape == (0,)
 
 
 def test_sub_cluster_generate_contiguous_labels():
     rng = np.random.default_rng(2)
     feats = _two_groups(rng, size=12)
-    cfg = default_config(k1=8, k2=3)
+    cfg = TrainConfig(k1=8, k2=3)
     labels = sub_cluster_generate(feats, cfg)
     assert labels.shape == (len(feats),)
     clusters = sorted(set(labels.tolist()) - {OUTLIER})

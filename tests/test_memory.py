@@ -23,7 +23,7 @@ from subtrack.memory import (
     init_memory,
     update_banks,
 )
-from subtrack.model import default_config
+from subtrack.model import TrainConfig
 
 
 def _unit(v):
@@ -90,7 +90,7 @@ def test_infonce_softmax_probabilities_sum_to_one():
     rng = np.random.default_rng(0)
     banks = _random_banks(rng, 7, 5)
     v = _unit(rng.normal(size=5))
-    cfg = default_config(hard_weight=0.0, centroid_weight=1.0)
+    cfg = TrainConfig(hard_weight=0.0, centroid_weight=1.0)
     z = banks[0] @ v / cfg.temperature
     p = np.exp(z - z.max())
     p /= p.sum()
@@ -104,7 +104,7 @@ def test_infonce_rejects_bad_label():
     rng = np.random.default_rng(1)
     banks = _random_banks(rng, 4, 3)
     v = _unit(rng.normal(size=3))
-    cfg = default_config()
+    cfg = TrainConfig()
     for label in (0, 5):
         with pytest.raises(ValueError, match="label outside"):
             _one(combined_loss, v, label, _positives(4), banks, cfg)
@@ -151,7 +151,7 @@ def test_csc_gradient_matches_finite_differences():
 
 def test_combined_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
-    cfg = default_config()
+    cfg = TrainConfig()
     checked = 0
     while checked < 100:
         n = int(rng.integers(2, 8))
@@ -202,9 +202,9 @@ def test_combined_loss_over_singleton_ignores_smoothing_bit_for_bit():
         V = rng.normal(size=(3, dim))
         labels = rng.integers(1, n + 1, size=3)
         plain = combined_loss(V, labels, _positives(n), banks,
-                              default_config(smoothing=0.0, temperature=temperature))
+                              TrainConfig(smoothing=0.0, temperature=temperature))
         smoothed = combined_loss(V, labels, _positives(n), banks,
-                                 default_config(smoothing=float(s), temperature=temperature))
+                                 TrainConfig(smoothing=float(s), temperature=temperature))
         assert np.array_equal(smoothed[0], plain[0])
         assert np.array_equal(smoothed[1], plain[1])
 
@@ -271,7 +271,7 @@ def test_csc_rejects_label_outside_positive_set():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError, match="anchor"):
         combined_loss(rng.normal(size=(1, 3)), np.array([1]), missing, _random_banks(rng, 3, 3),
-                      default_config())
+                      TrainConfig())
 
 
 def test_batch_weights_match_per_class_oracle():
@@ -296,7 +296,7 @@ def test_combined_loss_linearity_in_weights():
     V = rng.normal(size=(3, 4))
     labels = np.array([2, 5, 2])
     banks = _random_banks(rng, 5, 4)
-    cfg = default_config()
+    cfg = TrainConfig()
     positives = _positives(5, c2={2, 4})
     full = combined_loss(V, labels, positives, banks, cfg)
     hard_only = combined_loss(V, labels, positives, banks, cfg.replace(centroid_weight=0.0))
@@ -317,7 +317,7 @@ def test_combined_loss_holds_no_square_float_array():
     labels = rng.integers(1, n + 1, size=batch_size)
     tracemalloc.start()
     try:
-        value, _ = combined_loss(V, labels, positives, banks, default_config())
+        value, _ = combined_loss(V, labels, positives, banks, TrainConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -470,7 +470,7 @@ def test_one_pass_banks_match_two_call_oracle_byte_for_byte():
         weights = ((1.0, 1.0), (0.0, 0.25), (0.75, 0.0), tuple(rng.uniform(0.0, 2.0, size=2)))
         hard_weight, centroid_weight = weights[trial % 4]
         smoothing = (0.0, 0.1, 1.0, float(rng.uniform(0.0, 1.0)))[trial // 4 % 4]
-        cfg = default_config(temperature=float(rng.uniform(0.05, 0.5)), smoothing=smoothing,
+        cfg = TrainConfig(temperature=float(rng.uniform(0.05, 0.5)), smoothing=smoothing,
                              hard_weight=hard_weight, centroid_weight=centroid_weight)
         got = combined_loss(V, labels, positives, banks, cfg)
         want = combined_loss_two_calls(V, *batch_weights(positives, labels, smoothing), banks,

@@ -10,7 +10,7 @@ from oracles import (
     reachable_positive_sets,
 )
 from subtrack.merging import build_graph, merge_positives
-from subtrack.model import MODE_DIRECT, MODE_REACHABLE, OUTLIER, LabelState, default_config
+from subtrack.model import MODE_DIRECT, MODE_REACHABLE, OUTLIER, LabelState, TrainConfig
 
 
 def _assignment(spread):
@@ -192,7 +192,7 @@ def test_merge_positives_matches_dict_oracles_random_graphs():
 
 def test_progressive_switch():
     # the chain A-B under the default schedule: DIRECT before the switch epoch, REACHABLE from it
-    switch = default_config().merge_switch_epoch
+    switch = TrainConfig().merge_switch_epoch
     labels, parent = _assignment({"A": [1, 2], "B": [2, 3]})
     g = build_graph(labels, parent)
     early, at_switch, late = (LabelState((), labels, *merge_positives(g, epoch >= switch))

@@ -12,12 +12,11 @@ from subtrack.model import (
     SubTracklet,
     Tracklet,
     TrainConfig,
-    default_config,
 )
 
 
 def test_default_config_reference_values():
-    cfg = default_config()
+    cfg = TrainConfig()
     assert cfg.filter_factor == 0.7
     assert cfg.smoothing == 0.1
     assert cfg.eps == 0.25
@@ -39,7 +38,7 @@ def test_default_config_reference_values():
 
 def test_validate_config_defaults_ok():
     # the reference configuration passes every check, built directly or through replace
-    assert default_config().replace() == TrainConfig()
+    assert TrainConfig().replace() == TrainConfig()
 
 
 @pytest.mark.parametrize(
@@ -59,11 +58,12 @@ def test_validate_config_defaults_ok():
         ("iters_per_epoch", 0, "iters_per_epoch >= 1"),
         ("batch_size", 0, "batch_size >= 1"),
         ("lr_decay_period", 0, "lr_decay_period >= 1"),
+        ("rng_seed", -1, "rng_seed >= 0"),
     ],
 )
 def test_validate_config_reports_violations(field, value, rule):
     # a config is checked when it is built, and again when replace builds a new one
-    for build in (default_config, default_config().replace):
+    for build in (TrainConfig, TrainConfig().replace):
         with pytest.raises(ValueError, match=r"^invalid config: (.*; )?" + re.escape(rule)):
             build(**{field: value})
 

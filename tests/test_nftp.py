@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import partition_array, sample_frames_per_segment
-from subtrack.model import default_config
+from subtrack.model import TrainConfig
 from subtrack.nftp import noise_filter, partition, sample_frames
 from subtrack.synth import SyntheticSpec, generate, oracle_noise_indices
 
@@ -230,7 +230,7 @@ def test_sample_frames_always_valid_indices():
 
 def test_filter_and_partition_counts():
     # 64 identical frames: none filtered, two units at the default stride
-    cfg = default_config()
+    cfg = TrainConfig()
     kept, _ = noise_filter(np.tile([1.0, 0.0], (64, 1)), cfg.filter_factor)
     assert kept.size == 64
     assert len(partition(kept.size, cfg.partition_stride)) == 2
@@ -238,7 +238,7 @@ def test_filter_and_partition_counts():
 
 def test_one_unit_per_exact_stride():
     # a tracklet of exactly one stride is one unit
-    cfg = default_config()
+    cfg = TrainConfig()
     tracklets = [np.tile([0.0, 1.0], (32, 1)) for _ in range(5)]
     units = [partition(noise_filter(frames, cfg.filter_factor)[0].size, cfg.partition_stride)
              for frames in tracklets]
@@ -279,7 +279,7 @@ def test_nftp_filter_recall_on_spliced_data():
         seed=21,
     )
     tracklets, splice_log = generate(spec)
-    cfg = default_config()
+    cfg = TrainConfig()
     caught = total = 0
     for t in tracklets:
         truth = oracle_noise_indices(splice_log, t.id)

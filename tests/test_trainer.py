@@ -27,7 +27,6 @@ from subtrack.model import (
     SubTracklet,
     TrainConfig,
     Tracklet,
-    default_config,
 )
 from subtrack.storage import dataclass_from_json, read_dataset, write_dataset, write_synthetic
 from subtrack.synth import SyntheticSpec, generate
@@ -78,7 +77,7 @@ def _small_cfg(**kw):
         rng_seed=3,
     )
     base.update(kw)
-    return default_config(**base)
+    return TrainConfig(**base)
 
 
 def test_encode_frames_unit_norm():
@@ -122,7 +121,7 @@ def _random_step(rng, raw_dim, dim, n, batch_size, frames):
 def test_end_to_end_gradient_matches_finite_differences():
     # weights -> batched embed -> batched loss -> batch mean, as in one training step
     rng = np.random.default_rng(3)
-    cfg = default_config(temperature=0.2)
+    cfg = TrainConfig(temperature=0.2)
     checked = 0
     while checked < 100:
         weights, X, labels, psets, banks = _random_step(
@@ -146,7 +145,7 @@ def test_end_to_end_gradient_matches_finite_differences():
 
 def test_batched_gradient_is_mean_of_per_sample_oracle():
     rng = np.random.default_rng(17)
-    cfg = default_config(temperature=0.2)
+    cfg = TrainConfig(temperature=0.2)
     for _ in range(50):
         weights, X, labels, psets, banks = _random_step(rng, 16, 8, 7, 32, 4)
         V, cache = _embed_batch(Encoder(weights), X)
@@ -204,7 +203,7 @@ def test_adamw_first_step_is_signed_unit_step():
 
 
 def test_lr_schedule_decade_steps():
-    cfg = default_config(lr=1e-3)
+    cfg = TrainConfig(lr=1e-3)
     assert cfg.lr_at(1) == pytest.approx(1e-3)
     assert cfg.lr_at(50) == pytest.approx(1e-3)
     assert cfg.lr_at(51) == pytest.approx(1e-4)
@@ -473,6 +472,32 @@ def test_train_reports_one_per_epoch_with_losses():
         assert r.num_clusters >= 1
         assert np.isfinite(r.mean_loss)
         assert r.seconds >= 0.0
+
+
+@pytest.mark.parametrize("fixed_k", [None, 2])
+def test_epochs_that_label_nothing_train_nothing(fixed_k):
+    # min_samples above the unit count: every unit is an outlier in every epoch, so no
+    # step runs, and each report still carries the epoch's mode, counts and a NaN loss
+    tracklets = _small_dataset()
+    cfg = _small_cfg(epochs=3, merge_switch_epoch=2, min_samples=1000)
+    rng = np.random.default_rng(cfg.rng_seed)
+    init = init_encoder(tracklets[0].frames.shape[1], cfg.dim, rng)
+    last, _, features, _, _ = cluster_epoch(init, tracklets, cfg, cfg.epochs)
+    units = len(last.labels)
+    assert units < cfg.min_samples
+    result = train(tracklets, cfg, fixed_k=fixed_k)
+    assert [r.epoch for r in result.reports] == [1, 2, 3]
+    assert [r.mode for r in result.reports] == [MODE_DIRECT, MODE_REACHABLE, MODE_REACHABLE]
+    for r in result.reports:
+        assert (r.num_clusters, r.num_outliers) == (0, units)
+        assert np.isnan(r.mean_loss)
+    assert np.array_equal(result.encoder.weights, init.weights)
+    assert result.labels.mode == last.mode == MODE_REACHABLE
+    assert result.labels.units == last.units
+    assert np.array_equal(result.labels.labels, last.labels)
+    assert np.array_equal(result.labels.positives, last.positives)
+    assert np.array_equal(result.labels.refined, last.refined)
+    assert np.array_equal(result.features, features)
 
 
 def test_train_baseline_runs_and_differs_from_full():

@@ -5,15 +5,17 @@
 Each size (600, 1000, 2000, 5000 and 20,000 units) runs in its own fresh
 process with one BLAS/OpenMP thread. The process draws seeded synthetic unit
 features (32 dims, about eight units per identity), then times
-``sub_cluster_generate(features, default_config())`` (k1=30, k2=6, the
+``sub_cluster_generate(features, TrainConfig())`` (k1=30, k2=6, the
 default eps and min_samples), the pipeline's own call, and prints one line:
 the unit count, the seconds, the process's peak RSS in MB, the cluster count
 and the sha256 of the labels. ``--src`` names the ``src`` directory to
 import ``subtrack`` from (default: this tree's); running the command once
 per tree, e.g. on a checkout of an earlier commit, compares the labels size
-by size. ``tests/fixtures/cluster_sizes.txt`` holds the label hashes of the
-600- and 1000-unit runs, and a tier-1 test reruns ``--one`` at both sizes,
-with one BLAS/OpenMP thread, and compares against it.
+by size; every tree of this project defines ``subtrack.model.TrainConfig``,
+whose defaults are the reference configuration.
+``tests/fixtures/cluster_sizes.txt`` holds the label hashes of the 600- and
+1000-unit runs, and a tier-1 test reruns ``--one`` at both sizes, with one
+BLAS/OpenMP thread, and compares against it.
 """
 
 import argparse
@@ -45,11 +47,11 @@ def features(n: int) -> np.ndarray:
 def one_size(n: int) -> dict:
     """Run in a fresh process: the clustering stage on n units."""
     from subtrack.clustering import sub_cluster_generate
-    from subtrack.model import default_config
+    from subtrack.model import TrainConfig
 
     f = features(n)
     t0 = time.perf_counter()
-    labels = sub_cluster_generate(f, default_config())
+    labels = sub_cluster_generate(f, TrainConfig())
     seconds = time.perf_counter() - t0
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     return {
@@ -71,7 +73,7 @@ def main() -> None:
         print(json.dumps(one_size(args.one)))
         return
     env = {**os.environ, **SINGLE_THREAD}
-    print(f"src: {Path(args.src).resolve()}  seed: {SEED}  dim={DIM}  config: default_config()")
+    print(f"src: {Path(args.src).resolve()}  seed: {SEED}  dim={DIM}  config: TrainConfig()")
     for n in SIZES:
         out = subprocess.run(
             [sys.executable, __file__, "--one", str(n), "--src", args.src],
